@@ -80,7 +80,7 @@ int main() {
   // --- ASCII round trip --------------------------------------------------------
   std::stringstream file;
   io::save_design(file, board, &layout);
-  const io::LoadedDesign reloaded = io::load_design(file);
+  const io::LoadedDesign reloaded = io::try_load_design(file).value();
   std::printf("\nASCII interface round trip: %zu components, %zu rules reloaded\n",
               reloaded.design.components().size(), reloaded.design.emd_rules().size());
 

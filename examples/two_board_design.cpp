@@ -53,7 +53,7 @@ int main() {
   // --- 4: interchange --------------------------------------------------------
   std::stringstream design_file;
   io::save_design(design_file, board, &layout);
-  const io::LoadedDesign reloaded = io::load_design(design_file);
+  const io::LoadedDesign reloaded = io::try_load_design(design_file).value();
   std::printf("ASCII round trip: %zu components, %zu rules, %zu areas reloaded\n",
               reloaded.design.components().size(),
               reloaded.design.emd_rules().size(), reloaded.design.areas().size());

@@ -159,7 +159,9 @@ TransientResult transient_solve(const Circuit& c, const TransientOptions& opt) {
         if (is.n2 >= 0) rhs[index(is.n2)] += i0;
       }
 
-      std::vector<double> x_new = num::solve(std::move(a), rhs);
+      // value() raises the Status of a failed step (singular matrix,
+      // injected lu fault) as an exception, the contract of transient_solve.
+      std::vector<double> x_new = num::try_solve(std::move(a), rhs).value();
 
       // Convergence on the largest relative unknown change.
       double worst = 0.0;

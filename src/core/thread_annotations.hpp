@@ -4,7 +4,7 @@
 // state with the EMI_* macros below, and clang's -Wthread-safety turns a
 // forgotten lock, a call into a REQUIRES function without the capability, or
 // a double acquire into a compile error (`cmake -DEMI_THREAD_SAFETY=ON` with
-// a clang toolchain; see tools/check_analysis.sh). On compilers without the
+// a clang toolchain; see `tools/check.sh analysis`). On compilers without the
 // attribute family (gcc) the macros expand to nothing and the wrapper types
 // below inline straight down to the std primitives - zero overhead, zero
 // behavior change, so the annotated tree is the only tree.

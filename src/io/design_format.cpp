@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "src/core/fault_injection.hpp"
 #include "src/io/atomic_writer.hpp"
@@ -11,6 +12,13 @@
 namespace emi::io {
 
 namespace {
+
+// Thrown by the line parsers below and turned into a kParseError Status at
+// the try_* boundary; never escapes this file.
+struct ParseError : std::runtime_error {
+  ParseError(std::size_t line, const std::string& msg)
+      : std::runtime_error("line " + std::to_string(line) + ": " + msg) {}
+};
 
 // Guardrails against absurd counts: a parse diagnostic beats an allocation
 // of a billion placement slots.
@@ -97,9 +105,7 @@ bool split_kv(const std::string& tok, std::string& key, std::string& value) {
   return true;
 }
 
-}  // namespace
-
-LoadedDesign load_design(std::istream& in) {
+LoadedDesign parse_design(std::istream& in) {
   LoadedDesign out;
   place::Design& d = out.design;
   struct PendingPlace {
@@ -263,11 +269,29 @@ LoadedDesign load_design(std::istream& in) {
   return out;
 }
 
-LoadedDesign load_design_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open design file: " + path);
-  return load_design(in);
+place::Layout parse_layout(std::istream& in, const place::Design& d) {
+  place::Layout layout = place::Layout::unplaced(d);
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto toks = tokenize(line);
+    if (toks.empty()) continue;
+    if (toks[0] != "place") throw ParseError(line_no, "expected 'place' lines only");
+    if (toks.size() != 6) throw ParseError(line_no, "place COMP X Y ROT BOARD");
+    const auto idx = d.find_component(toks[1]);
+    if (!idx) throw ParseError(line_no, "unknown component " + toks[1]);
+    place::Placement p;
+    p.position = {to_double(toks[2], line_no), to_double(toks[3], line_no)};
+    p.rot_deg = to_double(toks[4], line_no);
+    p.board = to_board(toks[5], line_no);
+    p.placed = true;
+    layout.placements[*idx] = p;
+  }
+  return layout;
 }
+
+}  // namespace
 
 void save_design(std::ostream& out, const place::Design& d,
                  const place::Layout* layout) {
@@ -338,11 +362,6 @@ core::Status try_save_design_file(const std::string& path, const place::Design& 
                            [&](std::ostream& o) { save_design(o, d, layout); });
 }
 
-void save_design_file(const std::string& path, const place::Design& d,
-                      const place::Layout* layout) {
-  try_save_design_file(path, d, layout).throw_if_error();
-}
-
 void save_layout(std::ostream& out, const place::Design& d, const place::Layout& l) {
   for (std::size_t i = 0; i < d.components().size(); ++i) {
     const place::Placement& p = l.placements[i];
@@ -354,7 +373,7 @@ void save_layout(std::ostream& out, const place::Design& d, const place::Layout&
 
 core::Result<LoadedDesign> try_load_design(std::istream& in) {
   try {
-    return load_design(in);
+    return parse_design(in);
   } catch (const ParseError& e) {
     return core::Status(core::ErrorCode::kParseError, "io.design_format", e.what());
   } catch (const std::exception& e) {
@@ -373,34 +392,12 @@ core::Result<LoadedDesign> try_load_design_file(const std::string& path) {
 
 core::Result<place::Layout> try_load_layout(std::istream& in, const place::Design& d) {
   try {
-    return load_layout(in, d);
+    return parse_layout(in, d);
   } catch (const ParseError& e) {
     return core::Status(core::ErrorCode::kParseError, "io.design_format", e.what());
   } catch (const std::exception& e) {
     return core::Status(core::ErrorCode::kIoError, "io.design_format", e.what());
   }
-}
-
-place::Layout load_layout(std::istream& in, const place::Design& d) {
-  place::Layout layout = place::Layout::unplaced(d);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto toks = tokenize(line);
-    if (toks.empty()) continue;
-    if (toks[0] != "place") throw ParseError(line_no, "expected 'place' lines only");
-    if (toks.size() != 6) throw ParseError(line_no, "place COMP X Y ROT BOARD");
-    const auto idx = d.find_component(toks[1]);
-    if (!idx) throw ParseError(line_no, "unknown component " + toks[1]);
-    place::Placement p;
-    p.position = {to_double(toks[2], line_no), to_double(toks[3], line_no)};
-    p.rot_deg = to_double(toks[4], line_no);
-    p.board = to_board(toks[5], line_no);
-    p.placed = true;
-    layout.placements[*idx] = p;
-  }
-  return layout;
 }
 
 }  // namespace emi::io

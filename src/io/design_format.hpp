@@ -18,7 +18,7 @@
 //   place COMP X Y ROT BOARD          (optional preplacement / saved layout)
 //
 // `place` lines inside a design file mark the component preplaced; the same
-// syntax is used by save_layout()/load_layout() for placement results.
+// syntax is used by save_layout()/try_load_layout() for placement results.
 #pragma once
 
 #include <iosfwd>
@@ -29,25 +29,15 @@
 
 namespace emi::io {
 
-struct ParseError : std::runtime_error {
-  ParseError(std::size_t line, const std::string& msg)
-      : std::runtime_error("line " + std::to_string(line) + ": " + msg), line_no(line) {}
-  std::size_t line_no;
-};
-
 struct LoadedDesign {
   place::Design design;
   place::Layout layout;  // preplacements applied; others unplaced
 };
 
-LoadedDesign load_design(std::istream& in);
-LoadedDesign load_design_file(const std::string& path);
-
-// Structured variants: every malformed input - truncated lines, non-numeric
-// or non-finite fields, duplicate names, out-of-range counts - comes back as
-// a kParseError Status whose message carries the line number (kIoError for
-// unreadable files). Nothing escapes as a bare std::invalid_argument from
-// the stod/stoi helpers.
+// Every malformed input - truncated lines, non-numeric or non-finite
+// fields, duplicate names, out-of-range counts - comes back as a kParseError
+// Status whose message carries the line number (kIoError for unreadable
+// files). Nothing escapes as an exception.
 [[nodiscard]] core::Result<LoadedDesign> try_load_design(std::istream& in);
 [[nodiscard]] core::Result<LoadedDesign> try_load_design_file(const std::string& path);
 [[nodiscard]] core::Result<place::Layout> try_load_layout(std::istream& in, const place::Design& d);
@@ -55,15 +45,11 @@ LoadedDesign load_design_file(const std::string& path);
 void save_design(std::ostream& out, const place::Design& d,
                  const place::Layout* layout = nullptr);
 // Crash-safe: commits through io::AtomicFileWriter (tmp + fsync + rename),
-// so an interrupted save leaves the previous file intact. The throwing
-// variant raises the Status of the structured one.
-void save_design_file(const std::string& path, const place::Design& d,
-                      const place::Layout* layout = nullptr);
+// so an interrupted save leaves the previous file intact.
 [[nodiscard]] core::Status try_save_design_file(const std::string& path, const place::Design& d,
                                   const place::Layout* layout = nullptr);
 
-// Layout-only round trip (place lines).
+// Layout-only writer (place lines); try_load_layout reads them back.
 void save_layout(std::ostream& out, const place::Design& d, const place::Layout& l);
-place::Layout load_layout(std::istream& in, const place::Design& d);
 
 }  // namespace emi::io

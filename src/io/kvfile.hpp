@@ -1,9 +1,9 @@
 // Checksummed key/value state files: the persistence primitive behind the
 // service's per-job `job.state` records. Same durability recipe as the flow
-// checkpoint - line-oriented text, a trailing FNV-1a checksum over every
-// preceding byte, and atomic publication through io::AtomicFileWriter - so
-// a record on disk is either a complete, validated snapshot or rejected
-// with a line-numbered kParseError. Never half-loaded.
+// checkpoint - the io::line_record checksum envelope and atomic publication
+// through io::AtomicFileWriter - so a record on disk is either a complete,
+// validated snapshot or rejected with a line-numbered kParseError. Never
+// half-loaded.
 //
 // Format:
 //
@@ -13,8 +13,8 @@
 //   checksum <fnv64-hex16>
 //
 // Records preserve order and allow duplicate keys; interpretation is the
-// caller's. Values are flattened to one line on write (stray '\n'/'\r'
-// become spaces), mirroring the checkpoint's defensive serialization.
+// caller's. Keys and values are flattened to one line on write
+// (io::one_line).
 #pragma once
 
 #include <span>

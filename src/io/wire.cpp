@@ -2,29 +2,6 @@
 
 namespace emi::io {
 
-std::vector<std::string> split_tokens(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(line.substr(start, i - start));
-  }
-  return tokens;
-}
-
-std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
-                                    std::string_view key) {
-  for (const std::string& t : tokens) {
-    if (t.size() > key.size() && t.compare(0, key.size(), key) == 0 &&
-        t[key.size()] == '=') {
-      return t.substr(key.size() + 1);
-    }
-  }
-  return std::nullopt;
-}
-
 core::Status LineFramer::feed(std::string_view bytes) {
   if (poisoned_) {
     return core::Status(core::ErrorCode::kFailedPrecondition, "io.wire",

@@ -2,33 +2,18 @@
 // arrives in arbitrary chunks (partial lines, several lines per read), and
 // the framer re-slices it into complete '\n'-terminated lines with a hard
 // per-line size guard, so a misbehaving or malicious client cannot grow the
-// server's buffer without bound.
-//
-// The protocol itself (src/svc/server.cpp) is space-separated tokens:
-//   SUBMIT design=<path> ...\n
-//   STATUS job=<id>\n
-// split_tokens / kv_value do the token-level parsing. Everything here is
-// pure string manipulation - no sockets, no threads - so the framing and
-// parsing are unit-testable without I/O.
+// server's buffer without bound. Pure string manipulation - no sockets, no
+// threads - so the framing is unit-testable without I/O.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/core/status.hpp"
 
 namespace emi::io {
-
-// Whitespace-separated tokens (space/tab); empty tokens never appear.
-std::vector<std::string> split_tokens(std::string_view line);
-
-// Protocol fields are `key=value` tokens. Returns the value of the first
-// token carrying `key`, or nullopt. The value may be empty ("key=").
-std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
-                                    std::string_view key);
 
 class LineFramer {
  public:

@@ -1,22 +1,16 @@
 // LU decomposition with partial pivoting and linear solve, templated over
 // double and std::complex<double>.
 //
-// Two surfaces:
-//   * the legacy throwing one (Lu ctor / solve() / solve(a,b) / inverse) -
-//     for MNA a singular system indicates a floating node or an
-//     inconsistent netlist, a modelling error worth failing loudly on; and
-//   * the structured one (Lu::factor / try_solve returning
-//     core::Result) - for pipelines that must skip-and-report instead of
-//     unwinding, e.g. the parallel AC sweep, where throwing off-thread
-//     would terminate the process.
-// Both run the identical factorization; the throwing ctor merely raises the
-// Status the checked path would have returned.
+// Status-returning throughout (Lu::factor / try_solve return core::Result):
+// a singular MNA system - a floating node or an inconsistent netlist - is
+// reported, never thrown, so pipelines such as the parallel AC sweep can
+// skip-and-report instead of unwinding off-thread. Callers that must fail
+// loudly raise the returned Status themselves.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,35 +31,19 @@ struct LuOptions {
 template <typename T>
 class Lu {
  public:
-  explicit Lu(Matrix<T> a, const LuOptions& opt = {})
-      : lu_(std::move(a)), perm_(lu_.rows()) {
-    status_ = factorize(opt);
-    status_.throw_if_error();
-  }
-
-  // Non-throwing factorization; the error Status carries the failing column
-  // (singular) or kInjectedFault when the lu fault site fired.
+  // Factorize `a`; the error Status carries the failing column (singular)
+  // or kInjectedFault when the lu fault site fired.
   [[nodiscard]] static core::Result<Lu<T>> factor(Matrix<T> a, const LuOptions& opt = {}) {
-    Lu<T> lu(Unchecked{}, std::move(a), opt);
-    if (!lu.status_.ok()) return lu.status_;
+    Lu<T> lu(std::move(a));
+    if (core::Status st = lu.factorize(opt); !st.ok()) return st;
     return core::Result<Lu<T>>(std::move(lu));
   }
-
-  const core::Status& status() const { return status_; }
-  bool ok() const { return status_.ok(); }
 
   // max|pivot| / min|pivot| over the factorization - a cheap lower bound on
   // the condition number, good enough to flag near-singular systems.
   double condition_estimate() const { return cond_; }
 
-  std::vector<T> solve(const std::vector<T>& b) const {
-    status_.throw_if_error();
-    if (b.size() != lu_.rows()) throw std::invalid_argument("Lu::solve: size mismatch");
-    return solve_impl(b);
-  }
-
   [[nodiscard]] core::Result<std::vector<T>> try_solve(const std::vector<T>& b) const {
-    if (!status_.ok()) return status_;
     if (b.size() != lu_.rows()) {
       return core::Status(core::ErrorCode::kInvalidArgument, "numeric.lu",
                           "solve: size mismatch");
@@ -74,11 +52,7 @@ class Lu {
   }
 
  private:
-  struct Unchecked {};
-  Lu(Unchecked, Matrix<T> a, const LuOptions& opt)
-      : lu_(std::move(a)), perm_(lu_.rows()) {
-    status_ = factorize(opt);
-  }
+  explicit Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {}
 
   // Stable per-call identity for the lu fault site: matrix content (shape +
   // corner/center diagonal entries) and the pivot threshold. Independent of
@@ -163,38 +137,16 @@ class Lu {
 
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
-  core::Status status_;
   double cond_ = 1.0;
 };
 
-template <typename T>
-std::vector<T> solve(Matrix<T> a, const std::vector<T>& b) {
-  return Lu<T>(std::move(a)).solve(b);
-}
-
-// Structured counterpart of solve(); never throws on numeric failure.
+// Factor and solve in one call; never throws on numeric failure.
 template <typename T>
 [[nodiscard]] core::Result<std::vector<T>> try_solve(
     Matrix<T> a, const std::vector<T>& b, const LuOptions& opt = {}) {
   core::Result<Lu<T>> lu = Lu<T>::factor(std::move(a), opt);
   if (!lu.ok()) return lu.status();
   return lu.value().try_solve(b);
-}
-
-// Matrix inverse via n solves; used for small PEEC inductance matrices.
-template <typename T>
-Matrix<T> inverse(const Matrix<T>& a) {
-  const std::size_t n = a.rows();
-  Lu<T> lu(a);
-  Matrix<T> inv(n, n);
-  std::vector<T> e(n, T{});
-  for (std::size_t c = 0; c < n; ++c) {
-    e[c] = T{1};
-    const std::vector<T> col = lu.solve(e);
-    e[c] = T{};
-    for (std::size_t r = 0; r < n; ++r) inv(r, c) = col[r];
-  }
-  return inv;
 }
 
 }  // namespace emi::num

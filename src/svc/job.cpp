@@ -1,12 +1,9 @@
 #include "src/svc/job.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/flow/checkpoint.hpp"
+#include "src/io/line_record.hpp"
 
 namespace emi::svc {
 
@@ -15,22 +12,6 @@ namespace {
 const char* const kStateNames[] = {"queued",  "running", "done",       "failed",
                                    "cancelled", "stalled", "quarantined"};
 constexpr std::size_t kStateCount = sizeof kStateNames / sizeof kStateNames[0];
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out, int base = 10) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, base);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
 
 core::Status field_error(const std::string& key, const std::string& value) {
   return core::Status(core::ErrorCode::kParseError, "svc.job",
@@ -98,7 +79,7 @@ std::vector<io::KvRecord> job_to_records(const JobRecord& job) {
   r.emplace_back("poison", job.spec.poison ? "1" : "0");
   r.emplace_back("state", job_state_name(job.state));
   r.emplace_back("attempts", std::to_string(job.attempts));
-  r.emplace_back("fingerprint", hex64(job.fingerprint));
+  r.emplace_back("fingerprint", io::hex64(job.fingerprint));
   r.emplace_back("complete", job.complete ? "1" : "0");
   r.emplace_back("detail", job.detail.empty() ? "-" : job.detail);
   return r;
@@ -109,21 +90,21 @@ core::Result<JobRecord> job_from_records(const std::vector<io::KvRecord>& record
   bool have_id = false, have_state = false;
   for (const auto& [key, value] : records) {
     if (key == "id") {
-      if (!parse_u64(value, job.id)) return field_error(key, value);
+      if (!io::parse_u64(value, job.id)) return field_error(key, value);
       have_id = true;
     } else if (key == "topology") {
       job.spec.topology = value;
     } else if (key == "points") {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v)) return field_error(key, value);
+      if (!io::parse_u64(value, v)) return field_error(key, value);
       job.spec.sweep_points = static_cast<std::size_t>(v);
     } else if (key == "budget_ms") {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v)) return field_error(key, value);
+      if (!io::parse_u64(value, v)) return field_error(key, value);
       job.spec.total_budget_ms = static_cast<std::int64_t>(v);
     } else if (key == "stage_budget_ms") {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v)) return field_error(key, value);
+      if (!io::parse_u64(value, v)) return field_error(key, value);
       job.spec.stage_budget_ms = static_cast<std::int64_t>(v);
     } else if (key == "client") {
       job.spec.client = value == "-" ? std::string() : value;
@@ -137,7 +118,7 @@ core::Result<JobRecord> job_from_records(const std::vector<io::KvRecord>& record
       job.spec.poison = value == "1";
     } else if (key == "attempts") {
       std::uint64_t v = 0;
-      if (!parse_u64(value, v) || v > 0xffffffffull) return field_error(key, value);
+      if (!io::parse_u64(value, v) || v > 0xffffffffull) return field_error(key, value);
       job.attempts = static_cast<std::uint32_t>(v);
     } else if (key == "state") {
       const std::optional<JobState> s = job_state_from_name(value);
@@ -145,7 +126,7 @@ core::Result<JobRecord> job_from_records(const std::vector<io::KvRecord>& record
       job.state = *s;
       have_state = true;
     } else if (key == "fingerprint") {
-      if (!parse_u64(value, job.fingerprint, 16)) return field_error(key, value);
+      if (!io::parse_hex64(value, job.fingerprint)) return field_error(key, value);
     } else if (key == "complete") {
       if (value != "0" && value != "1") return field_error(key, value);
       job.complete = value == "1";

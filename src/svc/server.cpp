@@ -7,51 +7,31 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "src/io/line_record.hpp"
 #include "src/io/wire.hpp"
 
 namespace emi::svc {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string err_reply(const core::Status& st) {
-  std::string msg = st.message();
-  for (char& c : msg) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
   return std::string("ERR code=") + core::error_code_name(st.code()) +
-         " msg=" + msg;
+         " msg=" + io::one_line(st.message());
 }
 
 std::string err_reply(core::ErrorCode code, const std::string& msg) {
   return err_reply(core::Status(code, "svc.server", msg));
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 // job=N field shared by STATUS / RESULT / CANCEL.
 bool parse_job_id(const std::vector<std::string>& tokens, std::uint64_t& id,
                   std::string& err) {
   const std::optional<std::string> v = io::kv_value(tokens, "job");
-  if (!v || !parse_u64(*v, id)) {
+  if (!v || !io::parse_u64(*v, id)) {
     err = err_reply(core::ErrorCode::kInvalidArgument,
                     "expected job=<id>");
     return false;
@@ -67,16 +47,10 @@ std::string format_job_reply(const JobRecord& rec) {
   out += job_state_name(rec.state);
   out += " complete=";
   out += rec.complete ? '1' : '0';
-  out += " fingerprint=" + hex64(rec.fingerprint);
+  out += " fingerprint=" + io::hex64(rec.fingerprint);
   out += " topology=" + rec.spec.topology;
   out += " client=" + (rec.spec.client.empty() ? std::string("-") : rec.spec.client);
-  if (!rec.detail.empty()) {
-    std::string detail = rec.detail;
-    for (char& c : detail) {
-      if (c == '\n' || c == '\r') c = ' ';
-    }
-    out += " detail=" + detail;
-  }
+  if (!rec.detail.empty()) out += " detail=" + io::one_line(rec.detail);
   return out;
 }
 
@@ -117,7 +91,7 @@ CommandOutcome handle_command(Service& svc, const std::string& line) {
     }
     std::uint64_t n = 0;
     if (const auto v = io::kv_value(tokens, "points")) {
-      if (!parse_u64(*v, n)) {
+      if (!io::parse_u64(*v, n)) {
         out.reply = err_reply(core::ErrorCode::kInvalidArgument,
                               "malformed points value: " + *v);
         return out;
@@ -125,7 +99,7 @@ CommandOutcome handle_command(Service& svc, const std::string& line) {
       spec.sweep_points = static_cast<std::size_t>(n);
     }
     if (const auto v = io::kv_value(tokens, "budget_ms")) {
-      if (!parse_u64(*v, n)) {
+      if (!io::parse_u64(*v, n)) {
         out.reply = err_reply(core::ErrorCode::kInvalidArgument,
                               "malformed budget_ms value: " + *v);
         return out;
@@ -133,7 +107,7 @@ CommandOutcome handle_command(Service& svc, const std::string& line) {
       spec.total_budget_ms = static_cast<std::int64_t>(n);
     }
     if (const auto v = io::kv_value(tokens, "stage_budget_ms")) {
-      if (!parse_u64(*v, n)) {
+      if (!io::parse_u64(*v, n)) {
         out.reply = err_reply(core::ErrorCode::kInvalidArgument,
                               "malformed stage_budget_ms value: " + *v);
         return out;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "src/core/status.hpp"
+
 namespace emi::ckt {
 namespace {
 
@@ -174,6 +176,26 @@ TEST(Transient, Validation) {
   opt.dt = 1.0;
   opt.t_stop = 0.5;
   EXPECT_THROW(transient_solve(c, opt), std::invalid_argument);
+}
+
+// A failed step raises the Status of its LU solve: here a floating resistor
+// without the g_min shunt makes the MNA matrix singular.
+TEST(Transient, SingularStepRaisesTheLuStatus) {
+  Circuit c;
+  c.add_vsource("V1", "in", "0", Waveform::dc(1.0));
+  c.add_resistor("R1", "in", "0", 1.0);
+  c.add_resistor("R2", "x", "y", 1.0);  // no path to ground
+  TransientOptions opt;
+  opt.t_stop = 1e-5;
+  opt.dt = 1e-6;
+  opt.g_min = 0.0;
+  try {
+    (void)transient_solve(c, opt);
+    FAIL() << "expected core::StatusError";
+  } catch (const core::StatusError& e) {
+    EXPECT_EQ(e.status().code(), core::ErrorCode::kSingular);
+    EXPECT_EQ(e.status().stage(), "numeric.lu");
+  }
 }
 
 TEST(Transient, ResultAccessors) {

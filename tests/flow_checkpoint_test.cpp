@@ -8,6 +8,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fault_injection.hpp"
@@ -217,6 +218,42 @@ TEST(FlowCheckpoint, ParseErrorsCarryLineNumbers) {
   flipped[flipped.size() / 2] ^= 0x01;
   const core::Status st = parse_checkpoint(flipped).status();
   EXPECT_EQ(st.code(), core::ErrorCode::kParseError);
+}
+
+// Re-seal `text` after an edit to its payload, so only the field grammar
+// can reject the edit.
+std::string reseal(const std::string& text) {
+  const std::string payload = text.substr(0, text.rfind("checksum "));
+  char sum[32];
+  std::snprintf(sum, sizeof sum, "checksum %016llx\n",
+                static_cast<unsigned long long>(core::fault::fnv64(payload)));
+  return payload + sum;
+}
+
+// Numbers are bare digits, as the writer emits them: a signed count behind a
+// valid checksum is a parse error, never a count wrapped to 2^64 - 1.
+TEST(FlowCheckpoint, SignedNumbersBehindAValidChecksumAreRejected) {
+  FlowCheckpoint ck;
+  StageDiagnostic d;
+  d.stage = "flow.sensitivity";
+  d.status = core::Status(core::ErrorCode::kInjectedFault, "ckt.ac", "two words");
+  d.attempts = 2;
+  d.recovered = true;
+  ck.result.diagnostics.push_back(d);
+  const std::string text = serialize_checkpoint(ck);
+  ASSERT_TRUE(parse_checkpoint(reseal(text)).ok());
+
+  for (const auto& [from, to] : {std::pair{"\nstats 0 ", "\nstats -1 "},
+                                 std::pair{"\ndiag 2 ", "\ndiag -1 "},
+                                 std::pair{"\ndiag 2 ", "\ndiag +2 "}}) {
+    std::string edited = text;
+    const std::size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, std::string(from).size(), to);
+    const core::Status st = parse_checkpoint(reseal(edited)).status();
+    EXPECT_EQ(st.code(), core::ErrorCode::kParseError) << to;
+    EXPECT_NE(st.message().find("line "), std::string::npos) << st.to_string();
+  }
 }
 
 TEST(FlowCheckpoint, InconsistentStageBitmasksAreRejected) {

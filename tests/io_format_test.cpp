@@ -33,7 +33,7 @@ place CONN 10 6 0 0
 
 TEST(DesignFormat, ParsesEverything) {
   std::istringstream in(kSample);
-  const LoadedDesign ld = load_design(in);
+  const LoadedDesign ld = try_load_design(in).value();
   const place::Design& d = ld.design;
   EXPECT_EQ(d.board_count(), 2);
   EXPECT_DOUBLE_EQ(d.clearance().raw(), 0.8);
@@ -67,10 +67,10 @@ TEST(DesignFormat, ParsesEverything) {
 
 TEST(DesignFormat, RoundTripPreservesStructure) {
   std::istringstream in(kSample);
-  const LoadedDesign ld = load_design(in);
+  const LoadedDesign ld = try_load_design(in).value();
   std::stringstream buf;
   save_design(buf, ld.design, &ld.layout);
-  const LoadedDesign ld2 = load_design(buf);
+  const LoadedDesign ld2 = try_load_design(buf).value();
   EXPECT_EQ(ld2.design.components().size(), ld.design.components().size());
   EXPECT_EQ(ld2.design.nets().size(), ld.design.nets().size());
   EXPECT_EQ(ld2.design.areas().size(), ld.design.areas().size());
@@ -89,12 +89,11 @@ TEST(DesignFormat, RoundTripPreservesStructure) {
 TEST(DesignFormat, ErrorsCarryLineNumbers) {
   const auto expect_error_line = [](const std::string& text, std::size_t line) {
     std::istringstream in(text);
-    try {
-      load_design(in);
-      FAIL() << "expected ParseError";
-    } catch (const ParseError& e) {
-      EXPECT_EQ(e.line_no, line);
-    }
+    const core::Result<LoadedDesign> r = try_load_design(in);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), core::ErrorCode::kParseError) << text;
+    EXPECT_EQ(r.status().message().rfind("line " + std::to_string(line) + ":", 0), 0u)
+        << r.status().to_string();
   };
   expect_error_line("component A 1 1 1\nbogus_keyword x\n", 2);
   expect_error_line("component A 1 1\n", 1);                    // missing field
@@ -109,13 +108,13 @@ TEST(DesignFormat, ErrorsCarryLineNumbers) {
 
 TEST(DesignFormat, LayoutOnlyRoundTrip) {
   std::istringstream in(kSample);
-  const LoadedDesign ld = load_design(in);
+  const LoadedDesign ld = try_load_design(in).value();
   place::Layout l = place::Layout::unplaced(ld.design);
   l.placements[0] = {{12.5, 30.0}, 90.0, 0, true};
   l.placements[2] = {{80.0, 20.0}, 180.0, 1, true};
   std::stringstream buf;
   save_layout(buf, ld.design, l);
-  const place::Layout l2 = load_layout(buf, ld.design);
+  const place::Layout l2 = try_load_layout(buf, ld.design).value();
   EXPECT_EQ(l2.placements[0].position, (geom::Vec2{12.5, 30.0}));
   EXPECT_DOUBLE_EQ(l2.placements[0].rot_deg, 90.0);
   EXPECT_FALSE(l2.placements[1].placed);
@@ -124,12 +123,13 @@ TEST(DesignFormat, LayoutOnlyRoundTrip) {
 
 TEST(DesignFormat, CommentsAndBlanksIgnored) {
   std::istringstream in("\n# full line comment\n  \ncomponent A 1 1 1 # trailing\n");
-  const LoadedDesign ld = load_design(in);
+  const LoadedDesign ld = try_load_design(in).value();
   EXPECT_EQ(ld.design.components().size(), 1u);
 }
 
-TEST(DesignFormat, MissingFileThrows) {
-  EXPECT_THROW(load_design_file("/nonexistent/path.design"), std::runtime_error);
+TEST(DesignFormat, MissingFileIsIoError) {
+  EXPECT_EQ(try_load_design_file("/nonexistent/path.design").status().code(),
+            core::ErrorCode::kIoError);
 }
 
 TEST(Reports, DrcReportMentionsStatus) {

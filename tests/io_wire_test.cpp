@@ -1,6 +1,6 @@
 // Wire framing for the serve protocol: byte streams re-sliced into lines
-// across arbitrary chunk boundaries, CRLF tolerance, the oversized-line
-// guard, and the token/kv parsing the command handler builds on.
+// across arbitrary chunk boundaries, CRLF tolerance and the oversized-line
+// guard.
 #include "src/io/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -14,25 +14,6 @@
 
 namespace emi::io {
 namespace {
-
-TEST(SplitTokens, SplitsOnSpacesAndTabs) {
-  const std::vector<std::string> t = split_tokens("  SUBMIT \t topology=buck  ");
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0], "SUBMIT");
-  EXPECT_EQ(t[1], "topology=buck");
-  EXPECT_TRUE(split_tokens("").empty());
-  EXPECT_TRUE(split_tokens(" \t ").empty());
-}
-
-TEST(KvValue, FirstMatchWinsAndEmptyValuesAreValues) {
-  const std::vector<std::string> t =
-      split_tokens("SUBMIT topology=buck topology=boost client=");
-  EXPECT_EQ(kv_value(t, "topology"), "buck");
-  EXPECT_EQ(kv_value(t, "client"), "");
-  EXPECT_FALSE(kv_value(t, "points").has_value());
-  // A bare `topology` token (no '=') is not a field.
-  EXPECT_FALSE(kv_value(split_tokens("STATUS topology"), "topology").has_value());
-}
 
 TEST(LineFramer, ReassemblesAcrossChunkBoundaries) {
   LineFramer f;

@@ -31,7 +31,7 @@ TEST(Lu, Solves2x2) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  const auto x = solve(a, {5.0, 10.0});
+  const auto x = try_solve(a, {5.0, 10.0}).value();  // raises on failure
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -43,22 +43,30 @@ TEST(Lu, RequiresPivoting) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const auto x = solve(a, {2.0, 3.0});
+  const auto x = try_solve(a, {2.0, 3.0}).value();
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(Lu, ThrowsOnSingular) {
+TEST(Lu, RejectsSingular) {
   MatrixD a(2, 2);
   a(0, 0) = 1;
   a(0, 1) = 2;
   a(1, 0) = 2;
   a(1, 1) = 4;
-  EXPECT_THROW(solve(a, {1.0, 2.0}), std::runtime_error);
+  EXPECT_EQ(try_solve(a, {1.0, 2.0}).status().code(), core::ErrorCode::kSingular);
 }
 
-TEST(Lu, ThrowsOnNonSquare) {
-  EXPECT_THROW(Lu<double>(MatrixD(2, 3)), std::invalid_argument);
+TEST(Lu, RejectsNonSquare) {
+  EXPECT_EQ(Lu<double>::factor(MatrixD(2, 3)).status().code(),
+            core::ErrorCode::kInvalidArgument);
+}
+
+TEST(Lu, RejectsRightHandSideOfWrongSize) {
+  const core::Result<Lu<double>> lu = Lu<double>::factor(MatrixD::identity(2));
+  ASSERT_TRUE(lu.ok());
+  EXPECT_EQ(lu.value().try_solve({1.0}).status().code(),
+            core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Lu, ComplexSystem) {
@@ -68,7 +76,7 @@ TEST(Lu, ComplexSystem) {
   a(0, 1) = C{0, 0};
   a(1, 0) = C{0, 0};
   a(1, 1) = C{0, 2};
-  const auto x = solve(a, {C{2, 0}, C{4, 0}});
+  const auto x = try_solve(a, {C{2, 0}, C{4, 0}}).value();
   EXPECT_NEAR(std::abs(x[0] - C{1, -1}), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(x[1] - C{0, -2}), 0.0, 1e-12);
 }
@@ -82,7 +90,17 @@ TEST(Inverse, RoundTrip) {
   a(1, 2) = 1;
   a(2, 1) = 1;
   a(2, 2) = 5;
-  const MatrixD inv = inverse(a);
+  // Inverse column by column from one factorization.
+  const core::Result<Lu<double>> lu = Lu<double>::factor(a);
+  ASSERT_TRUE(lu.ok());
+  MatrixD inv(3, 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::vector<double> e(3, 0.0);
+    e[c] = 1.0;
+    const core::Result<std::vector<double>> col = lu.value().try_solve(e);
+    ASSERT_TRUE(col.ok());
+    for (std::size_t r = 0; r < 3; ++r) inv(r, c) = col.value()[r];
+  }
   const MatrixD prod = a * inv;
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
@@ -104,7 +122,7 @@ TEST_P(RandomSolve, ResidualSmall) {
   }
   std::vector<double> b(n);
   for (auto& v : b) v = rng.uniform(-10.0, 10.0);
-  const auto x = solve(a, b);
+  const auto x = try_solve(a, b).value();
   const auto ax = a * x;
   for (std::size_t r = 0; r < n; ++r) EXPECT_NEAR(ax[r], b[r], 1e-9);
 }
@@ -123,7 +141,7 @@ TEST(LuStatus, FactorReportsSingularWithColumn) {
   EXPECT_EQ(lu.status().stage(), "numeric.lu");
   EXPECT_NE(lu.status().message().find("column 1"), std::string::npos)
       << lu.status().to_string();
-  // try_solve on the same matrix reports instead of throwing.
+  // The one-call try_solve reports the same code.
   const core::Result<std::vector<double>> x = try_solve(a, {1.0, 2.0});
   ASSERT_FALSE(x.ok());
   EXPECT_EQ(x.status().code(), core::ErrorCode::kSingular);
@@ -148,14 +166,7 @@ TEST(LuStatus, PivotThresholdFlagsNearSingular) {
   const core::Result<Lu<double>> lu = Lu<double>::factor(a, {1e-10});
   ASSERT_FALSE(lu.ok());
   EXPECT_EQ(lu.status().code(), core::ErrorCode::kSingular);
-  // The legacy throwing surface raises the same Status as a StatusError.
-  try {
-    const Lu<double> l2(a, {1e-10});
-    FAIL() << "expected StatusError";
-  } catch (const core::StatusError& e) {
-    EXPECT_EQ(e.status().code(), core::ErrorCode::kSingular);
-    EXPECT_EQ(e.status().stage(), "numeric.lu");
-  }
+  EXPECT_EQ(lu.status().stage(), "numeric.lu");
 }
 
 TEST(LuStatus, InjectedLuFaultReportsInjectedFault) {

@@ -127,7 +127,7 @@ TEST_P(PlaceFuzz, EngineInvariants) {
   // ASCII round trip is lossless at the structural level.
   std::stringstream buf;
   io::save_design(buf, d, &layout);
-  const io::LoadedDesign reloaded = io::load_design(buf);
+  const io::LoadedDesign reloaded = io::try_load_design(buf).value();
   EXPECT_EQ(reloaded.design.components().size(), d.components().size());
   EXPECT_EQ(reloaded.design.emd_rules().size(), d.emd_rules().size());
   EXPECT_EQ(reloaded.design.nets().size(), d.nets().size());

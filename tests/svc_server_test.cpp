@@ -65,6 +65,8 @@ TEST(HandleCommand, MalformedFieldsAreInvalidArgument) {
       "SUBMIT topology=teapot",          // unknown topology (spec validation)
       "SUBMIT topology=buck points=1",   // out-of-range points
       "SUBMIT topology=buck points=abc", // malformed number
+      "SUBMIT topology=buck points=+60", // signed number
+      "SUBMIT topology=buck budget_ms=+5",
       "SUBMIT topology=buck budget_ms=-5",
       "SUBMIT topology=buck stage_budget_ms=1x",
       "SUBMIT topology=buck stop_after=frobnication",
@@ -82,6 +84,19 @@ TEST(HandleCommand, MalformedFieldsAreInvalidArgument) {
                 "ERR code=invalid_argument", 0),
             0u);
   EXPECT_EQ(svc.stats().submitted, 0u);
+}
+
+// Job ids are bare decimal digits: `job=+1` is malformed even while job 1
+// exists.
+TEST(HandleCommand, SignedJobIdIsInvalidArgument) {
+  Service svc({fresh_dir("srv_signed_id"), 1, 8});
+  ASSERT_EQ(handle_command(svc, "SUBMIT topology=buck points=30").reply, "OK id=1");
+  (void)svc.wait(1);
+  for (const char* line : {"STATUS job=+1", "RESULT job=+1", "CANCEL job=+1"}) {
+    EXPECT_EQ(handle_command(svc, line).reply.rfind("ERR code=invalid_argument", 0),
+              0u)
+        << line;
+  }
 }
 
 TEST(HandleCommand, ResultOnNonTerminalJobDefers) {

@@ -41,6 +41,35 @@ JobSpec quick_spec(const std::string& client = "t") {
   return spec;
 }
 
+// Job-record numbers are what job_to_records writes - bare decimal digits
+// and a 16-digit hex fingerprint - so a sign, a blank or a 0x prefix is a
+// parse error, even where the number it spells is valid.
+TEST(SvcJobRecord, SignedOrPrefixedNumbersAreParseErrors) {
+  JobRecord job;
+  job.id = 7;
+  job.spec = quick_spec();
+  job.state = JobState::kDone;
+  job.attempts = 1;
+  job.fingerprint = 0x6a34fcece0e8e0f7ull;
+  const std::vector<io::KvRecord> good = job_to_records(job);
+  ASSERT_TRUE(job_from_records(good).ok());
+
+  const auto code_with = [&](const std::string& key, const std::string& value) {
+    std::vector<io::KvRecord> records = good;
+    for (auto& [k, v] : records) {
+      if (k == key) v = value;
+    }
+    return job_from_records(records).status().code();
+  };
+  EXPECT_EQ(code_with("points", "+60"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("points", " 60"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("id", "+7"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("attempts", "+1"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("fingerprint", "0x6a34fcece0e8e0f7"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("fingerprint", "0x34fcece0e8e0f7"), core::ErrorCode::kParseError);
+  EXPECT_EQ(code_with("fingerprint", "+a34fcece0e8e0f7"), core::ErrorCode::kParseError);
+}
+
 TEST(SvcService, LifecyclePersistsTerminalRecord) {
   const std::string dir = fresh_dir("svc_lifecycle");
   Service svc({dir, 1, 8});

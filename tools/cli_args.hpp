@@ -1,17 +1,14 @@
 // Shared command-line flag parsing for the emiplace subcommands.
 //
-// Every subcommand used to hand-roll the same strtoull loop for its
-// `--budget-ms`-style flags; this hoists that into one Status-returning
-// FlagSet. Register the flags a subcommand accepts, call parse(), and map a
-// failed Status to the usage exit (2). Parsing is strict: the whole token
-// must be a number in range ("12abc" and wrapped negatives are errors, not
-// prefixes), unknown options and missing values are kInvalidArgument with a
-// message naming the offending token.
+// One Status-returning FlagSet for every subcommand's flags. Register the
+// flags a subcommand accepts, call parse(), and map a failed Status to the
+// usage exit (2). Numbers are read with io::parse_u64, so the whole token
+// must be decimal digits in range ("12abc", "+60" and negatives are errors,
+// not prefixes); unknown options and missing values are kInvalidArgument
+// with a message naming the offending token.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <string>
@@ -19,20 +16,9 @@
 #include <vector>
 
 #include "src/core/status.hpp"
+#include "src/io/line_record.hpp"
 
 namespace emi::cli {
-
-// Strict unsigned parse of a whole token. std::stoul would happily accept
-// "12abc" or wrap negatives.
-inline bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
 
 class FlagSet {
  public:
@@ -112,7 +98,7 @@ class FlagSet {
         case Kind::kSize:
         case Kind::kMs: {
           std::uint64_t v = 0;
-          if (!parse_u64(val, v) || v < flag->min_v || v > flag->max_v) {
+          if (!io::parse_u64(val, v) || v < flag->min_v || v > flag->max_v) {
             return err("invalid " + flag->name + " value: " + val);
           }
           if (flag->kind == Kind::kU64) *flag->out_u64 = v;

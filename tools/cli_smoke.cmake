@@ -38,6 +38,7 @@ foreach(needle "emiplace " "EMICKPT 1" "EMIJOB 1" "kernel isa clones")
 endforeach()
 
 expect_status(2 ${CLI} place ${DESIGN} --refine 12abc)
+expect_status(2 ${CLI} flow buck --points +60)
 expect_status(2 ${CLI} place ${DESIGN} --refine -3)
 expect_status(2 ${CLI} place ${DESIGN} --seed 99999999999999999999999)
 expect_status(2 ${CLI} place ${DESIGN} --bogus-flag)
@@ -56,6 +57,9 @@ expect_status(1 ${CLI} info ${BAD})
 file(WRITE ${BAD} "boards 1\ncomponent C1 5 4 2 board=70000\n")
 expect_status(1 ${CLI} info ${BAD})
 expect_status(1 ${CLI} info ${CMAKE_CURRENT_BINARY_DIR}/definitely_missing.design)
+file(WRITE ${BAD}.layout "place C1 1 2\n")
+expect_status(1 ${CLI} drc ${DESIGN} ${BAD}.layout)
+expect_status(1 ${CLI} route ${DESIGN} ${CMAKE_CURRENT_BINARY_DIR}/missing.layout)
 
 # --- Flow subcommand: checkpoint after rule derivation (deterministic SIGKILL
 # stand-in), resume, and check the resumed run's outputs are byte-identical to

@@ -55,6 +55,7 @@
 #include "src/flow/design_flow.hpp"
 #include "src/io/atomic_writer.hpp"
 #include "src/io/design_format.hpp"
+#include "src/io/line_record.hpp"
 #include "src/io/reports.hpp"
 #include "src/io/svg.hpp"
 #include "src/peec/sampled_path.hpp"
@@ -79,7 +80,7 @@ using namespace emi;
 
 bool parse_board(const std::string& s, int& out) {
   std::uint64_t v = 0;
-  if (!cli::parse_u64(s.c_str(), v) || v > 4095) return false;
+  if (!io::parse_u64(s, v) || v > 4095) return false;
   out = static_cast<int>(v);
   return true;
 }
@@ -121,6 +122,21 @@ bool parse_or_usage(const cli::FlagSet& flags, int argc, char** argv) {
 // error class and line number) on stderr.
 io::LoadedDesign load_or_exit(const std::string& path) {
   core::Result<io::LoadedDesign> r = io::try_load_design_file(path);
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s\n", r.status().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
+}
+
+// Load a saved layout of `d` or exit 1 with the structured diagnostic.
+place::Layout load_layout_or_exit(const std::string& path, const place::Design& d) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    std::exit(1);
+  }
+  core::Result<place::Layout> r = io::try_load_layout(in, d);
   if (!r.ok()) {
     std::fprintf(stderr, "%s\n", r.status().to_string().c_str());
     std::exit(1);
@@ -212,15 +228,8 @@ int cmd_place(int argc, char** argv) {
 int cmd_drc(int argc, char** argv) {
   if (argc < 1) return usage();
   io::LoadedDesign ld = load_or_exit(argv[0]);
-  place::Layout layout = ld.layout;
-  if (argc >= 2) {
-    std::ifstream in(argv[1]);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", argv[1]);
-      return 1;
-    }
-    layout = io::load_layout(in, ld.design);
-  }
+  const place::Layout layout =
+      argc >= 2 ? load_layout_or_exit(argv[1], ld.design) : ld.layout;
   const place::DrcReport rep = place::DrcEngine(ld.design).check(layout);
   io::write_drc_report(std::cout, rep);
   return rep.clean() ? 0 : 1;
@@ -229,12 +238,7 @@ int cmd_drc(int argc, char** argv) {
 int cmd_route(int argc, char** argv) {
   if (argc < 2) return usage();
   io::LoadedDesign ld = load_or_exit(argv[0]);
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", argv[1]);
-    return 1;
-  }
-  const place::Layout layout = io::load_layout(in, ld.design);
+  const place::Layout layout = load_layout_or_exit(argv[1], ld.design);
   const auto routed = place::route_nets(ld.design, layout);
   std::printf("net,length_mm,segments\n");
   for (const auto& rn : routed) {
@@ -248,12 +252,7 @@ int cmd_route(int argc, char** argv) {
 int cmd_svg(int argc, char** argv) {
   if (argc < 2) return usage();
   io::LoadedDesign ld = load_or_exit(argv[0]);
-  std::ifstream in(argv[1]);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", argv[1]);
-    return 1;
-  }
-  const place::Layout layout = io::load_layout(in, ld.design);
+  const place::Layout layout = load_layout_or_exit(argv[1], ld.design);
   io::SvgOptions opt;
   std::string out_path;
   cli::FlagSet flags;
@@ -474,24 +473,6 @@ int client_roundtrip(const std::string& socket_path, const std::string& line,
   return reply.rfind("OK", 0) == 0 ? 0 : 1;
 }
 
-// Pull a ` key=<u64>` token out of a reply line; false when absent. Used for
-// the retry_after_ms hint riding in shed ERR messages.
-bool reply_u64_token(const std::string& reply, const std::string& key,
-                     std::uint64_t& out) {
-  const std::string needle = key + "=";
-  std::size_t pos = 0;
-  while ((pos = reply.find(needle, pos)) != std::string::npos) {
-    if (pos == 0 || reply[pos - 1] == ' ') {
-      const std::size_t val = pos + needle.size();
-      std::size_t end = val;
-      while (end < reply.size() && reply[end] != ' ') ++end;
-      return cli::parse_u64(reply.substr(val, end - val).c_str(), out);
-    }
-    pos += needle.size();
-  }
-  return false;
-}
-
 int cmd_submit(int argc, char** argv) {
   std::string socket_path;
   std::string topology = "buck";
@@ -555,7 +536,9 @@ int cmd_submit(int argc, char** argv) {
       return rc;
     }
     std::uint64_t hint_ms = 0;
-    (void)reply_u64_token(reply, "retry_after_ms", hint_ms);  // absent: hint 0
+    if (const auto v = io::kv_value(io::split_tokens(reply), "retry_after_ms")) {
+      (void)io::parse_u64(*v, hint_ms);  // malformed: no hint, like an absent one
+    }
     const std::int64_t wait_ms =
         std::max<std::int64_t>(static_cast<std::int64_t>(hint_ms),
                                backoff.delay_ms(static_cast<int>(attempt)));
@@ -651,9 +634,6 @@ int main(int argc, char** argv) {
     if (cmd == "health") return cmd_plain_verb("HEALTH", argc - 2, argv + 2);
     if (cmd == "shutdown") return cmd_shutdown(argc - 2, argv + 2);
     if (cmd == "version") return cmd_version();
-  } catch (const io::ParseError& e) {
-    std::fprintf(stderr, "parse error: %s\n", e.what());
-    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
