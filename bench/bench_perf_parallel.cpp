@@ -15,6 +15,7 @@
 #include "src/emi/sensitivity.hpp"
 #include "src/flow/buck_converter.hpp"
 #include "src/flow/design_flow.hpp"
+#include "src/flow/scenario_large.hpp"
 #include "src/peec/partial_inductance.hpp"
 
 namespace {
@@ -137,6 +138,28 @@ BENCHMARK(BM_SensitivityRankingAdaptive)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// AC points of the large-scenario ladder at 16, 64 and 256 stages (99, 387
+// and 1,539 unknowns) on one lane: the per-point stamp, factorization and
+// solve, without pool scaling. `per_point` is the iteration time divided by
+// the sweep's points.
+void BM_LadderAcPoint(benchmark::State& state) {
+  core::ThreadPool::set_global_thread_count(1);
+  flow::LargeScenarioOptions so;
+  so.n_stages = static_cast<std::size_t>(state.range(0));
+  const flow::LargeScenarioCircuit sc = flow::make_large_scenario_circuit(so);
+  emc::EmissionSweepOptions opt;
+  opt.n_points = 4;
+  for (auto _ : state) {
+    emc::EmissionSpectrum s =
+        emc::conducted_emission(sc.circuit, sc.meas_node, sc.source, opt);
+    benchmark::DoNotOptimize(s);
+  }
+  state.counters["per_point"] = benchmark::Counter(
+      static_cast<double>(opt.n_points),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LadderAcPoint)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 // The headline: the paper's whole design flow end to end.
 void BM_DesignFlow(benchmark::State& state) {

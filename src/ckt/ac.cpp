@@ -1,10 +1,14 @@
 #include "src/ckt/ac.hpp"
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
+#include <variant>
 
 #include "src/core/parallel.hpp"
+#include "src/numeric/band_lu.hpp"
 #include "src/numeric/lu.hpp"
 #include "src/numeric/matrix.hpp"
 #include "src/numeric/stats.hpp"
@@ -13,8 +17,11 @@ namespace emi::ckt {
 
 namespace {
 
+using InductanceMatrix = std::vector<std::vector<double>>;
+
 // Stamp helpers treating ground (-1) as the eliminated reference row/col.
-void stamp_conductance(num::MatrixC& a, NodeId n1, NodeId n2, Complex g) {
+template <typename Mat>
+void stamp_conductance(Mat& a, NodeId n1, NodeId n2, Complex g) {
   if (n1 >= 0) a(index(n1), index(n1)) += g;
   if (n2 >= 0) a(index(n2), index(n2)) += g;
   if (n1 >= 0 && n2 >= 0) {
@@ -23,11 +30,14 @@ void stamp_conductance(num::MatrixC& a, NodeId n1, NodeId n2, Complex g) {
   }
 }
 
-// Stamp the full MNA system for one frequency point. Shared verbatim
-// between the sweep solver and the coupling probe model so both paths see
-// bit-identical systems (same stamps, same order).
-void assemble_point(const Circuit& c, const std::vector<std::vector<double>>& lmat,
-                    double w, double scale, const AcOptions& opt, num::MatrixC& a,
+// Stamp the full MNA system for one frequency point into `a`, indexed in
+// unknown order: a dense num::MatrixC, a num::BandMatrix, or the
+// StampPattern recorder. Shared verbatim between the sweep solver and the
+// coupling probe model so both paths see bit-identical systems (same
+// stamps, same order).
+template <typename Mat>
+void assemble_point(const Circuit& c, const InductanceMatrix& lmat, double w,
+                    double scale, const AcOptions& opt, Mat& a,
                     std::vector<Complex>& rhs) {
   // g_min to ground keeps isolated nodes solvable.
   for (std::size_t ni = 0; ni < c.node_count(); ++ni) {
@@ -94,7 +104,62 @@ void assemble_point(const Circuit& c, const std::vector<std::vector<double>>& lm
   }
 }
 
+// Records the (row, col) of every stamp: the MNA pattern, which depends on
+// the circuit's elements and not on the frequency.
+struct StampPattern {
+  std::vector<std::pair<std::size_t, std::size_t>> entries;
+  Complex sink;
+  Complex& operator()(std::size_t r, std::size_t c) {
+    entries.emplace_back(r, c);
+    return sink;
+  }
+};
+
+using PointLu = std::variant<num::Lu<Complex>, num::BandLu<Complex>>;
+
+// Stamp and factor one frequency point: straight into band storage when
+// `band` is set, into a dense matrix otherwise. `rhs` (zeroed, one slot per
+// unknown) receives the source vector.
+core::Result<PointLu> factor_point(const Circuit& c, const InductanceMatrix& lmat,
+                                   double w, double scale, const AcOptions& opt,
+                                   const std::shared_ptr<const num::BandOrdering>& band,
+                                   std::vector<Complex>& rhs) {
+  const num::LuOptions lu_opt{opt.pivot_threshold};
+  if (band != nullptr) {
+    num::BandMatrix<Complex> a(band);
+    assemble_point(c, lmat, w, scale, opt, a, rhs);
+    core::Result<num::BandLu<Complex>> lu =
+        num::BandLu<Complex>::factor(std::move(a), lu_opt);
+    if (!lu.ok()) return lu.status();
+    return PointLu(std::move(lu).value());
+  }
+  num::MatrixC a(rhs.size(), rhs.size());
+  assemble_point(c, lmat, w, scale, opt, a, rhs);
+  core::Result<num::Lu<Complex>> lu = num::Lu<Complex>::factor(std::move(a), lu_opt);
+  if (!lu.ok()) return lu.status();
+  return PointLu(std::move(lu).value());
+}
+
+double condition_estimate(const PointLu& lu) {
+  return std::visit([](const auto& f) { return f.condition_estimate(); }, lu);
+}
+
+core::Result<std::vector<Complex>> solve(const PointLu& lu, const std::vector<Complex>& b) {
+  return std::visit([&](const auto& f) { return f.try_solve(b); }, lu);
+}
+
 }  // namespace
+
+std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
+                                                          const AcOptions& opt) {
+  StampPattern pattern;
+  std::vector<Complex> rhs(c.unknown_count());
+  assemble_point(c, c.inductance_matrix(), 1.0, 1.0, opt, pattern, rhs);
+  auto ord = std::make_shared<const num::BandOrdering>(
+      num::rcm_ordering(c.unknown_count(), pattern.entries));
+  if (!num::band_pays(*ord)) return nullptr;
+  return ord;
+}
 
 Complex AcSolution::voltage(const std::string& node, std::size_t fi) const {
   const auto id = circuit_->find_node(node);
@@ -126,6 +191,7 @@ CheckedAcSolution ac_solve_checked(const Circuit& c,
   }
   const std::size_t n_unknowns = c.unknown_count();
   const auto lmat = c.inductance_matrix();
+  const std::shared_ptr<const num::BandOrdering> band = ac_band_ordering(c, opt);
 
   // Frequency points are independent MNA solves; each one stamps its own
   // matrix and writes its own solution and status slots, so the sweep
@@ -151,18 +217,14 @@ CheckedAcSolution ac_solve_checked(const Circuit& c,
     const double w = 2.0 * std::numbers::pi * f;
     const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
 
-    num::MatrixC a(n_unknowns, n_unknowns);
     std::vector<Complex> rhs(n_unknowns, {0.0, 0.0});
-    assemble_point(c, lmat, w, scale, opt, a, rhs);
-
-    const core::Result<num::Lu<Complex>> lu =
-        num::Lu<Complex>::factor(std::move(a), {opt.pivot_threshold});
+    const core::Result<PointLu> lu = factor_point(c, lmat, w, scale, opt, band, rhs);
     if (!lu.ok()) {
       statuses[fi] = lu.status();
       solutions[fi].assign(n_unknowns, Complex{});
       return;
     }
-    conds[fi] = lu.value().condition_estimate();
+    conds[fi] = condition_estimate(lu.value());
     if (conds[fi] > opt.condition_limit) {
       statuses[fi] = core::Status(
           core::ErrorCode::kIllConditioned, "ckt.ac",
@@ -171,7 +233,7 @@ CheckedAcSolution ac_solve_checked(const Circuit& c,
       solutions[fi].assign(n_unknowns, Complex{});
       return;
     }
-    core::Result<std::vector<Complex>> x = lu.value().try_solve(rhs);
+    core::Result<std::vector<Complex>> x = solve(lu.value(), rhs);
     if (!x.ok()) {
       statuses[fi] = x.status();
       solutions[fi].assign(n_unknowns, Complex{});
@@ -246,6 +308,7 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
   const std::size_t nl = bidx.size();
   const std::size_t nf = freqs_hz.size();
   const auto lmat = c.inductance_matrix();
+  const std::shared_ptr<const num::BandOrdering> band = ac_band_ordering(c, opt);
 
   CouplingProbeModel m;
   m.freqs_hz = freqs_hz;
@@ -257,7 +320,7 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
 
   // One factorization per frequency, reused for the baseline RHS and one
   // unit column per candidate inductor: nl+1 back-substitutions against a
-  // single O(n^3) factor. Per-point slots keep the build thread-invariant.
+  // single factor. Per-point slots keep the build thread-invariant.
   const core::CancelScope* cscope = core::CancelScope::current();
   const auto build_point = [&](std::size_t fi) {
     if (cscope != nullptr && cscope->should_stop()) {
@@ -266,24 +329,21 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
     }
     const double w = 2.0 * std::numbers::pi * freqs_hz[fi];
     const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
-    num::MatrixC a(n_unknowns, n_unknowns);
     std::vector<Complex> rhs(n_unknowns, {0.0, 0.0});
-    assemble_point(c, lmat, w, scale, opt, a, rhs);
-
-    const core::Result<num::Lu<Complex>> lu =
-        num::Lu<Complex>::factor(std::move(a), {opt.pivot_threshold});
+    const core::Result<PointLu> lu = factor_point(c, lmat, w, scale, opt, band, rhs);
     if (!lu.ok()) {
       statuses[fi] = lu.status();
       return;
     }
-    if (lu.value().condition_estimate() > opt.condition_limit) {
+    const double cond = condition_estimate(lu.value());
+    if (cond > opt.condition_limit) {
       statuses[fi] = core::Status(
           core::ErrorCode::kIllConditioned, "ckt.coupling_model",
-          "condition estimate " + std::to_string(lu.value().condition_estimate()) +
-              " exceeds limit " + std::to_string(opt.condition_limit));
+          "condition estimate " + std::to_string(cond) + " exceeds limit " +
+              std::to_string(opt.condition_limit));
       return;
     }
-    core::Result<std::vector<Complex>> x = lu.value().try_solve(rhs);
+    core::Result<std::vector<Complex>> x = solve(lu.value(), rhs);
     if (!x.ok()) {
       statuses[fi] = x.status();
       return;
@@ -295,7 +355,7 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
     std::vector<Complex> e(n_unknowns, Complex{});
     for (std::size_t p = 0; p < nl; ++p) {
       e[bidx[p]] = Complex{1.0, 0.0};
-      core::Result<std::vector<Complex>> y = lu.value().try_solve(e);
+      core::Result<std::vector<Complex>> y = solve(lu.value(), e);
       e[bidx[p]] = Complex{};
       if (!y.ok()) {
         statuses[fi] = y.status();

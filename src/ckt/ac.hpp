@@ -6,12 +6,14 @@
 #include <complex>
 #include <concepts>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/ckt/circuit.hpp"
 #include "src/core/status.hpp"
 #include "src/core/units.hpp"
+#include "src/numeric/band_lu.hpp"
 
 namespace emi::ckt {
 
@@ -81,6 +83,9 @@ AcSolution ac_solve(const Circuit& c, const std::vector<double>& freqs_hz,
 // Structured variant: never throws on numeric failure; singular or
 // ill-conditioned points are skipped and reported instead of unwinding the
 // sweep (throwing from inside the parallel region would terminate).
+//
+// Solver selection, here and in ac_coupling_probe_model: see
+// ac_band_ordering.
 CheckedAcSolution ac_solve_checked(const Circuit& c,
                                    const std::vector<double>& freqs_hz,
                                    const AcOptions& opt = {});
@@ -116,6 +121,17 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
                                            const std::vector<std::string>& inductors,
                                            const std::vector<double>& freqs_hz,
                                            const AcOptions& opt = {});
+
+// The solver selection of ac_solve_checked and ac_coupling_probe_model.
+// Each call orders the circuit's MNA stamp pattern once by reverse
+// Cuthill-McKee; the pattern depends on the elements, not the frequency.
+// When the ordered band is narrow (num::band_pays) every point is stamped
+// straight into band storage and factored by num::BandLu, and this returns
+// that ordering; otherwise points are stamped into a dense matrix and
+// factored by num::Lu, and this returns null. Long filter ladders take the
+// band path; the converters' small systems stay dense.
+std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
+                                                          const AcOptions& opt = {});
 
 // Unit-typed sweep entry points: a grid of units::Hertz cannot be confused
 // with one of rad/s (use units::cycles() to come back from angular

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "src/core/fault_injection.hpp"
 
@@ -64,10 +65,25 @@ bool ThreadPool::try_pop(std::size_t lane, Chunk& out, bool& stolen) {
 }
 
 void ThreadPool::execute(const Chunk& c) {
-  (*c.fn)(c.index);
-  g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
   Batch* b = c.batch;
+  // An exception must not escape a lane: on a worker it would terminate the
+  // process, on the submitter it would unwind the frame that other lanes'
+  // chunks still reference. It is parked in the batch and rethrown by
+  // run_chunks once the batch drains.
+  std::exception_ptr error;
+  if (c.index < b->first_failed.load(std::memory_order_acquire)) {
+    try {
+      (*c.fn)(c.index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
+  }
   MutexLock lock(b->mu);
+  if (error != nullptr && c.index < b->first_failed.load(std::memory_order_relaxed)) {
+    b->error = std::move(error);
+    b->first_failed.store(c.index, std::memory_order_release);
+  }
   if (--b->remaining == 0) b->done.notify_all();
 }
 
@@ -139,11 +155,14 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
     if (stolen) g_stats.steals.fetch_add(1, std::memory_order_relaxed);
     execute(c);
   }
+  std::exception_ptr error;
   {
     MutexLock lock(batch.mu);
     while (batch.remaining != 0) batch.done.wait(lock.native());
+    error = batch.error;
   }
   g_stats.batches.fetch_add(1, std::memory_order_relaxed);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 PoolStats ThreadPool::stats() const {

@@ -16,10 +16,12 @@
 // oversubscription without any extra tuning.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -55,6 +57,10 @@ class ThreadPool {
 
   // Run fn(chunk) for every chunk in [0, n_chunks), blocking until all
   // complete. Safe to call from a worker thread (runs inline, serially).
+  // If fn throws, the exception is rethrown here once no lane still runs a
+  // chunk of the batch (so nothing outlives the caller's frame). Chunks
+  // past the lowest-index chunk that threw are skipped, and that chunk's
+  // exception is the one rethrown - the one a serial loop would raise.
   void run_chunks(std::size_t n_chunks, const std::function<void(std::size_t)>& fn);
 
   PoolStats stats() const;
@@ -79,10 +85,16 @@ class ThreadPool {
   static bool serial_fallback_active();
 
  private:
+  static constexpr std::size_t kNoFailure = static_cast<std::size_t>(-1);
   struct Batch {
     Mutex mu;
     std::condition_variable done;
     std::size_t remaining EMI_GUARDED_BY(mu) = 0;
+    // Lowest chunk index that threw so far (kNoFailure: none) and its
+    // exception. Written only under `mu`; first_failed is also read
+    // lock-free to skip later chunks.
+    std::atomic<std::size_t> first_failed{kNoFailure};
+    std::exception_ptr error EMI_GUARDED_BY(mu);
   };
   struct Chunk {
     const std::function<void(std::size_t)>* fn;

@@ -28,6 +28,38 @@ struct LuOptions {
   double pivot_threshold = 1e-300;
 };
 
+// The lu fault site, shared by Lu and BandLu so a system draws the same
+// injected fault on either path. The key is the system's size, the
+// magnitudes of its first, center and last diagonal entries in the caller's
+// unknown order (before any reordering or pivoting; `diag(i)` reads entry
+// (i, i)) and the pivot threshold: a function of the matrix content alone,
+// never of threads or arrival order. Returns kInjectedFault when the site
+// fires, OK otherwise.
+template <typename Diag>
+[[nodiscard]] core::Status lu_injected_fault(std::size_t n, const Diag& diag,
+                                             const LuOptions& opt) {
+  if (!core::fault::armed()) return {};
+  std::uint64_t h = core::fault::mix(0, static_cast<std::uint64_t>(n));
+  if (n > 0) {
+    h = core::fault::mix(h, std::abs(diag(0)));
+    h = core::fault::mix(h, std::abs(diag(n / 2)));
+    h = core::fault::mix(h, std::abs(diag(n - 1)));
+  }
+  h = core::fault::mix(h, opt.pivot_threshold);
+  if (!core::fault::should_fire(core::FaultSite::kLu, h)) return {};
+  return {core::ErrorCode::kInjectedFault, "numeric.lu",
+          "injected singular pivot (EMI_FAULT_INJECT site lu)"};
+}
+
+// The kSingular Status for a pivot below the threshold; `column` names the
+// unknown in the caller's order.
+inline core::Status lu_singular(double pivot, std::size_t column, const LuOptions& opt) {
+  return {core::ErrorCode::kSingular, "numeric.lu",
+          "singular matrix: pivot " + std::to_string(pivot) + " at column " +
+              std::to_string(column) + " below threshold " +
+              std::to_string(opt.pivot_threshold)};
+}
+
 template <typename T>
 class Lu {
  public:
@@ -54,30 +86,15 @@ class Lu {
  private:
   explicit Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {}
 
-  // Stable per-call identity for the lu fault site: matrix content (shape +
-  // corner/center diagonal entries) and the pivot threshold. Independent of
-  // threads and arrival order, distinct across an AC sweep's frequencies.
-  std::uint64_t fault_key(const LuOptions& opt) const {
-    const std::size_t n = lu_.rows();
-    std::uint64_t h = core::fault::mix(0, static_cast<std::uint64_t>(n));
-    if (n > 0) {
-      h = core::fault::mix(h, std::abs(lu_(0, 0)));
-      h = core::fault::mix(h, std::abs(lu_(n / 2, n / 2)));
-      h = core::fault::mix(h, std::abs(lu_(n - 1, n - 1)));
-    }
-    return core::fault::mix(h, opt.pivot_threshold);
-  }
-
   [[nodiscard]] core::Status factorize(const LuOptions& opt) {
     using core::ErrorCode;
     if (lu_.rows() != lu_.cols()) {
       return {ErrorCode::kInvalidArgument, "numeric.lu", "matrix not square"};
     }
     const std::size_t n = lu_.rows();
-    if (core::fault::armed() &&
-        core::fault::should_fire(core::FaultSite::kLu, fault_key(opt))) {
-      return {ErrorCode::kInjectedFault, "numeric.lu",
-              "injected singular pivot (EMI_FAULT_INJECT site lu)"};
+    if (core::Status st = lu_injected_fault(n, [&](std::size_t i) { return lu_(i, i); }, opt);
+        !st.ok()) {
+      return st;
     }
     for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
     double max_pivot = 0.0;
@@ -93,12 +110,7 @@ class Lu {
           pivot = r;
         }
       }
-      if (best < opt.pivot_threshold) {
-        return {ErrorCode::kSingular, "numeric.lu",
-                "singular matrix: pivot " + std::to_string(best) + " at column " +
-                    std::to_string(col) + " below threshold " +
-                    std::to_string(opt.pivot_threshold)};
-      }
+      if (best < opt.pivot_threshold) return lu_singular(best, col, opt);
       max_pivot = std::max(max_pivot, best);
       min_pivot = std::min(min_pivot, best);
       if (pivot != col) {

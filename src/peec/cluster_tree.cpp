@@ -210,25 +210,46 @@ double cluster_error_coefficient(double theta) {
   return 1.0 / t + 12.0 / (t * t);
 }
 
+PreparedPath prepare_path(const SegmentPath& path, const QuadratureOptions& opt,
+                          const KernelOptions& kopt) {
+  PreparedPath out;
+  out.samples = sample_path(path, opt);
+  if (kopt.cluster) out.tree = ClusterTree::build(out.samples, kopt.cluster_leaf_segments);
+  return out;
+}
+
 ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt,
                                             const KernelOptions& kopt) {
+  return path_mutual_clustered_stats(prepare_path(p1, opt, kopt), p2, opt, kopt);
+}
+
+ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
+                                            const SegmentPath& p2,
+                                            const QuadratureOptions& opt,
+                                            const KernelOptions& kopt) {
   ClusteredMutual out;
+  const SampledPath& a = p1.samples;
   if (!kopt.cluster) {
-    out.value = path_mutual(p1, p2, opt, kopt);
+    // path_mutual, with the first side's sampling already done.
+    if (a.segment_count() == 0 || p2.segments.empty()) return out;
+    out.value = path_mutual_sampled(a, sample_path(p2, opt), kopt);
     return out;
   }
   if (!(kopt.cluster_theta >= 2.0)) {
     throw std::invalid_argument(
         "path_mutual_clustered: cluster_theta must be >= 2");
   }
-  const SampledPath a = sample_path(p1, opt);
   const SampledPath b = sample_path(p2, opt);
   const std::size_t n1 = a.segment_count();
   const std::size_t n2 = b.segment_count();
   if (n1 == 0 || n2 == 0) return out;
-  const ClusterTree ta = ClusterTree::build(a, kopt.cluster_leaf_segments);
+  const ClusterTree& ta = p1.tree;
+  if (ta.empty()) {
+    throw std::invalid_argument(
+        "path_mutual_clustered: first side prepared without clustering");
+  }
   const ClusterTree tb = ClusterTree::build(b, kopt.cluster_leaf_segments);
   std::vector<unsigned char> covered(n1 * n2, 0);
   Traversal tr{a,

@@ -95,12 +95,30 @@ struct ClusteredMutual {
 // Requires theta > 1; the traversal itself enforces theta >= 2.
 double cluster_error_coefficient(double theta);
 
+// The first side of a path pair, prepared once for any number of second
+// sides: its quadrature sampling and, when prepared with kopt.cluster, its
+// cluster tree. The batch extractor prepares each distinct first model once
+// per batch instead of once per pair.
+struct PreparedPath {
+  SampledPath samples;
+  ClusterTree tree;  // empty unless prepared with clustering on
+};
+PreparedPath prepare_path(const SegmentPath& path, const QuadratureOptions& opt = {},
+                          const KernelOptions& kopt = {});
+
 // Mutual inductance between two paths with hierarchical clustering. With
 // kopt.cluster false this is exactly path_mutual (same bits). With it true,
 // admitted cluster pairs are served by aggregated moments and everything
 // else by the exact sampled kernel in reference fold order. Throws
 // std::invalid_argument for cluster_theta < 2.
 ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
+                                            const SegmentPath& p2,
+                                            const QuadratureOptions& opt = {},
+                                            const KernelOptions& kopt = {});
+
+// Same, with the first side prepared by prepare_path under the same
+// options; the overload above is this one on prepare_path(p1, opt, kopt).
+ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},
                                             const KernelOptions& kopt = {});

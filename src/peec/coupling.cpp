@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
@@ -91,12 +93,11 @@ Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
 }
 
 CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
-    const PlacedModel& a, const PlacedModel& b) const {
+    const PlacedModel& a, const PlacedModel& b, std::uint64_t da,
+    std::uint64_t db) const {
   // Canonical pair order (smaller digest first) and canonical relative pose:
   // second model expressed in the first model's frame. Rigid translations of
   // the pair - the placer's bread and butter - collapse to one key.
-  const std::uint64_t da = model_digest(*a.model);
-  const std::uint64_t db = model_digest(*b.model);
   // Identical models (equal digests) are common - the paper's X-cap pair -
   // so break the tie on pose, keeping mutual(a,b) and mutual(b,a) on one key.
   const auto pose_before = [](const Pose& p, const Pose& q) {
@@ -146,14 +147,19 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
   return c;
 }
 
-double CouplingExtractor::compute_mutual_air(const CanonicalPair& c) const {
+PreparedPath CouplingExtractor::prepare_first(const ComponentFieldModel& m) const {
+  return prepare_path(m.path_at(Pose{}), opt_, kernel_);
+}
+
+double CouplingExtractor::compute_mutual_air(const CanonicalPair& c,
+                                             const PreparedPath& first) const {
   // Compute in the canonical frame so the stored value is a pure function of
-  // the key: a concurrent duplicate computation lands on identical bits.
-  const SegmentPath pf = c.first->model->path_at(Pose{});
+  // the key: a concurrent duplicate computation lands on identical bits. The
+  // second side is sampled here, at the pair's relative pose.
   const SegmentPath ps = c.second->model->path_at(Pose{c.rel_pos, c.rel_rot});
-  // path_mutual_clustered is path_mutual when kernel_.cluster is off (same
-  // bits), so one dispatch point serves both modes.
-  return path_mutual_clustered(pf, ps, opt_, kernel_);
+  // path_mutual_clustered_stats is path_mutual when kernel_.cluster is off
+  // (same bits), so one dispatch point serves both modes.
+  return path_mutual_clustered_stats(first, ps, opt_, kernel_).value;
 }
 
 Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) const {
@@ -163,7 +169,7 @@ Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) cons
   // Same cooperative stop contract as self_inductance: sentinel out, cache
   // untouched, results discarded by the stopped stage.
   if (!core::CancelScope::poll()) return Henry{0.0};
-  const CanonicalPair c = canonicalize(a, b);
+  const CanonicalPair c = canonicalize(a, b, model_digest(*a.model), model_digest(*b.model));
   const bool forced_miss = core::fault::should_fire(
       core::FaultSite::kCache, core::fault::mix(1, MutualCacheKeyHash{}(c.key)));
   if (!forced_miss) {
@@ -173,7 +179,7 @@ Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) cons
     }
   }
   mutual_misses_.fetch_add(1, std::memory_order_relaxed);
-  const double m_air = compute_mutual_air(c);
+  const double m_air = compute_mutual_air(c, prepare_first(*c.first->model));
   // Same torn-value guard as self_inductance: a stop that lands inside the
   // quadrature's parallel region leaves a partial sum, which must not be
   // memoized under the true key.
@@ -197,6 +203,17 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
   }
   if (!core::CancelScope::poll()) return out;  // sentinel zeros, cache untouched
 
+  // Each placed model's digest once, not once for every pair it is in.
+  std::vector<std::uint64_t> digest(models.size(), 0);
+  std::vector<char> digested(models.size(), 0);
+  for (const auto& [ia, ib] : pairs) {
+    for (const std::size_t i : {ia, ib}) {
+      if (digested[i]) continue;
+      digest[i] = model_digest(*models[i].model);
+      digested[i] = 1;
+    }
+  }
+
   // Canonicalize every pair, then collapse duplicates: jobs holds one entry
   // per distinct canonical key, slot[p] maps each input pair to its job.
   struct Job {
@@ -211,7 +228,8 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
   job_of.reserve(pairs.size());
   std::vector<std::size_t> slot(pairs.size());
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    CanonicalPair c = canonicalize(models[pairs[p].first], models[pairs[p].second]);
+    const auto [ia, ib] = pairs[p];
+    CanonicalPair c = canonicalize(models[ia], models[ib], digest[ia], digest[ib]);
     const auto [it, inserted] = job_of.emplace(c.key, jobs.size());
     if (inserted) jobs.push_back(Job{c, 0.0, false, false});
     slot[p] = it->second;
@@ -245,9 +263,6 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
     }
   }
 
-  // One flat parallel region over the unique misses. Each job writes only
-  // its own slot; values are pure functions of the canonical key, so the
-  // schedule cannot affect results.
   std::vector<std::size_t> miss;
   miss.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -258,12 +273,44 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
       miss.push_back(j);
     }
   }
+
+  // The misses' first sides, prepared once per distinct canonical-first
+  // model (keyed by digest, the identity the cache keys on): a model in many
+  // pairs is sampled and clustered once, not once per pair. The second side
+  // stays per pair; its pose is the pair's relative pose, and samples taken
+  // at one pose are not those of another.
+  std::unordered_map<std::uint64_t, std::size_t> prep_of_digest;
+  std::vector<const ComponentFieldModel*> prep_model;
+  std::vector<std::size_t> prep_of_miss(miss.size());
+  for (std::size_t k = 0; k < miss.size(); ++k) {
+    const CanonicalPair& c = jobs[miss[k]].c;
+    const auto [it, inserted] = prep_of_digest.emplace(c.key.digest_lo, prep_model.size());
+    if (inserted) prep_model.push_back(c.first->model);
+    prep_of_miss[k] = it->second;
+  }
+  std::vector<PreparedPath> prepared(prep_model.size());
+  std::vector<char> prep_done(prep_model.size(), 0);
+  core::parallel_for(
+      0, prep_model.size(),
+      [&](std::size_t m) {
+        if (!core::CancelScope::poll()) return;
+        prepared[m] = prepare_first(*prep_model[m]);
+        prep_done[m] = 1;
+      },
+      1);
+
+  // One flat parallel region over the unique misses. Each job writes only
+  // its own slot; values are pure functions of the canonical key, so the
+  // schedule cannot affect results.
   core::parallel_for(
       0, miss.size(),
       [&](std::size_t k) {
         Job& job = jobs[miss[k]];
-        if (!core::CancelScope::poll()) return;  // leave sentinel, skip store
-        job.m_air = compute_mutual_air(job.c);
+        const std::size_t m = prep_of_miss[k];
+        // A stop (or one that skipped this first side's preparation) leaves
+        // the sentinel and skips the store.
+        if (!core::CancelScope::poll() || !prep_done[m]) return;
+        job.m_air = compute_mutual_air(job.c, prepared[m]);
         // Re-poll after the compute: a stop that landed mid-quadrature (on
         // the lane that carries the scope) truncated the inner parallel
         // region, so the value is torn and must not reach the bulk store.

@@ -38,6 +38,8 @@ namespace emi::peec {
 
 using units::Henry;
 
+struct PreparedPath;  // cluster_tree.hpp
+
 struct PlacedModel {
   const ComponentFieldModel* model = nullptr;
   Pose pose{};
@@ -96,12 +98,15 @@ class CouplingExtractor {
   // orientation; design rules use |k|.
   double coupling_factor(const PlacedModel& a, const PlacedModel& b) const;
 
-  // Batched mutual extraction: `pairs` indexes into `models`. One
-  // canonicalization pass, one shared-lock cache probe for the whole batch,
-  // then a single flat parallel region over the *unique* canonical-pose
-  // misses (duplicates within the batch count as hits and are computed
-  // once), and one bulk store - instead of N^2 per-call lock round-trips.
-  // Each value is bit-identical to the corresponding mutual(a, b) call.
+  // Batched mutual extraction: `pairs` indexes into `models`. Each placed
+  // model's digest is computed once, then one canonicalization pass, one
+  // shared-lock cache probe for the whole batch, one parallel region that
+  // prepares the misses' first sides (canonical-frame sampling and cluster
+  // tree) once per distinct model, a single flat parallel region over the
+  // *unique* canonical-pose misses (duplicates within the batch count as
+  // hits and are computed once), and one bulk store - instead of N^2
+  // per-call lock round-trips and per-pair rebuilds of shared state. Each
+  // value is bit-identical to the corresponding mutual(a, b) call.
   std::vector<Henry> mutual_batch(
       std::span<const PlacedModel> models,
       std::span<const std::pair<std::size_t, std::size_t>> pairs) const;
@@ -172,8 +177,13 @@ class CouplingExtractor {
     double rel_rot;
     double stray;
   };
-  CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b) const;
-  double compute_mutual_air(const CanonicalPair& c) const;
+  // `da` and `db` are the models' digests (model_digest).
+  CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b,
+                             std::uint64_t da, std::uint64_t db) const;
+  // A canonical first side for compute_mutual_air: `m` at the origin. It
+  // depends on the model alone, so a batch prepares it once per model.
+  PreparedPath prepare_first(const ComponentFieldModel& m) const;
+  double compute_mutual_air(const CanonicalPair& c, const PreparedPath& first) const;
   // Self-tier cache key: model digest mixed with the quadrature options (the
   // quadrature changes computed self inductance, and the cache may be shared
   // across differently-configured extractors).

@@ -4,6 +4,12 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
+
+#include "src/core/fault_injection.hpp"
+#include "src/flow/buck_converter.hpp"
+#include "src/flow/scenario_large.hpp"
+#include "src/numeric/stats.hpp"
 
 namespace emi::ckt {
 namespace {
@@ -307,6 +313,146 @@ TEST(LogFrequencyGrid, RoundingToDuplicateAdjacentPointsIsInvalid) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), core::ErrorCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("duplicate adjacent"), std::string::npos);
+}
+
+// Indices of the points an armed lu site fails on one ladder sweep.
+std::vector<std::size_t> injected_lu_failures(std::size_t stages, std::uint64_t seed) {
+  flow::LargeScenarioOptions o;
+  o.n_stages = stages;
+  const flow::LargeScenarioCircuit sc = flow::make_large_scenario_circuit(o);
+  struct Guard {
+    ~Guard() { core::FaultInjector::instance().disarm(); }
+  } guard;
+  core::FaultInjector::instance().configure(core::FaultSite::kLu, 0.5, seed);
+  const CheckedAcSolution r =
+      ac_solve_checked(sc.circuit, num::log_space(150e3, 108e6, 40));
+  std::vector<std::size_t> idx;
+  for (const AcPointFailure& f : r.failures) {
+    EXPECT_EQ(f.status.code(), core::ErrorCode::kInjectedFault);
+    idx.push_back(f.freq_index);
+  }
+  return idx;
+}
+
+// The lu fault site keys on entries of the unpermuted matrix, so an armed
+// sweep fails at the same points whichever way the ladder is factored. The
+// lists were recorded with the dense solver. The key reads the first,
+// center and last diagonal entries; on the 64-stage ladder none of them
+// carries a capacitor, so a seed fails a whole sweep or none of it, while
+// at 66 stages the center entry is a capacitor node and the failures vary
+// with frequency.
+TEST(AcSolveChecked, InjectedLuFaultsHitTheRecordedLadderPoints) {
+  std::vector<std::size_t> all(40);
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const std::vector<std::size_t> none;
+  const std::vector<std::vector<std::size_t>> at64 = {all, all, none, all,
+                                                      all, all, none, all};
+  for (std::uint64_t seed = 1; seed <= at64.size(); ++seed) {
+    EXPECT_EQ(injected_lu_failures(64, seed), at64[seed - 1]) << "seed " << seed;
+  }
+  const std::vector<std::vector<std::size_t>> at66 = {
+      {0, 1, 2, 6, 9, 11, 15, 17, 21, 22, 23, 25, 26, 27, 28, 32, 35, 37, 38},
+      {0, 5, 6, 7, 8, 10, 12, 17, 18, 19, 21, 22, 23, 24, 25, 26, 28, 30, 31, 32,
+       34, 35, 36, 37, 38},
+      {1, 2, 3, 4, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 22, 23, 24, 27, 29, 30,
+       31, 32, 33, 34, 35, 36, 37, 39},
+  };
+  for (std::uint64_t seed = 1; seed <= at66.size(); ++seed) {
+    EXPECT_EQ(injected_lu_failures(66, seed), at66[seed - 1]) << "seed " << seed;
+  }
+}
+
+// The 64-stage ladder (387 unknowns, band path): the solution satisfies
+// the circuit's own equations, computed here from its element lists. Every
+// node's KCL holds except at the source node, where the source's branch
+// current is the equation's free unknown and the source's voltage
+// constraint is checked instead; every inductor's branch equation holds.
+TEST(AcSolveChecked, LadderSolutionSatisfiesKclAndBranchEquations) {
+  flow::LargeScenarioOptions o;
+  o.n_stages = 64;
+  const Circuit c = flow::make_large_scenario_circuit(o).circuit;
+  ASSERT_TRUE(c.switches().empty() && c.diodes().empty() && c.isources().empty());
+  ASSERT_EQ(c.vsources().size(), 1u);
+  const std::vector<double> freqs = {150e3, 1.7e6, 23e6, 108e6};
+  const AcOptions opt;
+  const CheckedAcSolution r = ac_solve_checked(c, freqs, opt);
+  ASSERT_TRUE(r.ok());
+  const auto lmat = c.inductance_matrix();
+  const std::size_t nn = c.node_count();
+  for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
+    const double w = kTwoPi * freqs[fi];
+    std::vector<Complex> v(nn);
+    for (std::size_t n = 0; n < nn; ++n) {
+      v[n] = r.solution.voltage(c.node_name(static_cast<NodeId>(n)), fi);
+    }
+    const auto volt = [&](NodeId id) { return id >= 0 ? v[index(id)] : Complex{}; };
+    // Net current leaving each node and the sum of the terms' magnitudes.
+    std::vector<Complex> net(nn);
+    std::vector<double> scale(nn, 0.0);
+    const auto leave = [&](NodeId id, Complex i) {
+      if (id < 0) return;
+      net[index(id)] += i;
+      scale[index(id)] += std::abs(i);
+    };
+    for (std::size_t n = 0; n < nn; ++n) leave(static_cast<NodeId>(n), opt.g_min * v[n]);
+    for (const Resistor& e : c.resistors()) {
+      const Complex i = (volt(e.n1) - volt(e.n2)) / e.ohms;
+      leave(e.n1, i);
+      leave(e.n2, -i);
+    }
+    for (const Capacitor& e : c.capacitors()) {
+      const Complex i = Complex{0.0, w * e.farads} * (volt(e.n1) - volt(e.n2));
+      leave(e.n1, i);
+      leave(e.n2, -i);
+    }
+    const auto& inds = c.inductors();
+    std::vector<Complex> il(inds.size());
+    for (std::size_t k = 0; k < inds.size(); ++k) {
+      il[k] = r.solution.inductor_current(inds[k].name, fi);
+      leave(inds[k].n1, il[k]);
+      leave(inds[k].n2, -il[k]);
+    }
+    const VSource& vs = c.vsources().front();
+    for (std::size_t n = 0; n < nn; ++n) {
+      const auto id = static_cast<NodeId>(n);
+      if (id == vs.n1 || id == vs.n2) continue;
+      EXPECT_LE(std::abs(net[n]), 1e-9 * scale[n])
+          << "KCL at " << c.node_name(id) << ", f index " << fi;
+    }
+    const Complex src = vs.ac_mag * std::polar(1.0, vs.ac_phase_deg * std::numbers::pi / 180.0);
+    EXPECT_LE(std::abs(volt(vs.n1) - volt(vs.n2) - src), 1e-9 * std::abs(src));
+    for (std::size_t k = 0; k < inds.size(); ++k) {
+      Complex flux{};
+      double flux_scale = 0.0;
+      for (std::size_t j = 0; j < inds.size(); ++j) {
+        const Complex t = Complex{0.0, w * lmat[k][j]} * il[j];
+        flux += t;
+        flux_scale += std::abs(t);
+      }
+      const Complex drop = volt(inds[k].n1) - volt(inds[k].n2);
+      EXPECT_LE(std::abs(drop - flux), 1e-9 * (std::abs(drop) + flux_scale))
+          << "branch " << inds[k].name << ", f index " << fi;
+    }
+  }
+}
+
+// The solver selection is a pure function of the circuit: the converters'
+// small systems stay dense (the buck orders to kl = ku = 7 over 26
+// unknowns, the boost to 6 over 23), the filter ladders order to
+// kl = ku = 3 and take the band path.
+TEST(AcBandSelection, ConvertersStayDenseLaddersGoBanded) {
+  EXPECT_EQ(ac_band_ordering(flow::make_buck_converter().circuit), nullptr);
+  EXPECT_EQ(ac_band_ordering(flow::make_boost_converter().circuit), nullptr);
+  for (const std::size_t stages : {16u, 64u}) {
+    flow::LargeScenarioOptions o;
+    o.n_stages = stages;
+    const Circuit c = flow::make_large_scenario_circuit(o).circuit;
+    const std::shared_ptr<const num::BandOrdering> band = ac_band_ordering(c);
+    ASSERT_NE(band, nullptr) << stages << " stages";
+    EXPECT_EQ(band->size(), c.unknown_count());
+    EXPECT_EQ(band->kl, 3u) << stages << " stages";
+    EXPECT_EQ(band->ku, 3u) << stages << " stages";
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/profile.hpp"
@@ -90,6 +92,35 @@ TEST(ParallelFor, NestedRegionsRunInlineWithoutDeadlock) {
     parallel_for(0, 64, [&](std::size_t j) { visits[i * 64 + j].fetch_add(1); });
   });
   for (std::size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i].load(), 1);
+}
+
+// A throwing chunk - on the submitting lane or a worker - surfaces as an
+// exception from parallel_for only after every lane has left the batch
+// (the caller's frame is then safe to unwind), and the exception is the
+// lowest-index one, as a serial loop would raise.
+TEST(ParallelFor, ExceptionSurfacesOnCallerAfterEveryLaneLeaves) {
+  ThreadCountGuard guard;
+  ThreadPool::set_global_thread_count(4);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::atomic<int> inside{0};
+    try {
+      parallel_for(0, 64, [&](std::size_t i) {
+        inside.fetch_add(1);
+        volatile double sink = 0.0;
+        for (int k = 0; k < 2000; ++k) sink = sink + static_cast<double>(k);
+        inside.fetch_sub(1);
+        if (i == 4 || i == 9 || i == 30) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "4");
+      EXPECT_EQ(inside.load(), 0);
+    }
+  }
+  // The pool is still usable afterwards.
+  std::atomic<int> calls{0};
+  parallel_for(0, 64, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 64);
 }
 
 TEST(ThreadPool, StatsCountBatchesAndChunks) {

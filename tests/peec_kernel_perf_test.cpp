@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "src/flow/scenario_large.hpp"
 #include "src/peec/cluster_tree.hpp"
 #include "src/peec/component_model.hpp"
+#include "src/peec/coupling.hpp"
 #include "src/peec/partial_inductance.hpp"
 #include "src/peec/sampled_path.hpp"
 
@@ -123,6 +126,34 @@ TEST(KernelPerfSmoke, ClusteredExtractionPopulatesCountersAndCutsWork) {
   const KernelStats default_stats = default_delta.sample();
   EXPECT_EQ(default_stats.cluster_pairs, 0u);
   EXPECT_EQ(default_stats.cluster_skipped, 0u);
+}
+
+// Exact work-counter gate for clustered batch extraction: one cold
+// mutual_matrix_clustered over the 16-stage large-scenario grid (32 models,
+// 496 pairs). The counts are a pure function of the geometry, quadrature
+// and kernel options - never of the host or the thread count - so they are
+// pinned exactly. A change that moves one updates the value here and says
+// why; a change that only reorganizes the work must leave them all alone.
+TEST(KernelPerfGate, ClusteredMatrixOverSixteenStageGrid) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 16;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  KernelOptions kopt;
+  kopt.cluster = true;
+  const CouplingExtractor ex(QuadratureOptions{}, kopt);
+
+  KernelDelta delta;
+  const std::vector<units::Henry> m = ex.mutual_matrix_clustered(s.placed);
+  const KernelStats k = delta.sample();
+  ASSERT_EQ(m.size(), s.placed.size() * s.placed.size());
+
+  EXPECT_EQ(k.exact_pairs, 70818u);
+  EXPECT_EQ(k.sample_evals, 10197792u);
+  EXPECT_EQ(k.cluster_pairs, 2262u);
+  EXPECT_EQ(k.cluster_skipped, 442862u);
+  const ExtractionCacheStats c = ex.cache_stats();
+  EXPECT_EQ(c.mutual_misses, 496u);
+  EXPECT_EQ(c.mutual_hits, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -178,37 +179,61 @@ TEST_F(MutualCacheTest, EvictionKeepsNewestHalfAndMonotoneCounters) {
   EXPECT_GE(refetched.mutual_hits, filled.mutual_hits);
 }
 
+// Batch values match per-call mutual() bit for bit, with the exact and the
+// clustered kernel. Beyond the original three models, a hub (the smallest
+// digest of four model kinds) is canonical-first in three pairs with
+// different partners, so the batch's per-model first-side table is shared.
 TEST_F(MutualCacheTest, BatchMatchesPerCallBitwise) {
+  KernelOptions clustered;
+  clustered.cluster = true;
   const ComponentFieldModel coil = bobbin_coil("L1");
+  const ComponentFieldModel tant = tantalum_capacitor("C2");
+  const ComponentFieldModel elko = electrolytic_capacitor("C3");
+  std::vector<const ComponentFieldModel*> kinds = {&ca_, &coil, &tant, &elko};
+  std::sort(kinds.begin(), kinds.end(),
+            [](const ComponentFieldModel* a, const ComponentFieldModel* b) {
+              return model_digest(*a) < model_digest(*b);
+            });
+  for (std::size_t k = 1; k < kinds.size(); ++k) {
+    ASSERT_LT(model_digest(*kinds[0]), model_digest(*kinds[k]));
+  }
   std::vector<PlacedModel> models = {
       {&ca_, {{0.0, 0.0, 0.0}, 0.0}},
       {&cb_, {{22.0, 5.0, 0.0}, 30.0}},
       {&coil, {{40.0, -6.0, 0.0}, 90.0}},
+      {kinds[0], {{0.0, 40.0, 0.0}, 0.0}},  // the hub
+      {kinds[1], {{30.0, 40.0, 0.0}, 45.0}},
+      {kinds[2], {{0.0, 75.0, 0.0}, 0.0}},
+      {kinds[3], {{-30.0, 45.0, 0.0}, 120.0}},
   };
   std::vector<std::pair<std::size_t, std::size_t>> pairs = {
       {0, 1}, {0, 2}, {1, 2}, {1, 0},  // swapped duplicate of {0,1}
       {0, 1},                          // literal duplicate
+      {3, 4}, {3, 5}, {3, 6}, {4, 3},  // hub pairs; {4,3} duplicates {3,4}
   };
-  const std::vector<Henry> batch = ex_.mutual_batch(models, pairs);
-  ASSERT_EQ(batch.size(), pairs.size());
+  for (const KernelOptions& kopt : {KernelOptions{}, clustered}) {
+    const CouplingExtractor ex(QuadratureOptions{}, kopt);
+    const std::vector<Henry> batch = ex.mutual_batch(models, pairs);
+    ASSERT_EQ(batch.size(), pairs.size());
 
-  const CouplingExtractor fresh(ex_.options());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ(batch[p].raw(),
-              fresh.mutual(models[pairs[p].first], models[pairs[p].second]).raw())
-        << "pair " << p;
-  }
-  // 3 unique canonical poses; the swapped and literal duplicates are hits.
-  EXPECT_EQ(ex_.cache_stats().mutual_misses, 3u);
-  EXPECT_EQ(ex_.cache_stats().mutual_hits, 2u);
+    const CouplingExtractor fresh(ex.options(), ex.kernel_options());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_EQ(batch[p].raw(),
+                fresh.mutual(models[pairs[p].first], models[pairs[p].second]).raw())
+          << "pair " << p << ", cluster " << kopt.cluster;
+    }
+    // 6 unique canonical poses; the swapped and literal duplicates are hits.
+    EXPECT_EQ(ex.cache_stats().mutual_misses, 6u);
+    EXPECT_EQ(ex.cache_stats().mutual_hits, 3u);
 
-  // Re-running the batch is all hits and returns the same bits.
-  const std::vector<Henry> again = ex_.mutual_batch(models, pairs);
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ(batch[p].raw(), again[p].raw());
+    // Re-running the batch is all hits and returns the same bits.
+    const std::vector<Henry> again = ex.mutual_batch(models, pairs);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_EQ(batch[p].raw(), again[p].raw());
+    }
+    EXPECT_EQ(ex.cache_stats().mutual_misses, 6u);
+    EXPECT_EQ(ex.cache_stats().mutual_hits, 12u);
   }
-  EXPECT_EQ(ex_.cache_stats().mutual_misses, 3u);
-  EXPECT_EQ(ex_.cache_stats().mutual_hits, 7u);
 }
 
 TEST_F(MutualCacheTest, BatchValidatesInputs) {

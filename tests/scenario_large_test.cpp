@@ -126,6 +126,16 @@ TEST(ScenarioLarge, CappedEndToEndExactVsClustered) {
     }
   }
 
+  // Every clustered entry is the per-pair mutual() value of a cold
+  // extractor, bit for bit: the batch's shared first sides change no bits.
+  const peec::CouplingExtractor per_call(quad, clustered(4.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      EXPECT_EQ(m_clus[i * n + j].raw(), per_call.mutual(s.placed[i], s.placed[j]).raw())
+          << "pair " << i << "," << j;
+    }
+  }
+
   // The prescreen (the flow's batched probe call site) runs on the
   // clustered extractor and ranks every pair.
   const std::vector<emc::GeometricCoupling> ranked =

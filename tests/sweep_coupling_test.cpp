@@ -11,6 +11,7 @@
 
 #include "src/ckt/ac.hpp"
 #include "src/ckt/circuit.hpp"
+#include "src/flow/scenario_large.hpp"
 #include "src/numeric/stats.hpp"
 #include "src/sweep/coupling.hpp"
 
@@ -52,10 +53,10 @@ std::vector<double> probed_dense_levels(ckt::Circuit c, const std::string& meas,
   return level;
 }
 
-TEST(CouplingProbeModel, ShermanMorrisonMatchesFullProbedSolve) {
-  std::string meas;
-  std::vector<std::string> names;
-  const ckt::Circuit c = testbed(&meas, &names);
+// The rank-2 probe phasor of every candidate pair against a from-scratch
+// solve of the probed circuit.
+void expect_probe_matches_full_solve(const ckt::Circuit& c, const std::string& meas,
+                                     const std::vector<std::string>& names) {
   const std::vector<double> freqs = num::log_space(150e3, 108e6, 24);
   const std::vector<double> env(freqs.size(), 1.0);
 
@@ -84,6 +85,35 @@ TEST(CouplingProbeModel, ShermanMorrisonMatchesFullProbedSolve) {
         EXPECT_NEAR(got.imag(), want.imag(), 1e-9 * std::abs(want) + 1e-18)
             << names[p] << "/" << names[q] << " fi=" << fi;
       }
+    }
+  }
+}
+
+TEST(CouplingProbeModel, ShermanMorrisonMatchesFullProbedSolve) {
+  std::string meas;
+  std::vector<std::string> names;
+  const ckt::Circuit c = testbed(&meas, &names);
+  expect_probe_matches_full_solve(c, meas, names);
+}
+
+// The same on a 16-stage filter ladder, which both AC entry points factor
+// in band storage; the model's baseline is the sweep's solution bit for bit.
+TEST(CouplingProbeModel, ShermanMorrisonMatchesOnTheBandedLadder) {
+  flow::LargeScenarioOptions o;
+  o.n_stages = 16;
+  const flow::LargeScenarioCircuit sc = flow::make_large_scenario_circuit(o);
+  ASSERT_NE(ckt::ac_band_ordering(sc.circuit), nullptr);
+  const std::vector<std::string> names = {"LF0", "L_CX0", "LF7", "L_CX15"};
+  expect_probe_matches_full_solve(sc.circuit, sc.meas_node, names);
+
+  const std::vector<double> freqs = num::log_space(150e3, 108e6, 12);
+  const ckt::CouplingProbeModel model =
+      ckt::ac_coupling_probe_model(sc.circuit, sc.meas_node, names, freqs);
+  const ckt::AcSolution sweep = ckt::ac_solve(sc.circuit, freqs);
+  for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
+    EXPECT_EQ(model.v_meas[fi], sweep.voltage(sc.meas_node, fi)) << "fi=" << fi;
+    for (std::size_t p = 0; p < names.size(); ++p) {
+      EXPECT_EQ(model.i_branch[fi][p], sweep.inductor_current(names[p], fi));
     }
   }
 }
