@@ -2,9 +2,10 @@
 // (scenario_large.hpp): the quadratic pairwise wall with the exact kernel
 // versus near-O(n) growth with hierarchical clustering, plus the realized
 // worst-case error against the exact kernel at the Ns where computing both
-// is affordable. The curve ships in BENCH_peec_kernel.json: `segments` and
-// the pair counters give the work growth, wall-clock the end-to-end cost,
-// `max_err_over_bound` the accuracy ledger (must stay <= 1).
+// is affordable. Run the binary for the curve: `segments` and the pair
+// counters give the work growth, wall-clock the end-to-end cost,
+// `max_err_over_bound` the accuracy ledger (must stay <= 1). emibench's
+// large_board is the gated end-to-end record of the clustered path.
 #include <benchmark/benchmark.h>
 
 #include <cmath>

@@ -1,9 +1,10 @@
 // Performance: PEEC extraction primitives. Scaling of the Neumann double
 // sum with model complexity, self-inductance caching, field-map rendering,
-// a full AC emission sweep, and the pair-kernel microbenchmarks behind
-// BENCH_peec_kernel.json (legacy nested quadrature vs the sampled SoA
-// kernel vs the gated fast paths, serial and parallel, plus batched
-// extraction vs per-call extraction).
+// a full AC emission sweep, and the pair-kernel microbenchmarks (legacy
+// nested quadrature vs the sampled SoA kernel, serial and parallel, plus
+// batched extraction vs per-call extraction). Run the binary for numbers
+// (`bench_perf_peec --benchmark_filter=KernelPair`); the gated end-to-end
+// record of extraction cost is emibench's flow_buck and large_board.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -66,25 +67,10 @@ void BM_KernelPair_SampledPrebuilt(benchmark::State& state) {
   const peec::SampledPath sb = peec::sample_path(f.pb, f.q);
   core::ScopedSerialFallback serial;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb, {}));
+    benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb));
   }
 }
 BENCHMARK(BM_KernelPair_SampledPrebuilt)->Unit(benchmark::kMicrosecond);
-
-void BM_KernelPair_FastPaths(benchmark::State& state) {
-  // Analytic + far-field gates on (the design-flow opt-in configuration).
-  const KernelBenchFixture& f = kernel_fixture();
-  const peec::SampledPath sa = peec::sample_path(f.pa, f.q);
-  const peec::SampledPath sb = peec::sample_path(f.pb, f.q);
-  peec::KernelOptions fast;
-  fast.analytic_parallel = true;
-  fast.far_field = true;
-  core::ScopedSerialFallback serial;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb, fast));
-  }
-}
-BENCHMARK(BM_KernelPair_FastPaths)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelSamplePathBuild(benchmark::State& state) {
   const KernelBenchFixture& f = kernel_fixture();
@@ -107,7 +93,7 @@ void BM_KernelPair_SampledParallel(benchmark::State& state) {
   const peec::SampledPath sa = peec::sample_path(f.pa, f.q);
   const peec::SampledPath sb = peec::sample_path(f.pb, f.q);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb, {}));
+    benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb));
   }
 }
 BENCHMARK(BM_KernelPair_SampledParallel)->Unit(benchmark::kMicrosecond);

@@ -1,8 +1,11 @@
 #include "src/core/fault_injection.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace emi::core {
@@ -28,6 +31,16 @@ bool parse_site(const std::string& name, FaultSite& out) {
   else if (name == "wedge") out = FaultSite::kWedge;
   else return false;
   return true;
+}
+
+// The whole field through std::from_chars - the reader io::parse_u64 wraps
+// (emi_core cannot link emi_io): no blank, '+' or base prefix, and for
+// integers no sign at all.
+template <typename T>
+bool parse_field(std::string_view s, T& out) {
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && p == end;
 }
 
 }  // namespace
@@ -87,15 +100,9 @@ bool FaultInjector::configure_from_spec(const std::string& spec) {
     if (c1 == std::string::npos || c2 == std::string::npos) return false;
     Parsed p{};
     if (!parse_site(entry.substr(0, c1), p.site)) return false;
-    try {
-      std::size_t pos = 0;
-      const std::string rate_s = entry.substr(c1 + 1, c2 - c1 - 1);
-      p.rate = std::stod(rate_s, &pos);
-      if (pos != rate_s.size()) return false;
-      const std::string seed_s = entry.substr(c2 + 1);
-      p.seed = std::stoull(seed_s, &pos);
-      if (pos != seed_s.size()) return false;
-    } catch (...) {
+    const std::string_view e = entry;
+    if (!parse_field(e.substr(c1 + 1, c2 - c1 - 1), p.rate) ||
+        !parse_field(e.substr(c2 + 1), p.seed)) {
       return false;
     }
     if (!(p.rate >= 0.0) || !(p.rate <= 1.0)) return false;

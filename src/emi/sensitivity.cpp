@@ -9,26 +9,19 @@
 #include "src/numeric/stats.hpp"
 #include "src/sweep/adaptive.hpp"
 #include "src/sweep/coupling.hpp"
-#include "src/sweep/surrogate.hpp"
 
 namespace emi::emc {
 namespace {
 
-// One dense-grid emission sweep routed through whichever engine the accel
-// options engage. The surrogate handles the per-candidate case (escalating
-// to dense past its gate); adaptive refinement handles everything else; a
-// default accel is the legacy dense path (identical arithmetic, identical
-// bits) plus a full_solves count.
+// One dense-grid emission sweep: adaptive refinement when the accel options
+// engage it, otherwise the legacy dense path (identical arithmetic,
+// identical bits) plus a full_solves count.
 std::vector<double> sweep_levels(const ckt::Circuit& c, const std::string& meas_node,
                                  const std::vector<double>& freqs,
                                  const std::vector<double>& env,
                                  const ckt::AcOptions& ac,
                                  const emi::sweep::SweepAccel& accel,
                                  emi::sweep::SweepStats* stats) {
-  if (accel.surrogate) {
-    return emi::sweep::surrogate_emission_sweep(c, meas_node, freqs, env, ac, accel,
-                                                stats);
-  }
   if (accel.adaptive) {
     auto a = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs, env, ac, accel);
     stats->merge(a.stats);
@@ -50,6 +43,12 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt) {
+  // The coupling model's grid is the adaptive baseline's refined grid, so
+  // the per-pair engine has nothing to run on without adaptive refinement.
+  if (opt.accel.surrogate && !opt.accel.adaptive) {
+    throw std::invalid_argument(
+        "rank_coupling_sensitivity: accel.surrogate requires accel.adaptive");
+  }
   // Candidate inductors: explicit list or every inductor in the circuit.
   std::vector<std::string> names = opt.candidates;
   if (names.empty()) {
@@ -61,13 +60,10 @@ SensitivityReport rank_coupling_sensitivity_report(
   const std::vector<double> env = envelope_series(source, freqs);
 
   SensitivityReport rep;
-  // The baseline stays adaptive-only: the surrogate's escalation gate is a
-  // per-candidate economy; the reference everything is compared against
-  // deserves the refinement engine's per-point error bound instead. The
-  // refined grid the adaptive run settles on doubles as the coupling
-  // model's frequency grid below: refinement already spent its solves where
-  // the response has structure, and a probe coupling only perturbs that
-  // structure slightly.
+  // The refined grid the adaptive baseline settles on doubles as the
+  // coupling model's frequency grid below: refinement already spent its
+  // solves where the response has structure, and a probe coupling only
+  // perturbs that structure slightly.
   std::vector<double> baseline;
   std::vector<std::size_t> refined;
   if (opt.accel.adaptive) {
@@ -79,21 +75,17 @@ SensitivityReport rank_coupling_sensitivity_report(
       if (base.solved[fi]) refined.push_back(fi);
     }
   } else {
-    emi::sweep::SweepAccel base_accel = opt.accel;
-    base_accel.surrogate = false;
-    baseline =
-        sweep_levels(c, meas_node, freqs, env, opt.sweep.ac, base_accel, &rep.stats);
+    baseline = sweep_levels(c, meas_node, freqs, env, opt.sweep.ac, opt.accel, &rep.stats);
   }
 
-  // With both engines on, the per-pair sweeps go through the reduced-order
+  // With surrogate on, the per-pair sweeps go through the reduced-order
   // coupling model: ONE factorization pass over the refined grid (the
   // baseline MNA system, factored once per refined frequency) serves every
   // candidate pair via an exact rank-2 Sherman-Morrison update, so a pair's
   // marginal cost is a handful of 2x2 solves plus the complex cubic fill.
-  // Pairs whose held-out fill residual exceeds the gate escalate to a full
-  // dense probed solve.
-  const bool use_model =
-      opt.accel.adaptive && opt.accel.surrogate && names.size() >= 2;
+  // Pairs whose held-out fill residual exceeds the gate escalate to their
+  // own adaptive sweep.
+  const bool use_model = opt.accel.surrogate && names.size() >= 2;
   ckt::CouplingProbeModel model;
   std::vector<std::vector<double>> lmat;
   if (use_model) {
@@ -151,10 +143,8 @@ SensitivityReport rank_coupling_sensitivity_report(
         // dense one.
         ckt::Circuit esc_probe = c;
         esc_probe.set_coupling(names[i], names[j], opt.probe_k);
-        emi::sweep::SweepAccel esc_accel = opt.accel;
-        esc_accel.surrogate = false;
         auto a = emi::sweep::adaptive_ac_sweep(esc_probe, {meas_node}, freqs, env,
-                                               opt.sweep.ac, esc_accel);
+                                               opt.sweep.ac, opt.accel);
         pair_stats[pi].merge(a.stats);
         return std::move(a.level_dbuv[0]);
       };

@@ -29,14 +29,14 @@ struct SensitivityOptions {
   // Optional subset of inductor names to consider (empty = all).
   std::vector<std::string> candidates;
   // Opt-in sweep acceleration: adaptive frequency refinement for the dense
-  // sweeps, plus a rational surrogate (with escalation) for the per-pair
-  // probe sweeps. Defaults off; the legacy dense path then runs bit-
-  // identically to older builds.
+  // sweeps, plus (with surrogate, which requires adaptive) the coupling
+  // model for the per-pair probe sweeps. Defaults off; the legacy dense path
+  // then runs bit-identically to older builds.
   emi::sweep::SweepAccel accel{};
 };
 
 // Ranking plus the sweep-economics counters the flow surfaces as profile
-// entries (full solves vs interpolated/surrogate-filled points).
+// entries (full solves vs interpolated/model-filled points).
 struct SensitivityReport {
   std::vector<CouplingSensitivity> ranking;
   emi::sweep::SweepStats stats;
@@ -50,9 +50,10 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
     const SensitivityOptions& opt = {});
 
 // Same ranking, plus sweep economics. With opt.accel engaged the per-pair
-// sweeps go through the surrogate/adaptive engines (per-pair stats are
-// accumulated in pair-index order, so the report is thread-count
+// sweeps go through the adaptive engine or the coupling model (per-pair
+// stats are accumulated in pair-index order, so the report is thread-count
 // invariant); with a default accel this is the dense path plus counters.
+// Throws std::invalid_argument for accel.surrogate without accel.adaptive.
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt = {});
@@ -69,12 +70,11 @@ struct GeometricCoupling {
   double k_abs = 0.0;  // |M| / sqrt(La * Lb) at the placed poses
 };
 
-// Geometry-only prescreen: rank every model pair by |k| using one batched
+// Geometry-only screening: rank every model pair by |k| using one batched
 // PEEC extraction (CouplingExtractor::mutual_matrix) - no circuit
 // simulation. `names[i]` labels `models[i]`; both spans must be the same
 // length. Sorted descending by |k|, ties broken by name for a deterministic
-// order. The flow uses this to drop geometrically negligible pairs before
-// the per-pair emission sweeps of rank_coupling_sensitivity.
+// order.
 std::vector<GeometricCoupling> rank_geometric_coupling(
     const peec::CouplingExtractor& extractor,
     std::span<const peec::PlacedModel> models,

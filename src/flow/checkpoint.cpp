@@ -91,14 +91,10 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
        << double_bits(p.rot_deg) << ' ' << p.board << ' ' << (p.placed ? 1 : 0) << '\n';
   }
   ss << "quad " << opt.quadrature.order << ' ' << opt.quadrature.subdivisions << '\n';
-  // Kernel gates and the batched-extraction knobs change extracted values /
-  // pair selection / placement costs, so they are part of the context: a
-  // checkpoint written under different gates must not be resumed.
-  ss << "kern " << (opt.kernel.analytic_parallel ? 1 : 0) << ' '
-     << (opt.kernel.far_field ? 1 : 0) << ' ' << double_bits(opt.kernel.far_field_ratio)
-     << ' ' << (opt.geometric_prescreen ? 1 : 0) << ' '
-     << (opt.coupling_aware_placement ? 1 : 0) << ' ' << double_bits(opt.w_coupling)
-     << '\n';
+  // This line once carried the kernel's analytic / far-field gates and the
+  // prescreen / coupling-aware placement knobs. They are gone; it keeps
+  // their default bytes so every existing checkpoint digest still matches.
+  ss << "kern 0 0 4020000000000000 0 0 4049000000000000\n";
   // Clustered extraction changes computed mutuals, so its configuration
   // joins the context - but only when enabled, keeping every pre-cluster
   // checkpoint digest (and the default-options digest) byte-identical.
@@ -108,16 +104,17 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
   }
   ss << "sweep " << double_bits(opt.sweep.f_min_hz) << ' ' << double_bits(opt.sweep.f_max_hz)
      << ' ' << opt.sweep.n_points << '\n';
-  // Sweep acceleration changes computed spectra (interpolated / surrogate-
+  // Sweep acceleration changes computed spectra (interpolated / model-
   // filled points), so its configuration joins the context - but only when
-  // an engine is enabled, keeping every pre-acceleration checkpoint digest
-  // (and the default-options digest) byte-identical.
+  // it is enabled, keeping every pre-acceleration checkpoint digest (and the
+  // default-options digest) byte-identical. The trailing "8 4" stands where
+  // the retired rational surrogate's order and holdout defaults were
+  // printed, so accelerated checkpoints keep their digests too.
   if (opt.sweep_accel.enabled()) {
     ss << "swp " << (opt.sweep_accel.adaptive ? 1 : 0) << ' '
        << double_bits(opt.sweep_accel.tol_db) << ' ' << opt.sweep_accel.coarse_points << ' '
        << (opt.sweep_accel.surrogate ? 1 : 0) << ' ' << double_bits(opt.sweep_accel.gate_db)
-       << ' ' << opt.sweep_accel.max_order << ' ' << opt.sweep_accel.holdout_points
-       << '\n';
+       << " 8 4\n";
   }
   ss << "thr " << double_bits(opt.sensitivity_threshold_db) << ' ' << double_bits(opt.k_threshold)
      << ' ' << double_bits(opt.k_min) << ' ' << opt.cispr_class << ' ' << opt.stage_attempts

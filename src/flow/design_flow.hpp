@@ -41,34 +41,21 @@ struct FlowOptions {
   double k_min = 1e-4;
   emc::EmissionSweepOptions sweep{};
   // Sweep acceleration (sweep::SweepAccel): adaptive frequency refinement
-  // for the dense emission sweeps and a rational surrogate (with dense-solve
-  // escalation) for the per-pair sensitivity sweeps. The default keeps the
-  // exact dense path, so flow results stay bit-identical to older builds;
-  // when enabled the options join the checkpoint context digest (like
-  // KernelOptions::cluster) and degrade along the deadline ladder (tol_db /
-  // gate_db doubled per degradation step). Economics surface as `sweep.*`
-  // profile counters.
+  // for the dense emission sweeps and, with `surrogate` (which requires
+  // `adaptive`), the Sherman-Morrison coupling model for the per-pair
+  // sensitivity sweeps. The default keeps the exact dense path, so flow
+  // results stay bit-identical to older builds; when enabled the options
+  // join the checkpoint context digest (like KernelOptions::cluster) and
+  // degrade along the deadline ladder (tol_db / gate_db doubled per
+  // degradation step). Economics surface as `sweep.*` profile counters.
   emi::sweep::SweepAccel sweep_accel{};
   peec::QuadratureOptions quadrature{};
-  // Pair-kernel fast-path gates (peec::KernelOptions). The default keeps the
-  // exact kernel, so flow results stay bit-identical to older builds; this
-  // is the intended opt-in site for the analytic / far-field approximations
-  // (documented relative-error bounds in partial_inductance.hpp). Applied to
-  // every extractor the flow builds, and part of the checkpoint context.
+  // Pair-kernel options (peec::KernelOptions). The default keeps the exact
+  // kernel, so flow results stay bit-identical to older builds; `cluster`
+  // opts into hierarchical extraction (documented error bound in
+  // partial_inductance.hpp). Applied to every extractor the flow builds,
+  // and part of the checkpoint context when enabled.
   peec::KernelOptions kernel{};
-  // Geometry prescreen: before field-simulating the sensitivity-selected
-  // pairs, rank them by placed-geometry |k| (one batched
-  // emc::rank_geometric_coupling extraction on the *initial* layout) and
-  // drop pairs below k_min. Saves the per-pair rule bisections for pairs the
-  // layout already decouples; dropped pairs count into field_solves_saved.
-  bool geometric_prescreen = false;
-  // Coupling-aware placement: add `w_coupling * sum |k(candidate, placed)|`
-  // to every legal candidate's cost (PlacerOptions::candidate_cost), wired
-  // through CouplingExtractor::mutual_batch so each candidate costs one
-  // batched extraction against the already-placed field models. Off by
-  // default: placement stays bit-identical to older builds.
-  bool coupling_aware_placement = false;
-  double w_coupling = 50.0;
   place::AutoPlaceOptions placement{};
   int cispr_class = 3;
   // Per-stage retry budget. A retry jitters the AC pivot threshold (which

@@ -1,7 +1,6 @@
 #include "src/flow/flow_units.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <utility>
 
@@ -27,7 +26,7 @@ FlowEngine::FlowEngine(BuckConverter& bc, const place::Layout& initial_layout,
       ck_(std::move(ck)),
       res_(ck_.result),
       // Both extractors attach to the caller's (possibly tiered) cache when
-      // one is injected; quadrature and kernel gates are part of every cache
+      // one is injected; quadrature and kernel options are part of every cache
       // key, so the exact and coarse extractors never alias entries. A null
       // cache keeps two private caches - the pre-service behavior.
       extractor_(opt.quadrature, opt.kernel, opt.extraction_cache),
@@ -110,7 +109,7 @@ bool FlowEngine::unit_sensitivity() {
           }
           sens_opt.candidates = candidates_;
           if (opt_.sweep_accel.enabled()) {
-            // Accelerated path: adaptive baseline + surrogate per-pair
+            // Accelerated path: adaptive baseline + coupling-model per-pair
             // sweeps, tolerances coarsened along the degradation ladder.
             // Stats are re-assigned per attempt so only the attempt that
             // decides the stage is counted.
@@ -148,39 +147,6 @@ bool FlowEngine::unit_sensitivity() {
           res_.simulated_pairs.emplace_back(candidates_[i], candidates_[j]);
         }
       }
-    }
-    if (opt_.geometric_prescreen && !res_.simulated_pairs.empty()) {
-      // Geometry prescreen: one batched extraction over the candidate models
-      // at their initial poses; pairs the layout already decouples
-      // (|k| < k_min) skip field simulation. Part of the unit's decided
-      // outcome, so it lands in the checkpoint. The extracted mutuals stay
-      // cached and are reused by the prediction units.
-      std::vector<peec::PlacedModel> geo_models;
-      std::vector<std::string> geo_names;
-      for (const std::string& l : candidates_) {
-        const peec::ComponentFieldModel* m = bc_.model_for_inductor(l);
-        if (m == nullptr) continue;
-        geo_models.push_back({m, pose_of(bc_, initial_layout_, m->name)});
-        geo_names.push_back(l);
-      }
-      std::set<std::pair<std::string, std::string>> keep;
-      for (const emc::GeometricCoupling& g :
-           emc::rank_geometric_coupling(extractor_, geo_models, geo_names)) {
-        if (g.k_abs >= opt_.k_min) {
-          keep.insert({std::min(g.inductor_a, g.inductor_b),
-                       std::max(g.inductor_a, g.inductor_b)});
-        }
-      }
-      std::vector<std::pair<std::string, std::string>> kept;
-      for (const auto& pr : res_.simulated_pairs) {
-        if (keep.count({std::min(pr.first, pr.second),
-                        std::max(pr.first, pr.second)}) != 0) {
-          kept.push_back(pr);
-        } else {
-          ++res_.field_solves_saved;
-        }
-      }
-      res_.simulated_pairs = std::move(kept);
     }
     if (checkpoint_after(FlowStage::kSensitivity, sens_ok)) {
       halt_pipeline();
@@ -317,52 +283,6 @@ bool FlowEngine::unit_placement() {
                     ? popt.placer.max_refines - static_cast<std::size_t>(degrade)
                     : 1;
           }
-          if (opt_.coupling_aware_placement) {
-            // Penalize candidates by extracted coupling against everything
-            // already placed: one mutual_batch per candidate (the placer
-            // evaluates candidates from parallel workers; nested batches run
-            // inline, and the canonical-pose cache absorbs the recurring
-            // relative poses). The layout reference is stable during each
-            // component's candidate evaluation - the placer only commits a
-            // placement after the parallel region.
-            const peec::CouplingExtractor& ext = pick_extractor(degrade);
-            const place::Layout& lay = res_.improved_layout;
-            BuckConverter& bcr = bc_;
-            popt.placer.candidate_cost =
-                [&bcr, &ext, &lay, w = opt_.w_coupling](
-                    std::size_t comp, const place::Placement& cand) -> double {
-                  const peec::ComponentFieldModel* mc =
-                      bcr.model_for_component(bcr.board.components()[comp].name);
-                  if (mc == nullptr) return 0.0;
-                  std::vector<peec::PlacedModel> models;
-                  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-                  models.push_back(
-                      {mc, peec::Pose{{cand.position.x, cand.position.y, 0.0},
-                                      cand.rot_deg}});
-                  for (std::size_t j = 0; j < lay.placements.size(); ++j) {
-                    if (j == comp || !lay.placements[j].placed) continue;
-                    const peec::ComponentFieldModel* mj =
-                        bcr.model_for_component(bcr.board.components()[j].name);
-                    if (mj == nullptr) continue;
-                    const place::Placement& p = lay.placements[j];
-                    pairs.emplace_back(0, models.size());
-                    models.push_back(
-                        {mj, peec::Pose{{p.position.x, p.position.y, 0.0}, p.rot_deg}});
-                  }
-                  if (pairs.empty()) return 0.0;
-                  const std::vector<units::Henry> ms = ext.mutual_batch(models, pairs);
-                  const double lc = ext.self_inductance(*mc).raw();
-                  double pen = 0.0;
-                  for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-                    const double lj =
-                        ext.self_inductance(*models[pairs[pi].second].model).raw();
-                    if (lc > 0.0 && lj > 0.0) {
-                      pen += std::fabs(ms[pi].raw() / std::sqrt(lc * lj));
-                    }
-                  }
-                  return w * pen;
-                };
-          }
           res_.place_stats = place::auto_place(bc_.board, res_.improved_layout, popt);
         });
     if (so == detail::StageOutcome::kCancelled) {
@@ -453,10 +373,6 @@ FlowResult FlowEngine::finish() {
                          kern1.sample_evals - kern0_.sample_evals);
   res_.profile.add_count("peec.kernel_exact_pairs",
                          kern1.exact_pairs - kern0_.exact_pairs);
-  res_.profile.add_count("peec.kernel_analytic_pairs",
-                         kern1.analytic_pairs - kern0_.analytic_pairs);
-  res_.profile.add_count("peec.kernel_far_field_pairs",
-                         kern1.far_field_pairs - kern0_.far_field_pairs);
   res_.profile.add_count("peec.kernel_cluster_pairs",
                          kern1.cluster_pairs - kern0_.cluster_pairs);
   res_.profile.add_count("peec.kernel_cluster_skipped",

@@ -234,7 +234,7 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
   if (!kopt.cluster) {
     // path_mutual, with the first side's sampling already done.
     if (a.segment_count() == 0 || p2.segments.empty()) return out;
-    out.value = path_mutual_sampled(a, sample_path(p2, opt), kopt);
+    out.value = path_mutual_sampled(a, sample_path(p2, opt));
     return out;
   }
   if (!(kopt.cluster_theta >= 2.0)) {
@@ -265,8 +265,8 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
   detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
   // Exact remainder in the reference fold order (i ascending with a per-row
   // accumulator, j ascending): when nothing was admitted this reproduces
-  // path_mutual_sampled bit for bit, and the per-pair sampled_mutual call
-  // keeps the analytic/far-field gates and kernel counters intact.
+  // path_mutual_sampled bit for bit, and the per-pair sampled_mutual_exact
+  // call keeps the kernel counters intact.
   double near = 0.0;
   for (std::size_t i = 0; i < n1; ++i) {
     double row = 0.0;
@@ -274,7 +274,7 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
     const unsigned char* cov = covered.data() + i * n2;
     for (std::size_t j = 0; j < n2; ++j) {
       if (cov[j]) continue;
-      row += wi * b.wgt[j] * sampled_mutual(a, i, b, j, kopt);
+      row += wi * b.wgt[j] * sampled_mutual_exact(a, i, b, j);
     }
     near += row;
   }

@@ -1,5 +1,5 @@
-// Hierarchical far-field clustering of segment paths - the group-level
-// generalization of the per-pair far_field gate in sampled_path.hpp.
+// Hierarchical far-field clustering of segment paths: well-separated groups
+// of segments interact through one midpoint-dipole contraction.
 //
 // ClusterTree is a deterministic KD-style binary tree over one sampled
 // path's segments. Each node aggregates its members into a single dipole

@@ -139,10 +139,7 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
                          std::bit_cast<std::uint64_t>(c.rel_rot),
                          (static_cast<std::uint64_t>(opt_.order) << 32) |
                              static_cast<std::uint64_t>(opt_.subdivisions),
-                         (kernel_.analytic_parallel ? 1ull : 0ull) |
-                             (kernel_.far_field ? 2ull : 0ull) |
-                             (kernel_.cluster ? 4ull : 0ull),
-                         std::bit_cast<std::uint64_t>(kernel_.far_field_ratio),
+                         kernel_.cluster ? 4ull : 0ull,
                          kern_cluster};
   return c;
 }

@@ -60,10 +60,10 @@ struct ExtractionCacheStats {
 
 class CouplingExtractor {
  public:
-  // `kernel` gates the approximate pair fast paths (partial_inductance.hpp).
-  // The default keeps the exact kernel, so default-constructed extractors
+  // `kernel` opts into clustered extraction (partial_inductance.hpp). The
+  // default keeps the exact kernel, so default-constructed extractors
   // return bit-identical values to older builds; kernel options are part of
-  // every mutual cache key, so extractors with different gates never share
+  // every mutual cache key, so differently-configured extractors never share
   // entries. `cache` optionally injects a shared (possibly tiered)
   // ExtractionCache - null keeps a fresh private cache, the pre-split
   // behavior. Quadrature and kernel configuration are baked into every key,

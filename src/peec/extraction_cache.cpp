@@ -26,7 +26,6 @@ std::size_t MutualCacheKeyHash::operator()(const MutualCacheKey& k) const {
   h = fnv1a(h, k.rot);
   h = fnv1a(h, k.quad);
   h = fnv1a(h, k.kern);
-  h = fnv1a(h, k.kern_ratio);
   h = fnv1a(h, k.kern_cluster);
   return static_cast<std::size_t>(h);
 }

@@ -11,7 +11,7 @@
 //
 // Correctness under sharing. Every entry is a pure function of its key: the
 // mutual key carries the canonical relative pose, the quadrature options and
-// the kernel fast-path gates; the self key carries the model digest and the
+// the clustering options; the self key carries the model digest and the
 // quadrature options. Two extractors configured differently therefore never
 // alias each other's entries, no matter how the tiers are wired, and a value
 // observed through any tier is bit-identical to recomputing it. Eviction and
@@ -38,7 +38,7 @@
 namespace emi::peec {
 
 // Key of one cached mutual inductance: canonical pair digests, canonical
-// relative pose bits, quadrature and kernel-gate configuration. Built by
+// relative pose bits, quadrature and kernel configuration. Built by
 // CouplingExtractor::canonicalize; everything that can change the computed
 // bits is part of the key.
 struct MutualCacheKey {
@@ -47,8 +47,7 @@ struct MutualCacheKey {
   std::uint64_t tx = 0, ty = 0, tz = 0;  // bit patterns, canonical translation
   std::uint64_t rot = 0;         // bit pattern of the relative rotation (deg)
   std::uint64_t quad = 0;        // quadrature order/subdivisions
-  std::uint64_t kern = 0;  // gate flags (bit0 analytic, bit1 far, bit2 cluster)
-  std::uint64_t kern_ratio = 0;    // bit pattern of far_field_ratio
+  std::uint64_t kern = 0;          // 4 with clustering on, else 0
   std::uint64_t kern_cluster = 0;  // cluster theta/leaf digest, 0 when off
   bool operator==(const MutualCacheKey&) const = default;
 };

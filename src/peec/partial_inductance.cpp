@@ -15,8 +15,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_sample_evals{0};
 std::atomic<std::uint64_t> g_exact_pairs{0};
-std::atomic<std::uint64_t> g_analytic_pairs{0};
-std::atomic<std::uint64_t> g_far_field_pairs{0};
 std::atomic<std::uint64_t> g_cluster_pairs{0};
 std::atomic<std::uint64_t> g_cluster_skipped{0};
 
@@ -29,18 +27,9 @@ void tally_exact_pair(std::uint64_t sample_evals) {
   g_exact_pairs.fetch_add(1, std::memory_order_relaxed);
 }
 
-void tally_analytic_pair() { g_analytic_pairs.fetch_add(1, std::memory_order_relaxed); }
-
-void tally_far_field_pair() {
-  g_far_field_pairs.fetch_add(1, std::memory_order_relaxed);
-}
-
-void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals,
-                 std::uint64_t analytic_pairs, std::uint64_t far_field_pairs) {
+void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals) {
   if (sample_evals != 0) g_sample_evals.fetch_add(sample_evals, std::memory_order_relaxed);
   if (exact_pairs != 0) g_exact_pairs.fetch_add(exact_pairs, std::memory_order_relaxed);
-  if (analytic_pairs != 0) g_analytic_pairs.fetch_add(analytic_pairs, std::memory_order_relaxed);
-  if (far_field_pairs != 0) g_far_field_pairs.fetch_add(far_field_pairs, std::memory_order_relaxed);
 }
 
 void tally_cluster(std::uint64_t cluster_pairs, std::uint64_t cluster_skipped) {
@@ -54,8 +43,6 @@ KernelStats kernel_stats() {
   KernelStats s;
   s.sample_evals = g_sample_evals.load(std::memory_order_relaxed);
   s.exact_pairs = g_exact_pairs.load(std::memory_order_relaxed);
-  s.analytic_pairs = g_analytic_pairs.load(std::memory_order_relaxed);
-  s.far_field_pairs = g_far_field_pairs.load(std::memory_order_relaxed);
   s.cluster_pairs = g_cluster_pairs.load(std::memory_order_relaxed);
   s.cluster_skipped = g_cluster_skipped.load(std::memory_order_relaxed);
   return s;
@@ -94,23 +81,6 @@ double mutual_parallel_filaments(double length_mm, double distance_mm) {
   const double u = l / d;
   return kMu0 * l / (2.0 * geom::kPi) *
          (std::log(u + std::sqrt(1.0 + u * u)) - std::sqrt(1.0 + 1.0 / (u * u)) + 1.0 / u);
-}
-
-double mutual_parallel_offset(double l1_mm, double l2_mm, double lateral_mm,
-                              double offset_mm) {
-  if (l1_mm <= 0.0 || l2_mm <= 0.0 || lateral_mm <= 0.0) {
-    throw std::invalid_argument("mutual_parallel_offset: nonpositive dimensions");
-  }
-  const double rho = lateral_mm;
-  // G is the double antiderivative of 1/sqrt((u-t)^2 + rho^2); the four-term
-  // difference below is int_0^l1 int_o^{o+l2} dt du / sqrt((u-t)^2+rho^2).
-  const auto G = [rho](double u) {
-    return u * std::asinh(u / rho) - std::sqrt(u * u + rho * rho);
-  };
-  const double o = offset_mm;
-  const double integral_mm =
-      (G(o + l2_mm) - G(o + l2_mm - l1_mm)) - (G(o) - G(o - l1_mm));
-  return kMu0 / (4.0 * geom::kPi) * integral_mm * kMmToM;
 }
 
 double mutual_neumann(const Segment& s1, const Segment& s2, const QuadratureOptions& opt) {
@@ -178,11 +148,11 @@ double path_inductance(const SegmentPath& path, const QuadratureOptions& opt) {
 }
 
 double path_mutual(const SegmentPath& p1, const SegmentPath& p2,
-                   const QuadratureOptions& opt, const KernelOptions& kopt) {
+                   const QuadratureOptions& opt) {
   if (p1.segments.empty() || p2.segments.empty()) return 0.0;
   const SampledPath a = sample_path(p1, opt);
   const SampledPath b = sample_path(p2, opt);
-  return path_mutual_sampled(a, b, kopt);
+  return path_mutual_sampled(a, b);
 }
 
 double path_mutual_legacy(const SegmentPath& p1, const SegmentPath& p2,

@@ -27,11 +27,6 @@ namespace emi::peec {
 
 namespace {
 
-// Gate constants for the approximate fast paths (bounds documented at
-// KernelOptions and verified by the peec_sampled_kernel battery).
-constexpr double kAnalyticParallelTol = 1e-9;      // on 1 - |d1.d2|
-constexpr double kAnalyticMinLateralRatio = 0.25;  // lateral / max(l1, l2)
-
 // Scratch for the per-pair distance/accumulation passes: covers order 8 x
 // 8 subdivisions on the stack; anything larger falls back to the heap.
 constexpr std::size_t kStackSamples = 64;
@@ -166,62 +161,15 @@ double sampled_mutual_exact(const SampledPath& A, std::size_t i,
   return kMu0 / (4.0 * geom::kPi) * dot * integral_mm * kMmToM;
 }
 
-double sampled_mutual(const SampledPath& A, std::size_t i, const SampledPath& B,
-                      std::size_t j, const KernelOptions& kopt) {
-  if (!kopt.analytic_parallel && !kopt.far_field) {
-    return sampled_mutual_exact(A, i, B, j);
-  }
-  const double l1 = A.len[i];
-  const double l2 = B.len[j];
-  if (l1 <= 0.0 || l2 <= 0.0) return 0.0;
-  const double dot = A.dx[i] * B.dx[j] + A.dy[i] * B.dy[j] + A.dz[i] * B.dz[j];
-  if (std::fabs(dot) < 1e-12) return 0.0;
-  const double lmax = std::max(l1, l2);
-  if (kopt.far_field) {
-    const double rx = B.mx[j] - A.mx[i];
-    const double ry = B.my[j] - A.my[i];
-    const double rz = B.mz[j] - A.mz[i];
-    const double R = std::sqrt(rx * rx + ry * ry + rz * rz);
-    if (R > kopt.far_field_ratio * lmax) {
-      detail::tally_far_field_pair();
-      return kMu0 / (4.0 * geom::kPi) * dot * (l1 * l2 / R) * kMmToM;
-    }
-  }
-  if (kopt.analytic_parallel && 1.0 - std::fabs(dot) < kAnalyticParallelTol) {
-    // Decompose B's start point into longitudinal offset s along A's axis
-    // and lateral distance rho from it.
-    const double r0x = B.ax[j] - A.ax[i];
-    const double r0y = B.ay[j] - A.ay[i];
-    const double r0z = B.az[j] - A.az[i];
-    const double s = r0x * A.dx[i] + r0y * A.dy[i] + r0z * A.dz[i];
-    const double lx = r0x - A.dx[i] * s;
-    const double ly = r0y - A.dy[i] * s;
-    const double lz = r0z - A.dz[i] * s;
-    const double rho = std::sqrt(lx * lx + ly * ly + lz * lz);
-    const double guard = std::max(1e-6, std::sqrt(A.rad[i] * B.rad[j]));
-    // Admit only geometries where the filament idealization holds and the
-    // exact kernel's radius guard never clamps (it would diverge from the
-    // unclamped closed form).
-    if (rho >= kAnalyticMinLateralRatio * lmax && rho >= 4.0 * guard) {
-      detail::tally_analytic_pair();
-      const double o = dot >= 0.0 ? s : s - l2;  // low end of B's axial span
-      return dot * mutual_parallel_offset(l1, l2, rho, o);
-    }
-  }
-  return sampled_mutual_exact(A, i, B, j);
-}
-
 namespace {
 
 // How each segment pair of a row is served.
-enum : unsigned char { kPairSkip = 0, kPairFast = 1, kPairExact = 2 };
+enum : unsigned char { kPairSkip = 0, kPairExact = 1 };
 
 // Plain per-row counters, published in one tally_pairs call per row.
 struct RowCounts {
   std::uint64_t exact = 0;
   std::uint64_t evals = 0;
-  std::uint64_t analytic = 0;
-  std::uint64_t far_field = 0;
 };
 
 // Mutual inductance of segment i of A against all of B, returned as the
@@ -236,7 +184,7 @@ struct RowCounts {
 // sampled_mutual_exact - same guard, same accumulation association per
 // (subinterval, sample) - so each pair's value carries the same bits.
 //
-// `buf` holds (2 * n2 * ns2 + n2 * n_sub + 2 * n2) doubles, `cls` n2 bytes;
+// `buf` holds (2 * n2 * ns2 + n2 * n_sub + n2) doubles, `cls` n2 bytes;
 // both are caller scratch so parallel rows never share.
 //
 // The body is a template over B's quadrature shape: the dispatcher below
@@ -246,9 +194,8 @@ struct RowCounts {
 // a generic fallback. Same expressions either way, so same bits.
 template <typename Ord2T, typename Sub2T>
 __attribute__((always_inline)) inline double sampled_mutual_row_body(
-    const SampledPath& A, std::size_t i, const SampledPath& B,
-    const KernelOptions& kopt, double* buf, unsigned char* cls, RowCounts& rc,
-    Ord2T ord2_t, Sub2T nsub2_t) {
+    const SampledPath& A, std::size_t i, const SampledPath& B, double* buf,
+    unsigned char* cls, RowCounts& rc, Ord2T ord2_t, Sub2T nsub2_t) {
   const std::size_t n2 = B.segment_count();
   const std::size_t ns1 = A.samples_per_segment();
   const std::size_t ns2 = static_cast<std::size_t>(ord2_t) * nsub2_t;
@@ -261,7 +208,6 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
   double* __restrict__ guard = tmp + nsB;  // per-sample radius guard
   double* __restrict__ acc = guard + nsB;  // per (j, sj) inner accumulator
   double* __restrict__ integ = acc + n2 * nsub2;  // per-pair integral (mm)
-  double* __restrict__ fastval = integ + n2;      // fast-path pair values
 
   const double l1 = A.len[i];
   const double adx = A.dx[i];
@@ -269,49 +215,17 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
   const double adz = A.dz[i];
   const double rad1 = A.rad[i];
 
-  // Classify every pair of the row up front; fast-path pairs are finished
-  // here and exact pairs get their guard block and zeroed accumulators.
+  // Classify every pair of the row up front: exact pairs get their guard
+  // block and zeroed accumulators, the rest are skipped.
   std::size_t jlo = n2;  // first/last exact pair: the distance pass only
   std::size_t jhi = 0;   // needs to cover their sample range
   for (std::size_t j = 0; j < n2; ++j) {
-    const double l2 = B.len[j];
     const double dot = adx * B.dx[j] + ady * B.dy[j] + adz * B.dz[j];
-    if (l1 <= 0.0 || l2 <= 0.0 || std::fabs(dot) < 1e-12) {
+    if (l1 <= 0.0 || B.len[j] <= 0.0 || std::fabs(dot) < 1e-12) {
       cls[j] = kPairSkip;
-      fastval[j] = 0.0;
       continue;
     }
-    const double lmax = std::max(l1, l2);
-    if (kopt.far_field) {
-      const double rx = B.mx[j] - A.mx[i];
-      const double ry = B.my[j] - A.my[i];
-      const double rz = B.mz[j] - A.mz[i];
-      const double R = std::sqrt(rx * rx + ry * ry + rz * rz);
-      if (R > kopt.far_field_ratio * lmax) {
-        ++rc.far_field;
-        cls[j] = kPairFast;
-        fastval[j] = kMu0 / (4.0 * geom::kPi) * dot * (l1 * l2 / R) * kMmToM;
-        continue;
-      }
-    }
     const double g = std::max(1e-6, std::sqrt(rad1 * B.rad[j]));
-    if (kopt.analytic_parallel && 1.0 - std::fabs(dot) < kAnalyticParallelTol) {
-      const double r0x = B.ax[j] - A.ax[i];
-      const double r0y = B.ay[j] - A.ay[i];
-      const double r0z = B.az[j] - A.az[i];
-      const double s = r0x * adx + r0y * ady + r0z * adz;
-      const double lx = r0x - adx * s;
-      const double ly = r0y - ady * s;
-      const double lz = r0z - adz * s;
-      const double rho = std::sqrt(lx * lx + ly * ly + lz * lz);
-      if (rho >= kAnalyticMinLateralRatio * lmax && rho >= 4.0 * g) {
-        ++rc.analytic;
-        cls[j] = kPairFast;
-        const double o = dot >= 0.0 ? s : s - l2;
-        fastval[j] = dot * mutual_parallel_offset(l1, l2, rho, o);
-        continue;
-      }
-    }
     cls[j] = kPairExact;
     ++rc.exact;
     rc.evals += static_cast<std::uint64_t>(ns1) * ns2;
@@ -389,12 +303,10 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
   double r = 0.0;
   const double wi = A.wgt[i];
   for (std::size_t j = 0; j < n2; ++j) {
-    double pair;
+    double pair = 0.0;
     if (cls[j] == kPairExact) {
       const double dot = adx * B.dx[j] + ady * B.dy[j] + adz * B.dz[j];
       pair = kMu0 / (4.0 * geom::kPi) * dot * integ[j] * kMmToM;
-    } else {
-      pair = fastval[j];
     }
     r += wi * B.wgt[j] * pair;
   }
@@ -405,56 +317,54 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
 // templates, so each wrapper instantiates the body (always_inline) under its
 // own target; the shape constants then drive full unrolling per clone.
 #define EMI_ROW_ARGS                                                        \
-  const SampledPath &A, std::size_t i, const SampledPath &B,                \
-      const KernelOptions &kopt, double *buf, unsigned char *cls,           \
-      RowCounts &rc
+  const SampledPath &A, std::size_t i, const SampledPath &B, double *buf,   \
+      unsigned char *cls, RowCounts &rc
 EMI_KERNEL_CLONES
 double sampled_mutual_row_o4s2(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, kopt, buf, cls, rc,
+  return sampled_mutual_row_body(A, i, B, buf, cls, rc,
                                  std::integral_constant<std::size_t, 4>{},
                                  std::integral_constant<std::size_t, 2>{});
 }
 EMI_KERNEL_CLONES
 double sampled_mutual_row_o6s2(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, kopt, buf, cls, rc,
+  return sampled_mutual_row_body(A, i, B, buf, cls, rc,
                                  std::integral_constant<std::size_t, 6>{},
                                  std::integral_constant<std::size_t, 2>{});
 }
 EMI_KERNEL_CLONES
 double sampled_mutual_row_generic(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, kopt, buf, cls, rc, B.order, B.n_sub);
+  return sampled_mutual_row_body(A, i, B, buf, cls, rc, B.order, B.n_sub);
 }
 
 double sampled_mutual_row(EMI_ROW_ARGS) {
   if (B.order == 4 && B.n_sub == 2) {
-    return sampled_mutual_row_o4s2(A, i, B, kopt, buf, cls, rc);
+    return sampled_mutual_row_o4s2(A, i, B, buf, cls, rc);
   }
   if (B.order == 6 && B.n_sub == 2) {
-    return sampled_mutual_row_o6s2(A, i, B, kopt, buf, cls, rc);
+    return sampled_mutual_row_o6s2(A, i, B, buf, cls, rc);
   }
-  return sampled_mutual_row_generic(A, i, B, kopt, buf, cls, rc);
+  return sampled_mutual_row_generic(A, i, B, buf, cls, rc);
 }
 #undef EMI_ROW_ARGS
 
 }  // namespace
 
-double path_mutual_sampled(const SampledPath& A, const SampledPath& B,
-                           const KernelOptions& kopt) {
+double path_mutual_sampled(const SampledPath& A, const SampledPath& B) {
   const std::size_t n1 = A.segment_count();
   const std::size_t n2 = B.segment_count();
   const std::size_t pairs = n1 * n2;
   if (pairs == 0) return 0.0;
   const std::size_t ns2 = B.samples_per_segment();
-  const std::size_t buf_doubles = 2 * n2 * ns2 + n2 * B.n_sub + 2 * n2;
+  const std::size_t buf_doubles = 2 * n2 * ns2 + n2 * B.n_sub + n2;
   if (pairs < kParallelPairThreshold) {
     std::vector<double> buf(buf_doubles);
     std::vector<unsigned char> cls(n2);
     RowCounts rc;
     double total = 0.0;
     for (std::size_t i = 0; i < n1; ++i) {
-      total += sampled_mutual_row(A, i, B, kopt, buf.data(), cls.data(), rc);
+      total += sampled_mutual_row(A, i, B, buf.data(), cls.data(), rc);
     }
-    detail::tally_pairs(rc.exact, rc.evals, rc.analytic, rc.far_field);
+    detail::tally_pairs(rc.exact, rc.evals);
     return total;
   }
   // One parallel region over rows, each writing its own slot; grain 1 keeps
@@ -469,8 +379,8 @@ double path_mutual_sampled(const SampledPath& A, const SampledPath& B,
         std::vector<double> buf(buf_doubles);
         std::vector<unsigned char> cls(n2);
         RowCounts rc;
-        row_total[i] = sampled_mutual_row(A, i, B, kopt, buf.data(), cls.data(), rc);
-        detail::tally_pairs(rc.exact, rc.evals, rc.analytic, rc.far_field);
+        row_total[i] = sampled_mutual_row(A, i, B, buf.data(), cls.data(), rc);
+        detail::tally_pairs(rc.exact, rc.evals);
       },
       1);
   double total = 0.0;

@@ -10,11 +10,6 @@
 // compiler can vectorize. The arithmetic is the exact sequence of operations
 // mutual_neumann() performs, only with the operands precomputed, so for a
 // given geometry sampled_mutual_exact() returns the same bits.
-//
-// KernelOptions (partial_inductance.hpp) gates two approximate fast paths on
-// top; both are off by default so default-option extraction stays
-// bit-identical to the exact kernel. Error bounds are documented at
-// sampled_mutual() and verified by the peec_sampled_kernel accuracy battery.
 #pragma once
 
 #include <cstddef>
@@ -58,21 +53,14 @@ SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt = 
 double sampled_mutual_exact(const SampledPath& a, std::size_t i,
                             const SampledPath& b, std::size_t j);
 
-// Same, with the KernelOptions fast paths applied where their gates hold
-// (see partial_inductance.hpp for the gates and documented error bounds).
-// With default-constructed KernelOptions this is sampled_mutual_exact().
-double sampled_mutual(const SampledPath& a, std::size_t i, const SampledPath& b,
-                      std::size_t j, const KernelOptions& kopt);
-
 // Mutual inductance between two sampled paths: the weighted double sum over
 // all segment pairs, evaluated by a row kernel that batches one row of A
-// against B's whole contiguous sample block (classification first, then an
-// L1-blocked distance pass at divider throughput). Large cases parallelize
+// against B's whole contiguous sample block (skip classification first, then
+// an L1-blocked distance pass at divider throughput). Large cases parallelize
 // over rows; row totals are folded serially in row order, so the returned
 // bits match the serial double loop - and the legacy row-parallel
 // path_mutual - at any thread count.
-double path_mutual_sampled(const SampledPath& a, const SampledPath& b,
-                           const KernelOptions& kopt = {});
+double path_mutual_sampled(const SampledPath& a, const SampledPath& b);
 
 // True when the hot kernels above were compiled with per-ISA clones
 // (target_clones default/avx2/avx512f, ifunc dispatch); false on toolchains

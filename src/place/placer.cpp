@@ -316,8 +316,6 @@ PlaceStats SequentialPlacer::place(Layout& layout, const std::vector<double>& ro
       if (it != group_anchor.end()) anchor = it->second;
     }
     cost += opt.w_pack * geom::distance(cand.position, anchor);
-    // Caller-supplied term (e.g. the flow's coupling-aware penalty).
-    if (opt.candidate_cost) cost += opt.candidate_cost(comp, cand);
     return cost;
   };
 

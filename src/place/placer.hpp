@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,12 +33,6 @@ struct PlacerOptions {
   double refine_factor = 0.5;         // step multiplier per retry
   std::size_t max_refines = 3;
   bool try_all_rotations = false;     // re-evaluate rotations per candidate
-  // Optional extra cost term, added to the built-in terms for every *legal*
-  // candidate (the design flow wires a PEEC coupling-aware penalty here).
-  // Evaluated from parallel workers: must be thread-safe and a pure
-  // function of its arguments. Null (the default) adds nothing, keeping
-  // placement results bit-identical to builds without the hook.
-  std::function<double(std::size_t comp, const Placement& cand)> candidate_cost;
 };
 
 struct AutoPlaceOptions {

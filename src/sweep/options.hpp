@@ -1,12 +1,12 @@
 // Sweep acceleration knobs and economics counters shared by the adaptive
-// frequency-refinement engine (sweep/adaptive.hpp) and the reduced-order
-// rational surrogate (sweep/surrogate.hpp).
+// frequency-refinement engine (sweep/adaptive.hpp) and the Sherman-Morrison
+// coupling model for the per-pair sensitivity sweeps (sweep/coupling.hpp).
 //
-// Both engines are opt-in: a default SweepAccel leaves every caller on the
+// Acceleration is opt-in: a default SweepAccel leaves every caller on the
 // dense exact path, bit-identical to older builds. The flow forwards one
 // SweepAccel through FlowOptions; it joins the checkpoint context digest
-// (conditionally, like KernelOptions::cluster) because enabling either
-// engine changes computed spectra.
+// (conditionally, like KernelOptions::cluster) because enabling it changes
+// computed spectra.
 #pragma once
 
 #include <algorithm>
@@ -30,15 +30,14 @@ struct SweepAccel {
   double tol_db = 0.3;          // refinement admission tolerance
   std::size_t coarse_points = 9;  // level-0 grid size (clamped to the dense grid)
 
-  // (b) Reduced-order rational surrogate for the per-candidate sweeps of
-  // sensitivity ranking: each probed circuit is solved only at the support
-  // + held-out points, a barycentric rational surrogate (order auto-selected
-  // by the held-out residual) fills the dense grid, and a pair escalates to
-  // a full dense solve only when its self-reported residual exceeds gate_db.
+  // (b) Per-pair sensitivity sweeps through the coupling model: one
+  // factorization pass over the refined grid serves every candidate pair
+  // (sweep/coupling.hpp), and a pair escalates to its own adaptive sweep
+  // when the fill's held-out residual exceeds gate_db. Requires adaptive
+  // (the model grid is the adaptive baseline's refined grid):
+  // rank_coupling_sensitivity_report rejects surrogate without adaptive.
   bool surrogate = false;
   double gate_db = 0.5;         // escalation gate on the held-out residual
-  std::size_t max_order = 8;    // barycentric blend-degree search ceiling
-  std::size_t holdout_points = 4;  // solved points withheld for validation
 
   // Degradation-ladder hook (flow stage retries after deadline expiry):
   // coarser admission/escalation tolerances, same machinery.
@@ -59,7 +58,7 @@ struct SweepAccel {
 struct SweepStats {
   std::uint64_t full_solves = 0;     // full-size MNA solves performed
   std::uint64_t interp_points = 0;   // dense points filled by interpolation
-  std::uint64_t surrogate_evals = 0; // dense points filled by the surrogate
+  std::uint64_t surrogate_evals = 0; // dense points filled by the coupling model
   std::uint64_t escalations = 0;     // candidate sweeps escalated to dense
   double max_residual_db = 0.0;      // worst admission / held-out residual seen
 

@@ -104,6 +104,14 @@ TEST(FaultInjector, SpecParsingAllOrNothing) {
   EXPECT_FALSE(inj.configure_from_spec("lu:1:1,bogus:1:2"));
   EXPECT_FALSE(inj.configure_from_spec("deadline:1:1,"));
   EXPECT_FALSE(inj.configure_from_spec(",deadline:1:1"));
+  // Numbers are read whole and strictly: no sign on the seed, no '+',
+  // blank or hex float anywhere.
+  EXPECT_FALSE(inj.configure_from_spec("lu:0.5:-1"));
+  EXPECT_FALSE(inj.configure_from_spec("lu:0.5:+7"));
+  EXPECT_FALSE(inj.configure_from_spec("lu:0.5: 7"));
+  EXPECT_FALSE(inj.configure_from_spec("lu: 0.5:7"));
+  EXPECT_FALSE(inj.configure_from_spec("lu:+0.5:7"));
+  EXPECT_FALSE(inj.configure_from_spec("lu:0x1p-1:7"));
   EXPECT_DOUBLE_EQ(inj.rate(FaultSite::kLu), 0.0);
   EXPECT_DOUBLE_EQ(inj.rate(FaultSite::kDeadline), 0.0);
   EXPECT_FALSE(fault::armed());

@@ -115,6 +115,36 @@ TEST(FormatFixtures, CompleteCheckpointResumesUnderItsOptions) {
   std::filesystem::remove(ckpt);
 }
 
+// The context digests `emiplace flow {buck,boost} [--adaptive]` stamp into
+// their checkpoints, recorded from the shipped binary. A checkpoint resumes
+// only under its own digest, so these four values are what keeps existing
+// EMICKPT files of both topologies and both sweep engines resumable.
+TEST(FormatFixtures, ShippedContextDigestsAreStable) {
+  struct Case {
+    const char* topology;
+    bool adaptive;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {{"buck", false, kBuckDigest},
+                        {"buck", true, 0x661ba66f1d3d7b21ull},
+                        {"boost", false, 0x799f4819cec65badull},
+                        {"boost", true, 0x9714def8f6072db2ull}};
+  for (const Case& c : cases) {
+    flow::FlowOptions opt = cli_flow_options();
+    if (c.adaptive) {  // what --adaptive sets
+      opt.sweep_accel.adaptive = true;
+      opt.sweep_accel.surrogate = true;
+    }
+    const bool buck = std::string(c.topology) == "buck";
+    const flow::BuckConverter bc =
+        buck ? flow::make_buck_converter() : flow::make_boost_converter();
+    const place::Layout initial =
+        buck ? flow::layout_unfavorable(bc) : flow::boost_layout_unfavorable(bc);
+    EXPECT_EQ(flow::flow_context_digest(bc, initial, opt), c.digest)
+        << c.topology << (c.adaptive ? " --adaptive" : "");
+  }
+}
+
 TEST(FormatFixtures, FinishedJobRecordLoadsAndReserializesByteForByte) {
   const std::string path = fixture("job_buck_done.state");
   const core::Result<svc::JobRecord> loaded = svc::load_job_record(path);

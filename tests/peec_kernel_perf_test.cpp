@@ -1,8 +1,7 @@
 // Fast perf smoke for the sampled kernel, counter-based so it is robust on
 // loaded CI machines: the sampled kernel must not perform more integrand
-// evaluations than the legacy nested kernel, and the fast-path configuration
-// must (a) agree with the exact kernel within the documented bounds and
-// (b) measurably cut the evaluation count on a realistic pair.
+// evaluations than the legacy nested kernel, and clustered extraction must
+// populate its counters, cut the evaluation count and stay in its bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,35 +49,6 @@ TEST(KernelPerfSmoke, SampledDoesNoMoreWorkThanLegacy) {
   ASSERT_GT(legacy.sample_evals, 0u);
   EXPECT_LE(sampled.sample_evals, legacy.sample_evals);
   EXPECT_EQ(sampled.exact_pairs, legacy.exact_pairs);
-}
-
-TEST(KernelPerfSmoke, FastPathsAgreeAndSkipEvaluations) {
-  const ComponentFieldModel ma = bobbin_coil("A");
-  const ComponentFieldModel mb = bobbin_coil("B");
-  const SegmentPath pa = ma.path_at({});
-  // Far enough that the far-field gate admits most pairs at the default
-  // ratio, near enough that the mutual is still well above zero.
-  const SegmentPath pb = mb.path_at(Pose{{120.0, 10.0, 0.0}, 0.0});
-  const QuadratureOptions q{4, 2};
-
-  KernelDelta exact_delta;
-  const double exact = path_mutual(pa, pb, q);
-  const KernelStats exact_stats = exact_delta.sample();
-
-  KernelOptions fast;
-  fast.analytic_parallel = true;
-  fast.far_field = true;
-  KernelDelta fast_delta;
-  const double approx = path_mutual(pa, pb, q, fast);
-  const KernelStats fast_stats = fast_delta.sample();
-
-  // Documented far-field bound at the default ratio 8: 1.5/64.
-  ASSERT_NE(exact, 0.0);
-  EXPECT_LT(std::fabs((approx - exact) / exact), 1.5 / 64.0);
-  // The fast configuration must actually reroute pairs off the exact path.
-  EXPECT_GT(fast_stats.analytic_pairs + fast_stats.far_field_pairs, 0u);
-  EXPECT_LT(fast_stats.sample_evals, exact_stats.sample_evals);
-  EXPECT_LT(fast_stats.exact_pairs, exact_stats.exact_pairs);
 }
 
 TEST(KernelPerfSmoke, ClusteredExtractionPopulatesCountersAndCutsWork) {

@@ -264,24 +264,5 @@ TEST_F(MutualCacheTest, MutualMatrixSymmetricWithSelfDiagonal) {
   }
 }
 
-TEST_F(MutualCacheTest, KernelOptionsSeparateCachedValues) {
-  KernelOptions fast;
-  fast.analytic_parallel = true;
-  fast.far_field = true;
-  fast.far_field_ratio = 4.0;
-  const CouplingExtractor ex_fast(QuadratureOptions{}, fast);
-  // Far pair: the fast extractor reroutes it, the exact one does not; the
-  // kernel gates are part of the key, so the two extractors never share
-  // entries even for the same geometry.
-  const PlacedModel a{&ca_, {{0.0, 0.0, 0.0}, 0.0}};
-  const PlacedModel b{&cb_, {{180.0, 0.0, 0.0}, 0.0}};
-  const double exact = ex_.mutual(a, b).raw();
-  const double approx = ex_fast.mutual(a, b).raw();
-  EXPECT_EQ(ex_.cache_stats().mutual_misses, 1u);
-  EXPECT_EQ(ex_fast.cache_stats().mutual_misses, 1u);
-  // Approximation is close (far-field bound) but not the same bits.
-  EXPECT_NEAR(approx, exact, std::fabs(exact) * 0.1 + 1e-18);
-}
-
 }  // namespace
 }  // namespace emi::peec

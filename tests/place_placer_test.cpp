@@ -182,36 +182,5 @@ TEST_P(PlacerScale, AlwaysLegal) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PlacerScale, ::testing::Values(2, 4, 8, 12, 16));
 
-TEST(AutoPlace, NullCandidateCostHookChangesNothing) {
-  Design d = basic_design(5, 15.0);
-  Layout plain = Layout::unplaced(d);
-  Layout hooked = Layout::unplaced(d);
-  auto_place(d, plain);
-  AutoPlaceOptions opt;
-  opt.placer.candidate_cost = [](std::size_t, const Placement&) { return 0.0; };
-  auto_place(d, hooked, opt);
-  // A hook that adds zero must leave every placement bit-identical.
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(plain.placements[i].position, hooked.placements[i].position);
-    EXPECT_EQ(plain.placements[i].rot_deg, hooked.placements[i].rot_deg);
-  }
-}
-
-TEST(AutoPlace, CandidateCostHookSteersPlacement) {
-  Design d = basic_design(4);
-  Layout l = Layout::unplaced(d);
-  AutoPlaceOptions opt;
-  // Heavily penalize the right half of the board: every component must land
-  // with its center at x <= 50 even though packing would prefer otherwise.
-  opt.placer.candidate_cost = [](std::size_t, const Placement& cand) {
-    return cand.position.x > 50.0 ? 1e9 : 0.0;
-  };
-  const PlaceStats stats = auto_place(d, l, opt);
-  EXPECT_EQ(stats.failed, 0u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_LE(l.placements[i].position.x, 50.0 + 1e-9) << "component " << i;
-  }
-}
-
 }  // namespace
 }  // namespace emi::place

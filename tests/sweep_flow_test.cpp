@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,7 @@ TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   wider.sweep_accel.coarse_points = 33;
   EXPECT_NE(d1, flow_context_digest(bc, layout, wider));
 
-  FlowOptions surrogate = base;
+  FlowOptions surrogate = adaptive;
   surrogate.sweep_accel.surrogate = true;
   const std::uint64_t d2 = flow_context_digest(bc, layout, surrogate);
   EXPECT_NE(d0, d2);
@@ -134,9 +135,33 @@ TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   FlowOptions gated = surrogate;
   gated.sweep_accel.gate_db = 1.0;
   EXPECT_NE(d2, flow_context_digest(bc, layout, gated));
-  FlowOptions ordered = surrogate;
-  ordered.sweep_accel.max_order = 4;
-  EXPECT_NE(d2, flow_context_digest(bc, layout, ordered));
+}
+
+// The coupling model runs on the adaptive baseline's refined grid, so
+// `surrogate` without `adaptive` is a caller mistake: the ranking raises
+// std::invalid_argument, and the flow turns that into a kInvalidArgument
+// sensitivity diagnostic (and falls back to simulating every pair).
+TEST(SweepFlow, SurrogateWithoutAdaptiveIsRejected) {
+  BuckConverter bc = make_buck_converter();
+  emc::SensitivityOptions sens;
+  sens.sweep.n_points = 30;
+  sens.accel.surrogate = true;
+  EXPECT_THROW(emc::rank_coupling_sensitivity_report(bc.circuit, bc.meas_node, bc.noise,
+                                                     sens),
+               std::invalid_argument);
+
+  FlowOptions opt;
+  opt.sweep.n_points = 30;
+  opt.sweep_accel.surrogate = true;
+  opt.stop_after_stage = "sensitivity";
+  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
+  ASSERT_EQ(res.diagnostics.size(), 1u);
+  EXPECT_EQ(res.diagnostics[0].stage, "flow.sensitivity");
+  EXPECT_EQ(res.diagnostics[0].status.code(), core::ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(res.diagnostics[0].recovered);
+  EXPECT_TRUE(res.ranking.empty());
+  const std::size_t n = bc.inductor_model.size();
+  EXPECT_EQ(res.simulated_pairs.size(), n * (n - 1) / 2);
 }
 
 // The headline acceptance on the buck golden: the accelerated flow performs

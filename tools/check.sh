@@ -21,8 +21,8 @@
 #
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
-#       coupling-model and rational-surrogate batteries, flow-level 10x/1 dB
-#       acceptance, digest and resume coupling, thread invariance) and the
+#       coupling-model battery, flow-level 10x/1 dB acceptance, digest and
+#       resume coupling, thread invariance) and the
 #       Adaptive benchmarks, so the solve-count counters land in the log.
 #       The benchmarks are skipped (with a notice) when the bench binary was
 #       not built.

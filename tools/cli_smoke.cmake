@@ -26,7 +26,7 @@ function(expect_status expected)
 endfunction()
 
 # `version` exits 0 and names the binary version plus both on-disk format
-# versions and the kernel fast-path compile flags.
+# versions and whether the pair kernel carries per-ISA clones.
 execute_process(COMMAND ${CLI} version OUTPUT_VARIABLE ver RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "emiplace version failed: ${rc}")
@@ -92,6 +92,7 @@ expect_status(2 ${CLI} flow buck --resume)
 expect_status(2 ${CLI} --fault-inject bogus flow buck)
 expect_status(2 ${CLI} --fault-inject pool:notarate:1 flow buck)
 expect_status(2 ${CLI} --fault-inject "pool:0.1:1,junk" flow buck)
+expect_status(2 ${CLI} --fault-inject lu:0.5:-1 flow buck)
 file(WRITE ${CKPT}.corrupt "EMICKPT 1 0000000000000000\ngarbage\n")
 expect_status(1 ${CLI} flow buck --points 40 --checkpoint ${CKPT}.corrupt --resume)
 expect_status(1 ${CLI} flow buck --points 40
