@@ -12,9 +12,7 @@
 // The delay only schedules *when* work re-runs, never what it computes, so
 // by the flow determinism contract backoff can never change result bits.
 //
-// Used by `emiplace submit --retry` against kResourceExhausted sheds and by
-// flow::detail::StageDriver between stage attempts (FlowOptions::
-// retry_backoff_ms); both honor the same schedule shape.
+// Used by `emiplace submit --retry` against kResourceExhausted sheds.
 #pragma once
 
 #include <cstdint>

@@ -196,11 +196,10 @@ std::vector<GeometricCoupling> rank_geometric_coupling(
   if (n < 2) return {};
 
   // One batched extraction for the whole matrix: self terms on the diagonal,
-  // mutuals off it, deduplicated by canonical relative pose. The prescreen
-  // only ranks magnitudes, so it tolerates the clustered error bound; the
-  // clustered entry point is mutual_matrix bit-for-bit unless the
-  // extractor's kernel options opted in.
-  const std::vector<units::Henry> m = extractor.mutual_matrix_clustered(models);
+  // mutuals off it, deduplicated by canonical relative pose. The screen only
+  // ranks magnitudes, so it tolerates the clustered error bound when the
+  // extractor's kernel options opt into clustering.
+  const std::vector<units::Henry> m = extractor.mutual_matrix(models);
 
   std::vector<GeometricCoupling> out;
   out.reserve(n * (n - 1) / 2);

@@ -74,13 +74,17 @@ place::Layout boost_layout_optimized(const ConverterModel& bc);
 place::Layout layout_unfavorable(const BuckConverter& bc);  // Fig 1
 place::Layout layout_optimized(const BuckConverter& bc);    // Fig 2
 
+// Couplings weaker than this are not installed in the circuit: two orders
+// below the paper's k = 0.01 rule threshold.
+inline constexpr double kMinInstalledCoupling = 1e-4;
+
 // Extract coupling factors for a layout and return the circuit with K
 // elements installed (pairs with |k| < k_min are dropped). `pairs` limits
 // extraction to the given inductor-name pairs (empty = all mapped pairs) -
 // the hook for sensitivity-pruned extraction.
 ckt::Circuit circuit_with_couplings(
     const BuckConverter& bc, const place::Layout& layout,
-    const peec::CouplingExtractor& extractor, double k_min = 1e-4,
+    const peec::CouplingExtractor& extractor, double k_min = kMinInstalledCoupling,
     const std::vector<std::pair<std::string, std::string>>& pairs = {});
 
 // Pose of a board component's field model under a placement.

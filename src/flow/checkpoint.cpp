@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "src/core/fault_injection.hpp"
+#include "src/flow/flow_units.hpp"
+#include "src/flow/stage_driver.hpp"
 #include "src/io/atomic_writer.hpp"
 #include "src/io/line_record.hpp"
 
@@ -90,20 +92,28 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
     ss << "pl " << double_bits(p.position.x) << ' ' << double_bits(p.position.y) << ' '
        << double_bits(p.rot_deg) << ' ' << p.board << ' ' << (p.placed ? 1 : 0) << '\n';
   }
-  ss << "quad " << opt.quadrature.order << ' ' << opt.quadrature.subdivisions << '\n';
+  // The quad, thr and placer lines print the flow's fixed design
+  // parameters. They were options once and print the same bytes as their
+  // old defaults, so every existing checkpoint digest still matches.
+  const peec::QuadratureOptions quad{};
+  ss << "quad " << quad.order << ' ' << quad.subdivisions << '\n';
   // This line once carried the kernel's analytic / far-field gates and the
   // prescreen / coupling-aware placement knobs. They are gone; it keeps
   // their default bytes so every existing checkpoint digest still matches.
   ss << "kern 0 0 4020000000000000 0 0 4049000000000000\n";
-  // Clustered extraction changes computed mutuals, so its configuration
-  // joins the context - but only when enabled, keeping every pre-cluster
-  // checkpoint digest (and the default-options digest) byte-identical.
-  if (opt.kernel.cluster) {
-    ss << "clus " << double_bits(opt.kernel.cluster_theta) << ' '
-       << opt.kernel.cluster_leaf_segments << '\n';
-  }
   ss << "sweep " << double_bits(opt.sweep.f_min_hz) << ' ' << double_bits(opt.sweep.f_max_hz)
      << ' ' << opt.sweep.n_points << '\n';
+  // The AC solver knobs change computed spectra, so they join the context -
+  // but only when one differs from its default, keeping the default digest
+  // byte-identical. source_scale stays out: every flow sweep overwrites it
+  // with the noise envelope.
+  const ckt::AcOptions& ac = opt.sweep.ac;
+  const ckt::AcOptions ac0{};
+  if (ac.g_min != ac0.g_min || ac.condition_limit != ac0.condition_limit ||
+      ac.pivot_threshold != ac0.pivot_threshold) {
+    ss << "ac " << double_bits(ac.g_min) << ' ' << double_bits(ac.condition_limit) << ' '
+       << double_bits(ac.pivot_threshold) << '\n';
+  }
   // Sweep acceleration changes computed spectra (interpolated / model-
   // filled points), so its configuration joins the context - but only when
   // it is enabled, keeping every pre-acceleration checkpoint digest (and the
@@ -116,15 +126,18 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
        << (opt.sweep_accel.surrogate ? 1 : 0) << ' ' << double_bits(opt.sweep_accel.gate_db)
        << " 8 4\n";
   }
-  ss << "thr " << double_bits(opt.sensitivity_threshold_db) << ' ' << double_bits(opt.k_threshold)
-     << ' ' << double_bits(opt.k_min) << ' ' << opt.cispr_class << ' ' << opt.stage_attempts
-     << '\n';
-  const place::PlacerOptions& pl = opt.placement.placer;
+  // The 3 stands where the CISPR 25 class of the CLI's limit column was
+  // printed; it never was a flow input.
+  ss << "thr " << double_bits(FlowEngine::kPruneThresholdDb) << ' '
+     << double_bits(emc::RuleDeriverOptions{}.k_threshold) << ' '
+     << double_bits(kMinInstalledCoupling) << " 3 " << detail::kStageAttempts << '\n';
+  const place::AutoPlaceOptions placement{};
+  const place::PlacerOptions& pl = placement.placer;
   ss << "placer " << double_bits(pl.w_netlength) << ' ' << double_bits(pl.w_group) << ' '
      << double_bits(pl.w_pack) << ' ' << double_bits(pl.grid_step_mm) << ' '
      << double_bits(pl.refine_factor) << ' ' << pl.max_refines << ' '
-     << (pl.try_all_rotations ? 1 : 0) << ' '
-     << (opt.placement.run_partitioning ? 1 : 0) << '\n';
+     << (pl.try_all_rotations ? 1 : 0) << ' ' << (placement.run_partitioning ? 1 : 0)
+     << '\n';
   return core::fault::fnv64(ss.str());
 }
 

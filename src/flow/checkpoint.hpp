@@ -18,8 +18,8 @@
 // truncations and bit flips anywhere in the file fail validation and come
 // back as a line-numbered kParseError Status - a corrupt checkpoint is
 // rejected, never half-loaded. The header digest ties the checkpoint to the
-// flow inputs (candidates, initial layout, quadrature, sweep grid,
-// thresholds): resuming against a different configuration is refused with
+// flow inputs (candidates, initial layout, sweep options, fixed design
+// parameters): resuming against a different configuration is refused with
 // kFailedPrecondition instead of silently mixing results.
 //
 // Deliberately NOT serialized (recomputed on resume from restored state):
@@ -74,9 +74,11 @@ struct FlowCheckpoint {
 };
 
 // Digest of the flow inputs a checkpoint is only valid for: coupling
-// candidates, initial layout bits, quadrature, sweep grid, thresholds and
-// placement knobs. The jittered AC pivot threshold is excluded - retries
-// perturb it without changing the configuration.
+// candidates, initial layout bits, sweep grid, AC solver knobs (when not
+// default), sweep acceleration (when enabled), and the flow's fixed
+// quadrature, thresholds and placement parameters. It reads the base
+// pivot threshold in `opt`: a retry jitters its own per-attempt copy of the
+// sweep options, never `opt`, so a retried run keeps the digest.
 std::uint64_t flow_context_digest(const BuckConverter& bc,
                                   const place::Layout& initial_layout,
                                   const FlowOptions& opt);

@@ -31,38 +31,25 @@
 
 namespace emi::flow {
 
+// What a caller sets about one flow run. The paper's design parameters are
+// fixed, not options: the flow prunes pairs below a 1 dB emission impact
+// before field simulation (FlowEngine::kPruneThresholdDb), derives PEMD
+// rules at k = 0.01 (emc::RuleDeriverOptions{}), installs couplings down to
+// kMinInstalledCoupling, extracts with the default quadrature and the exact
+// kernel, places with place::AutoPlaceOptions{}, and gives every stage two
+// attempts (detail::kStageAttempts). flow_context_digest records them so a
+// checkpoint still names the configuration it was written under.
 struct FlowOptions {
-  // Sensitivity pruning: pairs below this emission impact are not field
-  // simulated. 0 disables pruning (full n(n-1)/2 extraction).
-  double sensitivity_threshold_db = 1.0;
-  // Rule derivation threshold (paper: k = 0.01 already hurts a pi filter).
-  double k_threshold = 0.01;
-  // Couplings below this are not installed in the circuit.
-  double k_min = 1e-4;
   emc::EmissionSweepOptions sweep{};
   // Sweep acceleration (sweep::SweepAccel): adaptive frequency refinement
   // for the dense emission sweeps and, with `surrogate` (which requires
   // `adaptive`), the Sherman-Morrison coupling model for the per-pair
-  // sensitivity sweeps. The default keeps the exact dense path, so flow
-  // results stay bit-identical to older builds; when enabled the options
-  // join the checkpoint context digest (like KernelOptions::cluster) and
-  // degrade along the deadline ladder (tol_db / gate_db doubled per
-  // degradation step). Economics surface as `sweep.*` profile counters.
+  // sensitivity sweeps. The default keeps every sweep dense and exact, so
+  // flow results stay bit-identical to older builds; when enabled the
+  // options join the checkpoint context digest and degrade along the
+  // deadline ladder (tol_db / gate_db doubled per degradation step).
+  // Economics surface as `sweep.*` profile counters.
   emi::sweep::SweepAccel sweep_accel{};
-  peec::QuadratureOptions quadrature{};
-  // Pair-kernel options (peec::KernelOptions). The default keeps the exact
-  // kernel, so flow results stay bit-identical to older builds; `cluster`
-  // opts into hierarchical extraction (documented error bound in
-  // partial_inductance.hpp). Applied to every extractor the flow builds,
-  // and part of the checkpoint context when enabled.
-  peec::KernelOptions kernel{};
-  place::AutoPlaceOptions placement{};
-  int cispr_class = 3;
-  // Per-stage retry budget. A retry jitters the AC pivot threshold (which
-  // re-keys injected lu faults) and the last attempt runs with serial lanes -
-  // a scheduling change only, results are bit-identical by the pool's
-  // determinism contract.
-  int stage_attempts = 2;
 
   // Time budgets (milliseconds; 0 = unlimited). The total budget bounds the
   // whole flow, the stage budget bounds each attempt of each stage; an
@@ -88,11 +75,6 @@ struct FlowOptions {
   // progress points. Never called mid-chunk, so it cannot perturb results;
   // deliberately NOT part of the checkpoint context digest. May be empty.
   std::function<void()> heartbeat;
-  // Deterministic inter-attempt backoff (core::Backoff, seeded from the
-  // stage name): the delay before retry attempt k of a failed stage. Pure
-  // scheduling - it changes when a retry runs, never what it computes. 0 =
-  // retry immediately (the historical behavior).
-  std::int64_t retry_backoff_ms = 0;
 
   // Shared extraction cache (two-tier; see peec/extraction_cache.hpp). When
   // set, every extractor the flow builds attaches to it, so repeated runs -

@@ -9,9 +9,9 @@ namespace emi::flow {
 namespace {
 
 // Degraded-retry quadrature: same physics, coarser integration.
-peec::QuadratureOptions coarse_quadrature(const FlowOptions& opt) {
-  peec::QuadratureOptions q = opt.quadrature;
-  q.order = std::max<std::size_t>(2, opt.quadrature.order / 2);
+peec::QuadratureOptions coarse_quadrature() {
+  peec::QuadratureOptions q;
+  q.order = std::max<std::size_t>(2, q.order / 2);
   q.subdivisions = 1;
   return q;
 }
@@ -25,12 +25,13 @@ FlowEngine::FlowEngine(BuckConverter& bc, const place::Layout& initial_layout,
       opt_(opt),
       ck_(std::move(ck)),
       res_(ck_.result),
-      // Both extractors attach to the caller's (possibly tiered) cache when
-      // one is injected; quadrature and kernel options are part of every cache
-      // key, so the exact and coarse extractors never alias entries. A null
-      // cache keeps two private caches - the pre-service behavior.
-      extractor_(opt.quadrature, opt.kernel, opt.extraction_cache),
-      coarse_extractor_(coarse_quadrature(opt), opt.kernel, opt.extraction_cache),
+      // Both extractors run the exact kernel and attach to the caller's
+      // (possibly tiered) cache when one is injected; quadrature options are
+      // part of every cache key, so the exact and coarse extractors never
+      // alias entries. A null cache keeps two private caches - the
+      // pre-service behavior.
+      extractor_(peec::QuadratureOptions{}, peec::KernelOptions{}, opt.extraction_cache),
+      coarse_extractor_(coarse_quadrature(), peec::KernelOptions{}, opt.extraction_cache),
       pool0_(core::ThreadPool::global().stats()),
       kern0_(peec::kernel_stats()),
       driver_{&opt_,
@@ -89,11 +90,12 @@ bool FlowEngine::step() {
   return keep_going && unit_idx_ < kUnits.size();
 }
 
-// Step 1+2: sensitivity analysis on the coupling-capable inductors. If the
-// ranking is unavailable the flow degrades to the state of practice:
-// simulate every pair (no pruning), which is slower but never wrong. The
-// pair selection is part of the unit's decided outcome, so a resume
-// restores it from the checkpoint instead of re-deriving it.
+// Step 1+2: sensitivity analysis on the coupling-capable inductors; pairs
+// below kPruneThresholdDb are not field simulated. If the ranking is
+// unavailable the flow degrades to the state of practice: simulate every
+// pair, which is slower but never wrong. The pair selection is part of the
+// unit's decided outcome, so a resume restores it from the checkpoint
+// instead of re-deriving it.
 bool FlowEngine::unit_sensitivity() {
   if (!ck_.done(FlowStage::kSensitivity)) {
     emi::sweep::SweepStats attempt_stats;
@@ -108,20 +110,14 @@ bool FlowEngine::unit_sensitivity() {
                 std::max<std::size_t>(25, sens_opt.sweep.n_points >> degrade);
           }
           sens_opt.candidates = candidates_;
-          if (opt_.sweep_accel.enabled()) {
-            // Accelerated path: adaptive baseline + coupling-model per-pair
-            // sweeps, tolerances coarsened along the degradation ladder.
-            // Stats are re-assigned per attempt so only the attempt that
-            // decides the stage is counted.
-            sens_opt.accel = opt_.sweep_accel.degraded(degrade);
-            emc::SensitivityReport rep = emc::rank_coupling_sensitivity_report(
-                bc_.circuit, bc_.meas_node, bc_.noise, sens_opt);
-            res_.ranking = std::move(rep.ranking);
-            attempt_stats = rep.stats;
-          } else {
-            res_.ranking = emc::rank_coupling_sensitivity(bc_.circuit, bc_.meas_node,
-                                                          bc_.noise, sens_opt);
-          }
+          // Tolerances of an engaged acceleration coarsen along the
+          // degradation ladder. Stats are re-assigned per attempt so only
+          // the attempt that decides the stage is counted.
+          sens_opt.accel = opt_.sweep_accel.degraded(degrade);
+          emc::SensitivityReport rep = emc::rank_coupling_sensitivity_report(
+              bc_.circuit, bc_.meas_node, bc_.noise, sens_opt);
+          res_.ranking = std::move(rep.ranking);
+          attempt_stats = rep.stats;
         });
     if (so == detail::StageOutcome::kCancelled) {
       halt_pipeline();
@@ -133,8 +129,7 @@ bool FlowEngine::unit_sensitivity() {
     res_.field_solves_saved = 0;
     if (sens_ok) {
       for (const auto& s : res_.ranking) {
-        if (opt_.sensitivity_threshold_db <= 0.0 ||
-            s.max_delta_db >= opt_.sensitivity_threshold_db) {
+        if (s.max_delta_db >= kPruneThresholdDb) {
           res_.simulated_pairs.emplace_back(s.inductor_a, s.inductor_b);
         } else {
           ++res_.field_solves_saved;
@@ -168,23 +163,16 @@ bool FlowEngine::unit_initial_prediction() {
         const emc::EmissionSweepOptions sweep = detail::jittered(opt_.sweep, attempt);
         const ckt::Circuit coupled =
             circuit_with_couplings(bc_, initial_layout_, pick_extractor(degrade),
-                                   opt_.k_min, res_.simulated_pairs);
-        if (opt_.sweep_accel.adaptive) {
-          const emi::sweep::SweepAccel accel = opt_.sweep_accel.degraded(degrade);
-          emc::AdaptiveEmissionResult coupled_res = emc::conducted_emission_adaptive(
-              coupled, bc_.meas_node, bc_.noise, sweep, accel);
-          emc::AdaptiveEmissionResult bare_res = emc::conducted_emission_adaptive(
-              bc_.circuit, bc_.meas_node, bc_.noise, sweep, accel);
-          res_.initial_prediction = std::move(coupled_res.spectrum);
-          res_.initial_no_coupling = std::move(bare_res.spectrum);
-          attempt_stats = coupled_res.stats;
-          attempt_stats.merge(bare_res.stats);
-        } else {
-          res_.initial_prediction =
-              emc::conducted_emission(coupled, bc_.meas_node, bc_.noise, sweep);
-          res_.initial_no_coupling =
-              emc::conducted_emission(bc_.circuit, bc_.meas_node, bc_.noise, sweep);
-        }
+                                   kMinInstalledCoupling, res_.simulated_pairs);
+        const emi::sweep::SweepAccel accel = opt_.sweep_accel.degraded(degrade);
+        emc::AdaptiveEmissionResult coupled_res = emc::conducted_emission_adaptive(
+            coupled, bc_.meas_node, bc_.noise, sweep, accel);
+        emc::AdaptiveEmissionResult bare_res = emc::conducted_emission_adaptive(
+            bc_.circuit, bc_.meas_node, bc_.noise, sweep, accel);
+        res_.initial_prediction = std::move(coupled_res.spectrum);
+        res_.initial_no_coupling = std::move(bare_res.spectrum);
+        attempt_stats = coupled_res.stats;
+        attempt_stats.merge(bare_res.stats);
       });
   if (so == detail::StageOutcome::kCancelled) {
     halt_pipeline();
@@ -215,10 +203,9 @@ bool FlowEngine::unit_rule_derivation() {
           derived.clear();
           // Degraded retry: coarser quadrature and a coarser bisection
           // tolerance - rules stay conservative, just less finely resolved.
-          const emc::RuleDeriver deriver(
-              pick_extractor(degrade),
-              {opt_.k_threshold, emc::Millimeters{2.0}, emc::Millimeters{200.0},
-               emc::Millimeters{degrade > 0 ? 1.0 : 0.25}});
+          emc::RuleDeriverOptions rule_opt;
+          if (degrade > 0) rule_opt.tol = emc::Millimeters{1.0};
+          const emc::RuleDeriver deriver(pick_extractor(degrade), rule_opt);
           std::set<std::pair<std::string, std::string>> done;
           for (const auto& [la, lb] : res_.simulated_pairs) {
             const peec::ComponentFieldModel* ma = bc_.model_for_inductor(la);
@@ -274,7 +261,7 @@ bool FlowEngine::unit_placement() {
           res_.improved_layout.placements[loop_idx] =
               initial_layout_.placements[loop_idx];
           bc_.board.components()[loop_idx].preplaced = true;
-          place::AutoPlaceOptions popt = opt_.placement;
+          place::AutoPlaceOptions popt;
           if (degrade > 0) {
             // Degraded retry: coarser candidate grid, fewer refinements.
             popt.placer.grid_step_mm *= static_cast<double>(1 << degrade);
@@ -318,19 +305,14 @@ bool FlowEngine::unit_verification() {
           res_.drc_improved = drc_->check(res_.improved_layout);
           const ckt::Circuit improved_ckt =
               circuit_with_couplings(bc_, res_.improved_layout,
-                                     pick_extractor(degrade), opt_.k_min,
+                                     pick_extractor(degrade), kMinInstalledCoupling,
                                      res_.simulated_pairs);
           const emc::EmissionSweepOptions sweep = detail::jittered(opt_.sweep, attempt);
-          if (opt_.sweep_accel.adaptive) {
-            emc::AdaptiveEmissionResult improved = emc::conducted_emission_adaptive(
-                improved_ckt, bc_.meas_node, bc_.noise, sweep,
-                opt_.sweep_accel.degraded(degrade));
-            res_.improved_prediction = std::move(improved.spectrum);
-            attempt_stats = improved.stats;
-          } else {
-            res_.improved_prediction =
-                emc::conducted_emission(improved_ckt, bc_.meas_node, bc_.noise, sweep);
-          }
+          emc::AdaptiveEmissionResult improved = emc::conducted_emission_adaptive(
+              improved_ckt, bc_.meas_node, bc_.noise, sweep,
+              opt_.sweep_accel.degraded(degrade));
+          res_.improved_prediction = std::move(improved.spectrum);
+          attempt_stats = improved.stats;
         });
     if (so == detail::StageOutcome::kCancelled) {
       halt_pipeline();
@@ -378,8 +360,9 @@ FlowResult FlowEngine::finish() {
   res_.profile.add_count("peec.kernel_cluster_skipped",
                          kern1.cluster_skipped - kern0_.cluster_skipped);
   // Sweep economics: always present so profile consumers (and the serve
-  // STATS verb) can rely on the entries; all zero unless FlowOptions::
-  // sweep_accel engaged an engine this run.
+  // STATS verb) can rely on the entries. full_solves counts every solved
+  // point, dense or adaptive; the other three stay zero unless
+  // FlowOptions::sweep_accel engaged an engine this run.
   res_.profile.add_count("sweep.full_solves", sweep_stats_.full_solves);
   res_.profile.add_count("sweep.interp_points", sweep_stats_.interp_points);
   res_.profile.add_count("sweep.surrogate_evals", sweep_stats_.surrogate_evals);

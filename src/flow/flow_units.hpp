@@ -38,6 +38,10 @@ class FlowEngine {
       FlowStage::kRuleDerivation, FlowStage::kPlacement,
       FlowStage::kVerification};
 
+  // Sensitivity pruning: candidate pairs whose coupling moves the emission
+  // by less than this are not field simulated.
+  static constexpr double kPruneThresholdDb = 1.0;
+
   // `bc`, `initial_layout` and `opt` are borrowed for the engine's lifetime.
   // A default-constructed checkpoint starts fresh; a restored one (already
   // validated against flow_context_digest by the caller) resumes.
@@ -98,8 +102,8 @@ class FlowEngine {
   core::PoolStats pool0_;
   peec::KernelStats kern0_;
   // Sweep economics of this run's successful stage attempts; finish() folds
-  // them into the `sweep.*` profile entries (always present, zero when the
-  // acceleration is off or never engaged).
+  // them into the `sweep.*` profile entries (always present; only
+  // full_solves is nonzero when the acceleration is off).
   emi::sweep::SweepStats sweep_stats_;
   detail::StageDriver driver_;
 

@@ -22,17 +22,15 @@
 // any thread count.
 //
 // Exceptions are normalized into Status: structured errors keep their code,
-// caller mistakes map to kInvalidArgument, anything else to kInternal. The
-// final retry forces serial lanes - a scheduling change only.
+// caller mistakes map to kInvalidArgument, anything else to kInternal. Every
+// stage gets kStageAttempts attempts, back to back. The retry runs on serial
+// lanes - a scheduling change only - with a jittered AC pivot threshold
+// (jittered() below), which re-keys injected lu faults.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <functional>
-#include <thread>
 #include <vector>
 
-#include "src/core/backoff.hpp"
 #include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
 #include "src/core/status.hpp"
@@ -40,6 +38,9 @@
 #include "src/flow/design_flow.hpp"
 
 namespace emi::flow::detail {
+
+// Attempts per stage: the first run and one retry.
+inline constexpr int kStageAttempts = 2;
 
 enum class StageOutcome { kOk, kFailed, kCancelled };
 
@@ -51,23 +52,11 @@ struct StageDriver {
   bool flow_expired = false;  // total budget gone: fail remaining stages fast
 
   StageOutcome run(const char* stage, const std::function<void(int, int)>& body) {
-    const int attempts = std::max(opt->stage_attempts, 1);
     core::Status last;
     int degrade = 0;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      // Attempt boundary: prove liveness to a supervising watchdog, and
-      // space retries out (deterministic seeded schedule; scheduling only,
-      // results are unaffected). No sleep before the first attempt, and
-      // never once the flow budget is the binding constraint.
+    for (int attempt = 0; attempt < kStageAttempts; ++attempt) {
+      // Attempt boundary: prove liveness to a supervising watchdog.
       if (opt->heartbeat) opt->heartbeat();
-      if (attempt > 0 && opt->retry_backoff_ms > 0 && !flow_deadline.has_expired()) {
-        const core::Backoff backoff({opt->retry_backoff_ms, opt->retry_backoff_ms * 8,
-                                     2.0, 0.5},
-                                    core::fault::fnv64(stage));
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff.delay_ms(attempt - 1)));
-        if (opt->heartbeat) opt->heartbeat();
-      }
       if (flow_deadline.has_expired()) flow_expired = true;
       if (flow_expired) {
         last = core::Status(core::ErrorCode::kDeadlineExceeded, stage,
@@ -91,7 +80,7 @@ struct StageDriver {
       }
       try {
         core::CancelScope scope(deadline, opt->cancel);
-        if (attempt + 1 == attempts && attempts > 1) {
+        if (attempt + 1 == kStageAttempts) {
           core::ScopedSerialFallback serial;
           body(attempt, degrade);
         } else {
@@ -114,7 +103,7 @@ struct StageDriver {
         last = core::Status(core::ErrorCode::kInternal, stage, e.what());
       }
     }
-    diags->push_back({stage, last, attempts, false});
+    diags->push_back({stage, last, kStageAttempts, false});
     return StageOutcome::kFailed;
   }
 };

@@ -358,17 +358,6 @@ std::vector<Henry> CouplingExtractor::mutual_matrix(
   return m;
 }
 
-std::vector<Henry> CouplingExtractor::mutual_matrix_clustered(
-    std::span<const PlacedModel> models) const {
-  // Clustering engages inside compute_mutual_air whenever the extractor's
-  // KernelOptions ask for it, so the matrix build itself is shared: same
-  // canonicalization, batching, caching and parallel schedule. The separate
-  // entry point exists to make call sites that tolerate the clustered error
-  // bound explicit (and future-proof against matrix-level acceleration);
-  // with clustering off it is mutual_matrix, bit for bit.
-  return mutual_matrix(models);
-}
-
 double CouplingExtractor::coupling_factor(const PlacedModel& a,
                                           const PlacedModel& b) const {
   const Henry la = self_inductance(*a.model);

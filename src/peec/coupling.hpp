@@ -115,16 +115,10 @@ class CouplingExtractor {
   // self inductances, off-diagonals mutual inductances via one
   // mutual_batch over the upper triangle (mirrored; mutual() is symmetric
   // bit-for-bit by canonicalization).
+  // With KernelOptions::cluster on, admitted well-separated cluster pairs
+  // are served by aggregated dipole moments within the documented theta
+  // error bound (cluster_tree.hpp); everything else stays pair-exact.
   std::vector<Henry> mutual_matrix(std::span<const PlacedModel> models) const;
-
-  // Coupling matrix for callers that opted into hierarchical clustering
-  // (KernelOptions::cluster): admitted well-separated cluster pairs are
-  // served by aggregated dipole moments within the documented theta error
-  // bound (cluster_tree.hpp), everything else stays pair-exact. With
-  // clustering disabled this IS mutual_matrix - same bits - so call sites
-  // may use it unconditionally and let the kernel options decide.
-  std::vector<Henry> mutual_matrix_clustered(
-      std::span<const PlacedModel> models) const;
 
   // Convenience: k with model A at the origin (rotation rot_a_deg) and model
   // B at center distance d along +x (rotation rot_b_deg).

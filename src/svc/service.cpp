@@ -495,7 +495,8 @@ void Service::run_job(Job& job) {
   }
   // Sweep economics of this terminal run, folded into the service-wide
   // STATS counters. The entries are always present in a finished flow's
-  // profile (zero when the job did not opt into acceleration).
+  // profile (all but full_solves zero when the job did not opt into
+  // acceleration).
   sweep_full_solves_ += res.profile.count("sweep.full_solves");
   sweep_interp_points_ += res.profile.count("sweep.interp_points");
   sweep_surrogate_evals_ += res.profile.count("sweep.surrogate_evals");

@@ -90,8 +90,9 @@ struct ServiceStats {
   std::uint64_t quarantined = 0;
   std::uint64_t sessions = 0;
   peec::CacheTierStats global_cache;  // shared-tier hit/miss counters
-  // Sweep-acceleration economics accumulated over every terminal job's
-  // flow profile (`sweep.*` counters); all zero while no job opted in.
+  // Sweep economics accumulated over every terminal job's flow profile
+  // (`sweep.*` counters). full_solves counts every job's solved points;
+  // the other three stay zero while no job opted into acceleration.
   std::uint64_t sweep_full_solves = 0;
   std::uint64_t sweep_interp_points = 0;
   std::uint64_t sweep_surrogate_evals = 0;

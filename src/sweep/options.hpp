@@ -5,8 +5,7 @@
 // Acceleration is opt-in: a default SweepAccel leaves every caller on the
 // dense exact path, bit-identical to older builds. The flow forwards one
 // SweepAccel through FlowOptions; it joins the checkpoint context digest
-// (conditionally, like KernelOptions::cluster) because enabling it changes
-// computed spectra.
+// (only when enabled) because enabling it changes computed spectra.
 #pragma once
 
 #include <algorithm>

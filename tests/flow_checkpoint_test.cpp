@@ -4,6 +4,7 @@
 // half-loaded resume.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <random>
 #include <sstream>
@@ -162,6 +163,44 @@ TEST(FlowCheckpoint, ConfigurationMismatchIsRejected) {
   ASSERT_EQ(res.diagnostics.size(), 1u);
   EXPECT_EQ(res.diagnostics[0].status.code(), core::ErrorCode::kFailedPrecondition);
   std::remove(ckpt.c_str());
+}
+
+// The AC solver knobs change computed spectra, so a checkpoint written under
+// one g_min must not resume under another. The digest moves with each knob
+// except source_scale, which every flow sweep overwrites with the envelope.
+TEST(FlowCheckpoint, AcSolverMismatchIsRejected) {
+  const std::string ckpt = temp_ckpt("ac_digest.ckpt");
+  std::remove(ckpt.c_str());
+  FlowOptions opt = quick_options();
+  opt.checkpoint_path = ckpt;
+  opt.stop_after_stage = "sensitivity";
+  BuckConverter bc1 = make_buck_converter();
+  run_design_flow(bc1, layout_unfavorable(bc1), opt);
+
+  FlowOptions other = quick_options();
+  other.sweep.ac.g_min = 1e-6;
+  other.checkpoint_path = ckpt;
+  BuckConverter bc2 = make_buck_converter();
+  const FlowResult res = resume_design_flow(bc2, layout_unfavorable(bc2), other);
+  EXPECT_FALSE(res.complete);
+  ASSERT_EQ(res.diagnostics.size(), 1u);
+  EXPECT_EQ(res.diagnostics[0].stage, "flow.checkpoint");
+  EXPECT_EQ(res.diagnostics[0].status.code(), core::ErrorCode::kFailedPrecondition);
+  std::remove(ckpt.c_str());
+
+  const BuckConverter bc = make_buck_converter();
+  const place::Layout layout = layout_unfavorable(bc);
+  const std::uint64_t d0 = flow_context_digest(bc, layout, quick_options());
+  EXPECT_NE(d0, flow_context_digest(bc, layout, other));
+  FlowOptions pivot = quick_options();
+  pivot.sweep.ac.pivot_threshold = 1e-3;
+  EXPECT_NE(d0, flow_context_digest(bc, layout, pivot));
+  FlowOptions cond = quick_options();
+  cond.sweep.ac.condition_limit = 1e12;
+  EXPECT_NE(d0, flow_context_digest(bc, layout, cond));
+  FlowOptions scaled = quick_options();
+  scaled.sweep.ac.source_scale = {2.0};
+  EXPECT_EQ(d0, flow_context_digest(bc, layout, scaled));
 }
 
 // The ckpt fault site tears the payload mid-write (as a crash under a

@@ -156,45 +156,19 @@ TEST(DesignFlow, ReproducesThePaperShape) {
   EXPECT_GT(err_without, 10.0);  // tens of dB off, as in Fig 12 vs 13
 }
 
-TEST(DesignFlow, NoPruningSimulatesAllPairs) {
-  BuckConverter bc = make_buck_converter();
-  FlowOptions opt;
-  opt.sweep.n_points = 30;
-  opt.sensitivity_threshold_db = 0.0;  // disable pruning
-  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
-  EXPECT_EQ(res.field_solves_saved, 0u);
-  EXPECT_EQ(res.simulated_pairs.size(), 21u);  // 7 choose 2
-}
-
 TEST(DesignFlow, SurfacesKernelCountersInProfile) {
   BuckConverter bc = make_buck_converter();
   FlowOptions opt;
   opt.sweep.n_points = 30;
   const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
   // The extraction work of this run, as deltas of the process-wide kernel
-  // counters. Default options: everything runs the exact path.
+  // counters. The flow extracts with the exact kernel only.
   EXPECT_GT(res.profile.count("peec.kernel_sample_evals"), 0u);
   EXPECT_GT(res.profile.count("peec.kernel_exact_pairs"), 0u);
-  // Clustered extraction is opt-in; a default run must surface its counters
-  // as zero (the bit-identity guard for exact-by-default extraction).
+  // Its cluster counters must read zero (the bit-identity guard for exact
+  // extraction).
   EXPECT_EQ(res.profile.count("peec.kernel_cluster_pairs"), 0u);
   EXPECT_EQ(res.profile.count("peec.kernel_cluster_skipped"), 0u);
-}
-
-TEST(DesignFlow, ClusteredKernelOptInCompletesAndSurfacesCounters) {
-  // Same flow with hierarchical clustering enabled at a permissive theta:
-  // the run must complete and the FlowResult profile must carry the cluster
-  // counter deltas (nonzero whenever any model pair was far enough apart to
-  // admit - the unfavorable layout spreads components across the board).
-  BuckConverter bc = make_buck_converter();
-  FlowOptions opt;
-  opt.sweep.n_points = 30;
-  opt.kernel.cluster = true;
-  opt.kernel.cluster_theta = 2.5;
-  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
-  EXPECT_TRUE(res.complete);
-  EXPECT_GT(res.profile.count("peec.kernel_cluster_pairs"), 0u);
-  EXPECT_GT(res.profile.count("peec.kernel_cluster_skipped"), 0u);
 }
 
 }  // namespace

@@ -298,9 +298,15 @@ TEST(ClusterTree, MatrixClusteredWithDefaultOptionsIsMatrixBitwise) {
       {&mb, Pose{{40.0, 0, 0}, 90.0}},
       {&mc, Pose{{0, 45.0, 0}, 10.0}},
   };
+  // With clustering off the cluster knobs are inert: the matrix is the
+  // exact one, bit for bit.
+  KernelOptions off;
+  off.cluster_theta = 3.0;
+  off.cluster_leaf_segments = 2;
   const CouplingExtractor ex;
+  const CouplingExtractor ex_off(QuadratureOptions{}, off);
   const std::vector<units::Henry> m1 = ex.mutual_matrix(models);
-  const std::vector<units::Henry> m2 = ex.mutual_matrix_clustered(models);
+  const std::vector<units::Henry> m2 = ex_off.mutual_matrix(models);
   ASSERT_EQ(m1.size(), m2.size());
   for (std::size_t i = 0; i < m1.size(); ++i) {
     EXPECT_EQ(m1[i].raw(), m2[i].raw()) << "entry " << i;

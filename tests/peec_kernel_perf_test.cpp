@@ -99,7 +99,7 @@ TEST(KernelPerfSmoke, ClusteredExtractionPopulatesCountersAndCutsWork) {
 }
 
 // Exact work-counter gate for clustered batch extraction: one cold
-// mutual_matrix_clustered over the 16-stage large-scenario grid (32 models,
+// clustered mutual_matrix over the 16-stage large-scenario grid (32 models,
 // 496 pairs). The counts are a pure function of the geometry, quadrature
 // and kernel options - never of the host or the thread count - so they are
 // pinned exactly. A change that moves one updates the value here and says
@@ -113,7 +113,7 @@ TEST(KernelPerfGate, ClusteredMatrixOverSixteenStageGrid) {
   const CouplingExtractor ex(QuadratureOptions{}, kopt);
 
   KernelDelta delta;
-  const std::vector<units::Henry> m = ex.mutual_matrix_clustered(s.placed);
+  const std::vector<units::Henry> m = ex.mutual_matrix(s.placed);
   const KernelStats k = delta.sample();
   ASSERT_EQ(m.size(), s.placed.size() * s.placed.size());
 

@@ -98,8 +98,7 @@ TEST(ScenarioLarge, CappedEndToEndExactVsClustered) {
 
   const peec::KernelStats before = peec::kernel_stats();
   const std::vector<units::Henry> m_exact = exact.mutual_matrix(s.placed);
-  const std::vector<units::Henry> m_clus =
-      clus.mutual_matrix_clustered(s.placed);
+  const std::vector<units::Henry> m_clus = clus.mutual_matrix(s.placed);
   const peec::KernelStats after = peec::kernel_stats();
   EXPECT_GT(after.cluster_pairs, before.cluster_pairs);
   EXPECT_GT(after.cluster_skipped, before.cluster_skipped);

@@ -16,8 +16,9 @@
 #       level fault soak: kill -9 recovery, overload shed + polite retry,
 #       wedge watchdog, poison quarantine, graceful drain - with bit-identity
 #       checks against an unloaded reference). Not registered as a ctest: it
-#       wraps ctest itself, and the gtest state dirs under TempDir() are
-#       per-binary, so a nested concurrent run would collide.
+#       wraps ctest itself, and the gtest state dirs under TempDir()
+#       (<build>/tests/tmp) are per build tree, so a nested concurrent run in
+#       the same tree would collide.
 #
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,

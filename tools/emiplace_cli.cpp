@@ -343,16 +343,18 @@ int cmd_flow(int argc, char** argv) {
   if (!out_prefix.empty()) {
     // The improved spectrum/layout only exist for a completed flow; a partial
     // run (expired budget, --stop-after) still gets the initial prediction.
+    // The spectrum CSVs carry the CISPR 25 class 3 limit column.
+    constexpr int kCisprClass = 3;
     std::vector<std::pair<std::string, core::Status>> outs;
     outs.emplace_back(out_prefix + "_initial.csv",
                       io::write_spectrum_csv_file(out_prefix + "_initial.csv",
                                                   res.initial_prediction,
-                                                  fopt.cispr_class));
+                                                  kCisprClass));
     if (res.complete) {
       outs.emplace_back(out_prefix + "_improved.csv",
                         io::write_spectrum_csv_file(out_prefix + "_improved.csv",
                                                     res.improved_prediction,
-                                                    fopt.cispr_class));
+                                                    kCisprClass));
       outs.emplace_back(out_prefix + "_layout.csv",
                         io::write_layout_table_file(out_prefix + "_layout.csv",
                                                     bc.board, res.improved_layout));
