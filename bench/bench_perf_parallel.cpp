@@ -12,6 +12,7 @@
 #include "src/core/parallel.hpp"
 #include "src/core/thread_pool.hpp"
 #include "src/emi/emission.hpp"
+#include "src/emi/rules.hpp"
 #include "src/emi/sensitivity.hpp"
 #include "src/flow/buck_converter.hpp"
 #include "src/flow/design_flow.hpp"
@@ -138,6 +139,37 @@ BENCHMARK(BM_SensitivityRankingAdaptive)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// PEMD rule derivation alone: the buck flow's 11 rule pairs on a cold
+// extractor, every pair's bisection in one lockstep search (the flow's rule
+// stage). The pairs come from one flow run before timing, which also warms
+// the freshly sized pool. `sample_evals` and `pool_batches` are per
+// derivation.
+void BM_RuleDerivation(benchmark::State& state) {
+  set_lanes(state);
+  flow::BuckConverter bc = flow::make_buck_converter();
+  flow::FlowOptions fopt;
+  fopt.sweep.n_points = 60;
+  const flow::FlowResult res = flow::run_design_flow(bc, flow::layout_unfavorable(bc), fopt);
+  std::vector<peec::ModelPair> pairs;
+  for (const emc::MinDistanceRule& r : res.rules) {
+    pairs.emplace_back(bc.model_for_component(r.comp_a), bc.model_for_component(r.comp_b));
+  }
+  std::uint64_t evals = 0, batches = 0;
+  for (auto _ : state) {
+    const peec::CouplingExtractor extractor;  // cold: every probe extracts
+    const peec::KernelStats k0 = peec::kernel_stats();
+    const core::PoolStats p0 = core::ThreadPool::global().stats();
+    const std::vector<emc::MinDistanceRule> rules = emc::RuleDeriver(extractor).derive(pairs);
+    benchmark::DoNotOptimize(rules.data());
+    evals = peec::kernel_stats().sample_evals - k0.sample_evals;
+    batches = core::ThreadPool::global().stats().batches - p0.batches;
+  }
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["sample_evals"] = static_cast<double>(evals);
+  state.counters["pool_batches"] = static_cast<double>(batches);
+}
+BENCHMARK(BM_RuleDerivation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // AC points of the large-scenario ladder at 16, 64 and 256 stages (99, 387
 // and 1,539 unknowns) on one lane: the per-point stamp, factorization and

@@ -4,6 +4,7 @@
 // alpha is the angle between the two magnetic axes (section 4 / Fig 10).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,11 @@ class RuleDeriver {
   // PEMD for one component pair (worst case: parallel axes).
   MinDistanceRule derive(const peec::ComponentFieldModel& a,
                          const peec::ComponentFieldModel& b) const;
+
+  // PEMD for every pair, in input order: one lockstep search over all of
+  // them (CouplingExtractor::min_distances_for_coupling), each rule
+  // bit-identical to derive(a, b).
+  std::vector<MinDistanceRule> derive(std::span<const peec::ModelPair> pairs) const;
 
   // Full pairwise rule table; the paper's n(n-1)/2 minimum distances.
   std::vector<MinDistanceRule> derive_all(

@@ -200,21 +200,24 @@ bool FlowEngine::unit_rule_derivation() {
     const detail::StageOutcome so = driver_.run(
         "flow.rule_derivation", [&](int, int degrade) {
           core::ScopedTimer t(res_.profile, "flow.rule_derivation_s");
-          derived.clear();
           // Degraded retry: coarser quadrature and a coarser bisection
           // tolerance - rules stay conservative, just less finely resolved.
           emc::RuleDeriverOptions rule_opt;
           if (degrade > 0) rule_opt.tol = emc::Millimeters{1.0};
           const emc::RuleDeriver deriver(pick_extractor(degrade), rule_opt);
           std::set<std::pair<std::string, std::string>> done;
+          std::vector<peec::ModelPair> todo;
           for (const auto& [la, lb] : res_.simulated_pairs) {
             const peec::ComponentFieldModel* ma = bc_.model_for_inductor(la);
             const peec::ComponentFieldModel* mb = bc_.model_for_inductor(lb);
             if (ma == nullptr || mb == nullptr) continue;
             auto key = std::minmax(ma->name, mb->name);
             if (!done.insert(key).second) continue;
-            derived.push_back(deriver.derive(*ma, *mb));
+            todo.emplace_back(ma, mb);
           }
+          // One lockstep search over every pair: each level extracts all
+          // open pairs' probes in one batch.
+          derived = deriver.derive(todo);
         });
     if (so == detail::StageOutcome::kCancelled) {
       halt_pipeline();

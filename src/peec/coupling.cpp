@@ -10,6 +10,7 @@
 #include "src/core/fault_injection.hpp"
 #include "src/core/parallel.hpp"
 #include "src/peec/cluster_tree.hpp"
+#include "src/peec/sampled_path.hpp"
 
 namespace emi::peec {
 
@@ -62,12 +63,16 @@ std::uint64_t CouplingExtractor::self_key(std::uint64_t digest) const {
 }
 
 Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
+  return self_inductance_digested(m, model_digest(m));
+}
+
+Henry CouplingExtractor::self_inductance_digested(const ComponentFieldModel& m,
+                                                  std::uint64_t id) const {
   // Per-pair cooperative stop probe: once the owning stage's CancelScope
   // reports a stop, skip the quadrature and return the zero sentinel without
   // touching the cache. The stage discards all results on a stop, so the
   // sentinel never reaches a caller that keeps them.
   if (!core::CancelScope::poll()) return Henry{0.0};
-  const std::uint64_t id = model_digest(m);
   // Injected cache miss: recompute instead of returning the memoized value.
   // Entries are pure functions of the key, so this perturbs timing and hit
   // counters but never the returned inductance - exactly what the cache's
@@ -188,8 +193,7 @@ Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) cons
 std::vector<Henry> CouplingExtractor::mutual_batch(
     std::span<const PlacedModel> models,
     std::span<const std::pair<std::size_t, std::size_t>> pairs) const {
-  std::vector<Henry> out(pairs.size(), Henry{0.0});
-  if (pairs.empty()) return out;
+  if (pairs.empty()) return {};
   for (const auto& [ia, ib] : pairs) {
     if (ia >= models.size() || ib >= models.size()) {
       throw std::invalid_argument("mutual_batch: pair index out of range");
@@ -198,8 +202,6 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
       throw std::invalid_argument("mutual_batch: null model");
     }
   }
-  if (!core::CancelScope::poll()) return out;  // sentinel zeros, cache untouched
-
   // Each placed model's digest once, not once for every pair it is in.
   std::vector<std::uint64_t> digest(models.size(), 0);
   std::vector<char> digested(models.size(), 0);
@@ -210,6 +212,14 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
       digested[i] = 1;
     }
   }
+  return mutual_batch_digested(models, digest, pairs);
+}
+
+std::vector<Henry> CouplingExtractor::mutual_batch_digested(
+    std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
+    std::span<const std::pair<std::size_t, std::size_t>> pairs) const {
+  std::vector<Henry> out(pairs.size(), Henry{0.0});
+  if (!core::CancelScope::poll()) return out;  // sentinel zeros, cache untouched
 
   // Canonicalize every pair, then collapse duplicates: jobs holds one entry
   // per distinct canonical key, slot[p] maps each input pair to its job.
@@ -286,34 +296,71 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
     prep_of_miss[k] = it->second;
   }
   std::vector<PreparedPath> prepared(prep_model.size());
-  std::vector<char> prep_done(prep_model.size(), 0);
-  core::parallel_for(
-      0, prep_model.size(),
-      [&](std::size_t m) {
-        if (!core::CancelScope::poll()) return;
-        prepared[m] = prepare_first(*prep_model[m]);
-        prep_done[m] = 1;
-      },
-      1);
-
-  // One flat parallel region over the unique misses. Each job writes only
-  // its own slot; values are pure functions of the canonical key, so the
-  // schedule cannot affect results.
-  core::parallel_for(
-      0, miss.size(),
-      [&](std::size_t k) {
-        Job& job = jobs[miss[k]];
-        const std::size_t m = prep_of_miss[k];
-        // A stop (or one that skipped this first side's preparation) leaves
-        // the sentinel and skips the store.
-        if (!core::CancelScope::poll() || !prep_done[m]) return;
-        job.m_air = compute_mutual_air(job.c, prepared[m]);
-        // Re-poll after the compute: a stop that landed mid-quadrature (on
-        // the lane that carries the scope) truncated the inner parallel
-        // region, so the value is torn and must not reach the bulk store.
-        job.computed = core::CancelScope::poll();
-      },
-      1);
+  if (kernel_.cluster) {
+    std::vector<char> prep_done(prep_model.size(), 0);
+    core::parallel_for(
+        0, prep_model.size(),
+        [&](std::size_t m) {
+          if (!core::CancelScope::poll()) return;
+          prepared[m] = prepare_first(*prep_model[m]);
+          prep_done[m] = 1;
+        },
+        1);
+    // Clustered misses: one task per pair (the dual traversal is serial
+    // per pair). Each job writes only its own slot; values are pure
+    // functions of the canonical key, so the schedule cannot affect results.
+    core::parallel_for(
+        0, miss.size(),
+        [&](std::size_t k) {
+          Job& job = jobs[miss[k]];
+          const std::size_t m = prep_of_miss[k];
+          // A stop (or one that skipped this first side's preparation)
+          // leaves the sentinel and skips the store.
+          if (!core::CancelScope::poll() || !prep_done[m]) return;
+          job.m_air = compute_mutual_air(job.c, prepared[m]);
+          // Re-poll after the compute: a stop that landed mid-traversal
+          // leaves a torn value, which must not reach the bulk store.
+          job.computed = core::CancelScope::poll();
+        },
+        1);
+  } else {
+    // Exact misses: one region samples every first side and every miss's
+    // second side (at the pair's relative pose), then one flat row region
+    // runs every row of every miss. A large pair's rows and the small
+    // pairs' rows share the lanes instead of running one region after
+    // another; each value keeps the bits compute_mutual_air gives it.
+    const std::size_t n_prep = prep_model.size();
+    std::vector<SampledPath> second(miss.size());
+    core::parallel_for(
+        0, n_prep + miss.size(),
+        [&](std::size_t t) {
+          if (!core::CancelScope::poll()) return;
+          if (t < n_prep) {
+            prepared[t] = prepare_first(*prep_model[t]);
+            return;
+          }
+          const CanonicalPair& c = jobs[miss[t - n_prep]].c;
+          second[t - n_prep] =
+              sample_path(c.second->model->path_at(Pose{c.rel_pos, c.rel_rot}), opt_);
+        },
+        1);
+    std::vector<const SampledPath*> first_of(miss.size());
+    std::vector<const SampledPath*> second_of(miss.size());
+    for (std::size_t k = 0; k < miss.size(); ++k) {
+      first_of[k] = &prepared[prep_of_miss[k]].samples;
+      second_of[k] = &second[k];
+    }
+    std::vector<double> m_air(miss.size(), 0.0);
+    path_mutual_sampled_many(first_of, second_of, m_air);
+    // A stop anywhere in the two regions skipped whole chunks (a
+    // preparation or a row), so every value may be torn: store none. The
+    // scope latches its stop, so this poll sees any stop the regions saw.
+    const bool complete = core::CancelScope::poll();
+    for (std::size_t k = 0; k < miss.size(); ++k) {
+      jobs[miss[k]].m_air = m_air[k];
+      jobs[miss[k]].computed = complete;
+    }
+  }
 
   // One bulk store of everything actually computed.
   std::vector<MutualCacheKey> store_keys;
@@ -447,26 +494,108 @@ std::vector<CouplingExtractor::AnglePoint> CouplingExtractor::coupling_vs_angle(
 Millimeters CouplingExtractor::min_distance_for_coupling(
     const ComponentFieldModel& a, const ComponentFieldModel& b, double k_threshold,
     Millimeters d_lo, Millimeters d_hi, Millimeters tol) const {
-  if (k_threshold <= 0.0) throw std::invalid_argument("min_distance: threshold <= 0");
-  if (d_hi <= d_lo) throw std::invalid_argument("min_distance: bad bracket");
-  const auto k_at = [&](Millimeters d) {
-    return std::fabs(coupling_at(a, b, d, 0.0, 0.0));
-  };
-  if (k_at(d_lo) <= k_threshold) return d_lo;
-  if (k_at(d_hi) > k_threshold) return d_hi;
-  Millimeters lo = d_lo, hi = d_hi;
-  while (hi - lo > tol) {
-    // Bisections chain many extractions serially; bail out between steps
-    // once the stage is stopped (the returned bracket edge is discarded).
-    if (!core::CancelScope::poll()) return hi;
-    const Millimeters mid = 0.5 * (lo + hi);
-    if (k_at(mid) > k_threshold) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+  const ModelPair pair{&a, &b};
+  return min_distances_for_coupling({&pair, 1}, k_threshold, d_lo, d_hi, tol).front();
+}
+
+std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
+    std::span<const ModelPair> pairs, double k_threshold, Millimeters d_lo,
+    Millimeters d_hi, Millimeters tol) const {
+  if (!(k_threshold > 0.0) || !std::isfinite(k_threshold)) {
+    throw std::invalid_argument("min_distance: threshold must be finite and > 0");
   }
-  return hi;
+  if (!(tol.raw() > 0.0) || !std::isfinite(tol.raw())) {
+    throw std::invalid_argument("min_distance: tolerance must be finite and > 0");
+  }
+  if (!std::isfinite(d_lo.raw()) || !std::isfinite(d_hi.raw()) || !(d_hi > d_lo)) {
+    throw std::invalid_argument("min_distance: bad bracket");
+  }
+  for (const auto& [a, b] : pairs) {
+    if (a == nullptr || b == nullptr) throw std::invalid_argument("min_distance: null model");
+  }
+
+  // One search per pair, as a state machine advanced one probe per level:
+  // kLo probes d_lo, kHi probes d_hi, kMid probes the bracket midpoint.
+  // `hi` is the search's answer so far: its upper bracket edge, or d_lo
+  // once d_lo already meets the threshold.
+  enum class Step { kLo, kHi, kMid };
+  struct Search {
+    Step step;
+    Millimeters lo, hi, probe;
+  };
+  std::vector<Search> search(pairs.size(), Search{Step::kLo, d_lo, d_hi, d_lo});
+  std::vector<std::size_t> open(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) open[p] = p;
+  // Past the d_hi probe: stop once the bracket is within tolerance, or
+  // once its edges are adjacent doubles and the midpoint cannot split it.
+  const auto next_probe = [&](Search& q) {
+    if (!(q.hi - q.lo > tol)) return false;
+    q.probe = 0.5 * (q.lo + q.hi);
+    return q.probe != q.lo && q.probe != q.hi;
+  };
+
+  // Every level extracts the same models: digest each pair's sides once.
+  std::vector<std::uint64_t> pair_digest(2 * pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    pair_digest[2 * p] = model_digest(*pairs[p].first);
+    pair_digest[2 * p + 1] = model_digest(*pairs[p].second);
+  }
+
+  std::vector<PlacedModel> models;
+  std::vector<std::uint64_t> digests;
+  std::vector<std::pair<std::size_t, std::size_t>> idx;
+  while (!open.empty()) {
+    // Levels chain extractions serially; bail out between them once the
+    // stage is stopped (the returned values are discarded).
+    if (!core::CancelScope::poll()) break;
+    models.clear();
+    digests.clear();
+    idx.clear();
+    for (const std::size_t p : open) {
+      models.push_back({pairs[p].first, Pose{{0.0, 0.0, 0.0}, 0.0}});
+      models.push_back({pairs[p].second, Pose{{search[p].probe.raw(), 0.0, 0.0}, 0.0}});
+      digests.push_back(pair_digest[2 * p]);
+      digests.push_back(pair_digest[2 * p + 1]);
+      idx.emplace_back(models.size() - 2, models.size() - 1);
+    }
+    const std::vector<Henry> ms = mutual_batch_digested(models, digests, idx);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      const std::size_t p = open[i];
+      Search& q = search[p];
+      // coupling_factor's self lookups and expression, per evaluation.
+      const Henry la = self_inductance_digested(*pairs[p].first, pair_digest[2 * p]);
+      const Henry lb = self_inductance_digested(*pairs[p].second, pair_digest[2 * p + 1]);
+      const double k_abs = std::fabs(
+          (la.raw() <= 0.0 || lb.raw() <= 0.0) ? 0.0 : ms[i] / units::sqrt(la * lb));
+      bool more = false;
+      switch (q.step) {
+        case Step::kLo:
+          if (k_abs <= k_threshold) {
+            q.hi = d_lo;
+          } else {
+            q.step = Step::kHi;
+            q.probe = d_hi;
+            more = true;
+          }
+          break;
+        case Step::kHi:
+          q.step = Step::kMid;
+          more = !(k_abs > k_threshold) && next_probe(q);
+          break;
+        case Step::kMid:
+          (k_abs > k_threshold ? q.lo : q.hi) = q.probe;
+          more = next_probe(q);
+          break;
+      }
+      if (more) open[kept++] = p;
+    }
+    open.resize(kept);
+  }
+  std::vector<Millimeters> out;
+  out.reserve(pairs.size());
+  for (const Search& q : search) out.push_back(q.hi);
+  return out;
 }
 
 ExtractionCacheStats CouplingExtractor::cache_stats() const {

@@ -45,6 +45,9 @@ struct PlacedModel {
   Pose pose{};
 };
 
+// Two models whose coupling rule is searched (min_distances_for_coupling).
+using ModelPair = std::pair<const ComponentFieldModel*, const ComponentFieldModel*>;
+
 // Stable identity of a field model: a 64-bit FNV-1a digest over kind,
 // material parameters and conductor geometry. Copies share a digest (and so
 // share cache entries - correct, extraction only reads that content);
@@ -149,14 +152,33 @@ class CouplingExtractor {
                                             std::size_t n_points) const;
 
   // Smallest center distance at which |k| drops to `k_threshold` with
-  // parallel magnetic axes - the PEMD design rule. Monotone bisection over
-  // [d_lo, d_hi]; returns d_lo if even the closest spacing is below
-  // threshold, d_hi if the threshold cannot be met in range.
+  // parallel magnetic axes - the PEMD design rule. Bisection over
+  // [d_lo, d_hi] to width `tol`; returns d_lo if even the closest spacing
+  // is below threshold, d_hi if the threshold cannot be met in range. The
+  // search assumes |k| falls with distance, and k(d) need not: an X-cap
+  // beside the filter coil changes sign near 15 mm, so |k| dips and rises
+  // again, and a rule can stop at that inner crossing instead of the outer
+  // one. The one-pair call of min_distances_for_coupling.
   Millimeters min_distance_for_coupling(const ComponentFieldModel& a,
                                         const ComponentFieldModel& b,
                                         double k_threshold, Millimeters d_lo,
                                         Millimeters d_hi,
                                         Millimeters tol = Millimeters{0.1}) const;
+
+  // min_distance_for_coupling for every pair, all brackets moved forward
+  // together: each level extracts every open pair's next probe (d_lo first,
+  // then d_hi for pairs still open, then midpoints) in one mutual_batch, so
+  // every pair's quadrature rows share the lanes. The evaluations and
+  // decisions are exactly those of one search per pair, so each result
+  // carries the same bits. Throws std::invalid_argument for a null model, a
+  // non-finite or non-positive `k_threshold` or `tol`, and a non-finite or
+  // empty bracket. A bracket whose edges become adjacent doubles (`tol`
+  // below their spacing) ends at its upper edge. Once the calling stage's
+  // CancelScope stops, the search returns early and its results are to be
+  // discarded.
+  std::vector<Millimeters> min_distances_for_coupling(
+      std::span<const ModelPair> pairs, double k_threshold, Millimeters d_lo,
+      Millimeters d_hi, Millimeters tol = Millimeters{0.1}) const;
 
   ExtractionCacheStats cache_stats() const;
 
@@ -171,6 +193,13 @@ class CouplingExtractor {
     double rel_rot;
     double stray;
   };
+  // self_inductance and mutual_batch with the models' digests
+  // (model_digest) supplied, for callers that extract the same models over
+  // and over. `digest[i]` belongs to `models[i]`.
+  Henry self_inductance_digested(const ComponentFieldModel& m, std::uint64_t digest) const;
+  std::vector<Henry> mutual_batch_digested(
+      std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
+      std::span<const std::pair<std::size_t, std::size_t>> pairs) const;
   // `da` and `db` are the models' digests (model_digest).
   CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b,
                              std::uint64_t da, std::uint64_t db) const;

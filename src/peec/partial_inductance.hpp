@@ -23,8 +23,9 @@ namespace emi::peec {
 inline constexpr double kMu0 = 4.0e-7 * 3.14159265358979323846;  // H/m
 inline constexpr double kMmToM = 1e-3;
 
-// Below this many segment-pair integrals a path-level double sum runs on the
-// calling thread; the scheduling cost of a parallel region would dominate.
+// Below this many segment-pair integrals a path-level double sum (or a batch
+// of them, counted in total) runs on the calling thread; the scheduling cost
+// of a parallel region would dominate.
 // The serial and parallel schedules accumulate in the same order, so
 // crossing the threshold (or changing the thread count) never changes the
 // returned bits for a given input.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -350,42 +351,62 @@ double sampled_mutual_row(EMI_ROW_ARGS) {
 }  // namespace
 
 double path_mutual_sampled(const SampledPath& A, const SampledPath& B) {
-  const std::size_t n1 = A.segment_count();
-  const std::size_t n2 = B.segment_count();
-  const std::size_t pairs = n1 * n2;
-  if (pairs == 0) return 0.0;
-  const std::size_t ns2 = B.samples_per_segment();
-  const std::size_t buf_doubles = 2 * n2 * ns2 + n2 * B.n_sub + n2;
-  if (pairs < kParallelPairThreshold) {
-    std::vector<double> buf(buf_doubles);
+  const SampledPath* a = &A;
+  const SampledPath* b = &B;
+  double out = 0.0;
+  path_mutual_sampled_many({&a, 1}, {&b, 1}, {&out, 1});
+  return out;
+}
+
+void path_mutual_sampled_many(std::span<const SampledPath* const> a,
+                              std::span<const SampledPath* const> b,
+                              std::span<double> out) {
+  if (b.size() != a.size() || out.size() != a.size()) {
+    throw std::invalid_argument("path_mutual_sampled_many: span lengths differ");
+  }
+  // Pair p owns rows [first_row[p], first_row[p + 1]) of one flat row list;
+  // a pair with an empty side owns none and folds to 0.0.
+  const std::size_t n = a.size();
+  std::vector<std::size_t> first_row(n + 1, 0);
+  std::size_t seg_pairs = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t n1 = a[p]->segment_count();
+    const std::size_t n2 = b[p]->segment_count();
+    first_row[p + 1] = first_row[p] + (n2 == 0 ? 0 : n1);
+    seg_pairs += n1 * n2;
+  }
+  const std::size_t rows = first_row[n];
+  std::vector<std::size_t> pair_of_row(rows);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::fill(pair_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p]),
+              pair_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p + 1]), p);
+  }
+  // Each row writes its own slot, so neither the schedule nor the thread
+  // count reaches the results; grain 1 keeps the chunking fixed too.
+  std::vector<double> row_total(rows, 0.0);
+  const auto row = [&](std::size_t r) {
+    const std::size_t p = pair_of_row[r];
+    const std::size_t n2 = b[p]->segment_count();
+    std::vector<double> buf(2 * n2 * b[p]->samples_per_segment() + n2 * b[p]->n_sub + n2);
     std::vector<unsigned char> cls(n2);
     RowCounts rc;
-    double total = 0.0;
-    for (std::size_t i = 0; i < n1; ++i) {
-      total += sampled_mutual_row(A, i, B, buf.data(), cls.data(), rc);
-    }
+    row_total[r] =
+        sampled_mutual_row(*a[p], r - first_row[p], *b[p], buf.data(), cls.data(), rc);
     detail::tally_pairs(rc.exact, rc.evals);
-    return total;
+  };
+  if (seg_pairs < kParallelPairThreshold) {
+    for (std::size_t r = 0; r < rows; ++r) row(r);
+  } else {
+    core::parallel_for(0, rows, row, 1);
   }
-  // One parallel region over rows, each writing its own slot; grain 1 keeps
-  // the chunking - and by the write-only slot layout the result -
-  // independent of thread count. The serial fold over row totals is the
-  // legacy accumulation order, so neither the threshold nor the schedule
-  // changes the returned bits.
-  std::vector<double> row_total(n1);
-  core::parallel_for(
-      0, n1,
-      [&](std::size_t i) {
-        std::vector<double> buf(buf_doubles);
-        std::vector<unsigned char> cls(n2);
-        RowCounts rc;
-        row_total[i] = sampled_mutual_row(A, i, B, buf.data(), cls.data(), rc);
-        detail::tally_pairs(rc.exact, rc.evals);
-      },
-      1);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n1; ++i) total += row_total[i];
-  return total;
+  // Each pair folds its row totals serially in row order: the legacy
+  // accumulation order, so neither the threshold, the batch around a pair
+  // nor the schedule changes its bits.
+  for (std::size_t p = 0; p < n; ++p) {
+    double total = 0.0;
+    for (std::size_t r = first_row[p]; r < first_row[p + 1]; ++r) total += row_total[r];
+    out[p] = total;
+  }
 }
 
 bool kernel_clones_enabled() {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/peec/partial_inductance.hpp"
@@ -56,11 +57,23 @@ double sampled_mutual_exact(const SampledPath& a, std::size_t i,
 // Mutual inductance between two sampled paths: the weighted double sum over
 // all segment pairs, evaluated by a row kernel that batches one row of A
 // against B's whole contiguous sample block (skip classification first, then
-// an L1-blocked distance pass at divider throughput). Large cases parallelize
-// over rows; row totals are folded serially in row order, so the returned
-// bits match the serial double loop - and the legacy row-parallel
-// path_mutual - at any thread count.
+// an L1-blocked distance pass at divider throughput). Row totals are folded
+// serially in row order, so the returned bits match the serial double loop -
+// and the legacy row-parallel path_mutual - at any thread count. This is the
+// one-pair call of path_mutual_sampled_many.
 double path_mutual_sampled(const SampledPath& a, const SampledPath& b);
+
+// out[p] = path_mutual_sampled(*a[p], *b[p]) for every p, bit for bit, with
+// the same kernel_stats() tallies. Every row of every pair runs in one flat
+// parallel region (serially when the batch holds fewer than
+// kParallelPairThreshold segment pairs in total); each pair is then folded
+// serially in row order. One large pair and many small ones thus share the
+// lanes instead of running one region after another. The three spans must
+// have equal lengths (std::invalid_argument otherwise). Under a stopped
+// CancelScope skipped rows stay 0.0, so the caller must discard `out`.
+void path_mutual_sampled_many(std::span<const SampledPath* const> a,
+                              std::span<const SampledPath* const> b,
+                              std::span<double> out);
 
 // True when the hot kernels above were compiled with per-ISA clones
 // (target_clones default/avx2/avx512f, ifunc dispatch); false on toolchains

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/peec/component_model.hpp"
 
@@ -118,6 +123,75 @@ TEST_F(CouplingTest, MinDistanceEdgeCases) {
   EXPECT_DOUBLE_EQ(ex_.min_distance_for_coupling(ca_, cb_, 1e-9, Millimeters{5.0}, Millimeters{40.0}).raw(), 40.0);
   EXPECT_THROW(ex_.min_distance_for_coupling(ca_, cb_, 0.0, Millimeters{5.0}, Millimeters{40.0}).raw(),
                std::invalid_argument);
+
+  // A tolerance that cannot end the bisection, a threshold or bracket that
+  // no comparison can order: rejected up front. A zero or negative `tol`
+  // never ends a bracket whose edges are adjacent doubles, and a NaN fails
+  // every comparison the search makes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Millimeters lo{5.0}, hi{150.0};
+  for (const double tol : {0.0, -1.0, nan, inf}) {
+    EXPECT_THROW(ex_.min_distance_for_coupling(ca_, cb_, 0.01, lo, hi, Millimeters{tol}),
+                 std::invalid_argument)
+        << "tol " << tol;
+  }
+  for (const double k : {nan, inf, -0.01}) {
+    EXPECT_THROW(ex_.min_distance_for_coupling(ca_, cb_, k, lo, hi), std::invalid_argument)
+        << "k " << k;
+  }
+  for (const auto& [a, b] : {std::pair{nan, 150.0}, std::pair{5.0, nan}, std::pair{-inf, 150.0},
+                             std::pair{5.0, inf}, std::pair{40.0, 40.0}}) {
+    EXPECT_THROW(ex_.min_distance_for_coupling(ca_, cb_, 0.01, Millimeters{a}, Millimeters{b}),
+                 std::invalid_argument)
+        << a << " " << b;
+  }
+  const ModelPair null_pair{&ca_, nullptr};
+  EXPECT_THROW(ex_.min_distances_for_coupling({&null_pair, 1}, 0.01, lo, hi),
+               std::invalid_argument);
+
+  // A positive tolerance below the bracket's double spacing ends once the
+  // edges are adjacent doubles: the rule is the crossing to the last ulp.
+  const Millimeters tiny{std::numeric_limits<double>::denorm_min()};
+  const double pemd = ex_.min_distance_for_coupling(ca_, cb_, 0.01, lo, hi, tiny).raw();
+  EXPECT_LE(std::fabs(ex_.coupling_at(ca_, cb_, Millimeters{pemd})), 0.01);
+  EXPECT_GT(std::fabs(ex_.coupling_at(ca_, cb_, Millimeters{std::nextafter(pemd, 0.0)})), 0.01);
+}
+
+TEST_F(CouplingTest, LockstepSearchMatchesOneSearchPerPair) {
+  // Pairs that close at different levels, plus a duplicate pair: the
+  // lockstep search gives each the bits of its own search. In [15, 18] mm at
+  // k = 0.01 the X-cap pair closes at d_hi, the coil pair at d_lo and the
+  // tantalum pair mid-bracket.
+  const ComponentFieldModel coil = bobbin_coil("L");
+  const ComponentFieldModel tant = tantalum_capacitor("T");
+  const std::vector<ModelPair> pairs = {
+      {&ca_, &cb_}, {&coil, &ca_}, {&tant, &cb_}, {&ca_, &coil}, {&ca_, &cb_}};
+  for (const auto& [lo, hi] : {std::pair{8.0, 60.0}, std::pair{15.0, 18.0}}) {
+    for (const double k : {0.002, 0.01, 0.05}) {
+      const CouplingExtractor lockstep;
+      const std::vector<Millimeters> got = lockstep.min_distances_for_coupling(
+          pairs, k, Millimeters{lo}, Millimeters{hi}, Millimeters{0.25});
+      ASSERT_EQ(got.size(), pairs.size());
+      for (std::size_t p = 0; p < pairs.size(); ++p) {
+        const CouplingExtractor single;
+        const Millimeters want = single.min_distance_for_coupling(
+            *pairs[p].first, *pairs[p].second, k, Millimeters{lo}, Millimeters{hi},
+            Millimeters{0.25});
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[p].raw()),
+                  std::bit_cast<std::uint64_t>(want.raw()))
+            << "[" << lo << ", " << hi << "] k " << k << " pair " << p;
+      }
+      if (lo == 15.0 && k == 0.01) {
+        EXPECT_EQ(got[0].raw(), hi);
+        EXPECT_EQ(got[1].raw(), lo);
+        EXPECT_GT(got[2].raw(), lo);
+        EXPECT_LT(got[2].raw(), hi);
+      }
+    }
+  }
+  EXPECT_TRUE(CouplingExtractor{}.min_distances_for_coupling({}, 0.01, Millimeters{2.0},
+                                                               Millimeters{200.0}).empty());
 }
 
 TEST(ComponentModels, FactoriesProduceSaneGeometry) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/core/thread_pool.hpp"
@@ -151,6 +155,78 @@ TEST(SampledKernel, SampledPathLayoutInvariants) {
   for (std::size_t i = 0; i < sp.segment_count(); ++i) {
     EXPECT_EQ(sp.wgt[i], p.segments[i].weight);
   }
+}
+
+// path_mutual_sampled_many on a mixed batch - a large pair, both
+// orientations of a large-small pair, a small pair, empty sides and a
+// zero-length segment - against one path_mutual_sampled call per pair (and
+// the independent legacy kernel): same bits and the same kernel tallies at
+// 1, 2 and 4 lanes.
+TEST(SampledKernel, BatchMatchesPerPairBitwiseAndTallies) {
+  const QuadratureOptions q{6, 2};
+  const SegmentPath coil = bobbin_coil("A").path_at({});
+  const SegmentPath coil_far = bobbin_coil("B").path_at(Pose{{31.0, 4.0, 0.0}, 20.0});
+  const SegmentPath cap = x_capacitor("C").path_at(Pose{{12.0, -6.0, 0.0}, 0.0});
+  const SegmentPath cap_far = x_capacitor("D").path_at(Pose{{-9.0, 14.0, 0.0}, 35.0});
+  SegmentPath cap_zero = cap_far;
+  cap_zero.segments.push_back(make_segment({2, 2, 1}, {2, 2, 1}));
+  ASSERT_EQ(coil.segments.size(), 60u);
+  ASSERT_EQ(cap.segments.size(), 4u);
+  const SampledPath s_coil = sample_path(coil, q);
+  const SampledPath s_coil_far = sample_path(coil_far, q);
+  const SampledPath s_cap = sample_path(cap, q);
+  const SampledPath s_cap_far = sample_path(cap_far, q);
+  const SampledPath s_cap_zero = sample_path(cap_zero, q);
+  const SampledPath s_empty = sample_path(SegmentPath{}, q);
+  const std::vector<std::pair<const SampledPath*, const SegmentPath*>> sides = {
+      {&s_coil, &coil}, {&s_coil_far, &coil_far}, {&s_cap, &cap},
+      {&s_cap_far, &cap_far}, {&s_cap_zero, &cap_zero}};
+  const std::vector<std::pair<std::size_t, std::size_t>> shape = {
+      {0, 1}, {2, 1}, {1, 2}, {2, 3}, {4, 0}, {0, 4}, {4, 3}};
+  std::vector<const SampledPath*> a, b;
+  std::vector<const SegmentPath*> pa, pb;
+  for (const auto& [i, j] : shape) {
+    a.push_back(sides[i].first);
+    b.push_back(sides[j].first);
+    pa.push_back(sides[i].second);
+    pb.push_back(sides[j].second);
+  }
+  const SegmentPath empty;
+  for (const bool first_empty : {true, false}) {  // empty first, empty second
+    a.push_back(first_empty ? &s_empty : &s_coil);
+    b.push_back(first_empty ? &s_coil : &s_empty);
+    pa.push_back(first_empty ? &empty : &coil);
+    pb.push_back(first_empty ? &coil : &empty);
+  }
+
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const KernelStats k0 = kernel_stats();
+    std::vector<double> per_pair(a.size());
+    for (std::size_t p = 0; p < a.size(); ++p) per_pair[p] = path_mutual_sampled(*a[p], *b[p]);
+    const KernelStats k1 = kernel_stats();
+    std::vector<double> batch(a.size(), -1.0);
+    path_mutual_sampled_many(a, b, batch);
+    const KernelStats k2 = kernel_stats();
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[p]),
+                std::bit_cast<std::uint64_t>(per_pair[p]))
+          << "pair " << p << " lanes " << lanes;
+      EXPECT_EQ(batch[p], path_mutual_legacy(*pa[p], *pb[p], q)) << "pair " << p;
+    }
+    EXPECT_NE(batch[0], 0.0);
+    EXPECT_EQ(batch[a.size() - 1], 0.0);
+    EXPECT_EQ(batch[a.size() - 2], 0.0);
+    EXPECT_EQ(k2.exact_pairs - k1.exact_pairs, k1.exact_pairs - k0.exact_pairs);
+    EXPECT_EQ(k2.sample_evals - k1.sample_evals, k1.sample_evals - k0.sample_evals);
+    EXPECT_GT(k2.exact_pairs - k1.exact_pairs, 3600u);
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
+
+  // Mismatched span lengths are a caller mistake.
+  std::vector<double> short_out(1);
+  EXPECT_THROW(path_mutual_sampled_many(a, b, short_out), std::invalid_argument);
 }
 
 }  // namespace
