@@ -5,6 +5,7 @@
 // measuring pool overhead, which is itself worth tracking.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -70,17 +71,35 @@ void BM_EmissionSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_EmissionSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Sensitivity ranking: one probed emission sweep per inductor pair (21 for
-// the buck converter), parallel over pairs.
+// Exact sensitivity ranking: the buck baseline and its 36 probed circuits
+// (every inductor pair) at 60 points, parallel over frequency points. Each
+// point factors the baseline once and the probes resume its shared prefix.
+// Freshly created pool threads can run stacked on one CPU for a few hundred
+// ms, so untimed rankings warm the pool for 300 ms first. `full_solves`,
+// `resumed_solves` and `pool_batches` are per ranking.
 void BM_SensitivityRanking(benchmark::State& state) {
   set_lanes(state);
   const flow::BuckConverter bc = flow::make_buck_converter();
   emc::SensitivityOptions opt;
   opt.sweep.n_points = 60;
-  for (auto _ : state) {
+  const auto warm_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < warm_end) {
     benchmark::DoNotOptimize(
         emc::rank_coupling_sensitivity(bc.circuit, bc.meas_node, bc.noise, opt));
   }
+  sweep::SweepStats stats;
+  std::uint64_t batches = 0;
+  for (auto _ : state) {
+    const core::PoolStats p0 = core::ThreadPool::global().stats();
+    const emc::SensitivityReport rep = emc::rank_coupling_sensitivity_report(
+        bc.circuit, bc.meas_node, bc.noise, opt);
+    benchmark::DoNotOptimize(rep.ranking.data());
+    batches = core::ThreadPool::global().stats().batches - p0.batches;
+    stats = rep.stats;
+  }
+  state.counters["full_solves"] = static_cast<double>(stats.full_solves);
+  state.counters["resumed_solves"] = static_cast<double>(stats.resumed_solves);
+  state.counters["pool_batches"] = static_cast<double>(batches);
 }
 BENCHMARK(BM_SensitivityRanking)
     ->Arg(1)

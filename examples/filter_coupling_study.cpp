@@ -44,7 +44,7 @@ emi::ckt::Circuit make_pi_filter() {
 }
 
 double level_at(const emi::ckt::Circuit& c, double freq) {
-  const auto sol = emi::ckt::ac_solve(c, {freq});
+  const auto sol = emi::ckt::ac_solve_checked(c, {freq}).value();
   return emi::num::volts_to_dbuv(std::abs(sol.voltage("LISN_meas", 0)));
 }
 

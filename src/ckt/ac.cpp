@@ -1,8 +1,10 @@
 #include "src/ckt/ac.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -115,6 +117,14 @@ struct StampPattern {
   }
 };
 
+// The (branch i, branch j) entry, i != j, of a point's dense MNA matrix:
+// assemble_point writes nothing there but this mutual-inductance stamp.
+Complex branch_coupling_entry(double w, double l) {
+  Complex a{};
+  if (l != 0.0) a -= Complex{0.0, w * l};
+  return a;
+}
+
 using PointLu = std::variant<num::Lu<Complex>, num::BandLu<Complex>>;
 
 // Stamp and factor one frequency point: straight into band storage when
@@ -140,25 +150,64 @@ core::Result<PointLu> factor_point(const Circuit& c, const InductanceMatrix& lma
   return PointLu(std::move(lu).value());
 }
 
-double condition_estimate(const PointLu& lu) {
-  return std::visit([](const auto& f) { return f.condition_estimate(); }, lu);
-}
-
 core::Result<std::vector<Complex>> solve(const PointLu& lu, const std::vector<Complex>& b) {
   return std::visit([&](const auto& f) { return f.try_solve(b); }, lu);
+}
+
+// The condition check every sweep here runs on a factored point, then the
+// solve: an estimate past opt.condition_limit fails the point as
+// kIllConditioned at `stage` before any solve. `cond` receives the estimate.
+template <typename Factor>
+core::Result<std::vector<Complex>> solve_conditioned(const Factor& lu,
+                                                     const std::vector<Complex>& b,
+                                                     const AcOptions& opt,
+                                                     const char* stage, double& cond) {
+  cond = lu.condition_estimate();
+  if (cond > opt.condition_limit) {
+    return core::Status(core::ErrorCode::kIllConditioned, stage,
+                        "condition estimate " + std::to_string(cond) + " exceeds limit " +
+                            std::to_string(opt.condition_limit));
+  }
+  return lu.try_solve(b);
+}
+
+core::Result<std::vector<Complex>> solve_conditioned(const PointLu& lu,
+                                                     const std::vector<Complex>& b,
+                                                     const AcOptions& opt,
+                                                     const char* stage, double& cond) {
+  return std::visit(
+      [&](const auto& f) { return solve_conditioned(f, b, opt, stage, cond); }, lu);
+}
+
+// Entry checks shared by the sweep entry points; `who` prefixes the message.
+void check_grid(const char* who, const std::vector<double>& freqs_hz,
+                const AcOptions& opt) {
+  if (!opt.source_scale.empty() && opt.source_scale.size() != freqs_hz.size()) {
+    throw std::invalid_argument(std::string(who) + ": source_scale size mismatch");
+  }
+  for (const double f : freqs_hz) {
+    if (f <= 0.0) throw std::invalid_argument(std::string(who) + ": frequency must be > 0");
+  }
+}
+
+// ac_band_ordering of the circuit with inductance matrix `lmat`.
+std::shared_ptr<const num::BandOrdering> band_ordering(const Circuit& c,
+                                                       const InductanceMatrix& lmat,
+                                                       const AcOptions& opt) {
+  StampPattern pattern;
+  std::vector<Complex> rhs(c.unknown_count());
+  assemble_point(c, lmat, 1.0, 1.0, opt, pattern, rhs);
+  auto ord = std::make_shared<const num::BandOrdering>(
+      num::rcm_ordering(c.unknown_count(), pattern.entries));
+  if (!num::band_pays(*ord)) return nullptr;
+  return ord;
 }
 
 }  // namespace
 
 std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
                                                           const AcOptions& opt) {
-  StampPattern pattern;
-  std::vector<Complex> rhs(c.unknown_count());
-  assemble_point(c, c.inductance_matrix(), 1.0, 1.0, opt, pattern, rhs);
-  auto ord = std::make_shared<const num::BandOrdering>(
-      num::rcm_ordering(c.unknown_count(), pattern.entries));
-  if (!num::band_pays(*ord)) return nullptr;
-  return ord;
+  return band_ordering(c, c.inductance_matrix(), opt);
 }
 
 Complex AcSolution::voltage(const std::string& node, std::size_t fi) const {
@@ -182,13 +231,8 @@ std::vector<double> AcSolution::voltage_magnitude(const std::string& node) const
 CheckedAcSolution ac_solve_checked(const Circuit& c,
                                    const std::vector<double>& freqs_hz,
                                    const AcOptions& opt) {
-  if (!opt.source_scale.empty() && opt.source_scale.size() != freqs_hz.size()) {
-    throw std::invalid_argument("ac_solve: source_scale size mismatch");
-  }
   // Validate up front so the parallel region below never throws off-thread.
-  for (const double f : freqs_hz) {
-    if (f <= 0.0) throw std::invalid_argument("ac_solve: frequency must be > 0");
-  }
+  check_grid("ac_solve", freqs_hz, opt);
   const std::size_t n_unknowns = c.unknown_count();
   const auto lmat = c.inductance_matrix();
   const std::shared_ptr<const num::BandOrdering> band = ac_band_ordering(c, opt);
@@ -224,16 +268,8 @@ CheckedAcSolution ac_solve_checked(const Circuit& c,
       solutions[fi].assign(n_unknowns, Complex{});
       return;
     }
-    conds[fi] = condition_estimate(lu.value());
-    if (conds[fi] > opt.condition_limit) {
-      statuses[fi] = core::Status(
-          core::ErrorCode::kIllConditioned, "ckt.ac",
-          "condition estimate " + std::to_string(conds[fi]) + " exceeds limit " +
-              std::to_string(opt.condition_limit));
-      solutions[fi].assign(n_unknowns, Complex{});
-      return;
-    }
-    core::Result<std::vector<Complex>> x = solve(lu.value(), rhs);
+    core::Result<std::vector<Complex>> x =
+        solve_conditioned(lu.value(), rhs, opt, "ckt.ac", conds[fi]);
     if (!x.ok()) {
       statuses[fi] = x.status();
       solutions[fi].assign(n_unknowns, Complex{});
@@ -266,19 +302,15 @@ CheckedAcSolution ac_solve_checked(const Circuit& c,
   return out;
 }
 
-AcSolution ac_solve(const Circuit& c, const std::vector<double>& freqs_hz,
-                    const AcOptions& opt) {
-  CheckedAcSolution checked = ac_solve_checked(c, freqs_hz, opt);
-  if (!checked.ok()) {
-    const AcPointFailure& f = checked.failures.front();
-    core::Status(f.status.code(), "ckt.ac",
-                 "sweep failed at " + std::to_string(checked.failures.size()) + "/" +
-                     std::to_string(freqs_hz.size()) + " points; first at index " +
-                     std::to_string(f.freq_index) + " (" + std::to_string(f.freq_hz) +
-                     " Hz): " + f.status.message())
-        .raise();
-  }
-  return std::move(checked.solution);
+core::Status ac_sweep_status(const std::vector<AcPointFailure>& failures,
+                             std::size_t n_points) {
+  if (failures.empty()) return {};
+  const AcPointFailure& f = failures.front();
+  return {f.status.code(), "ckt.ac",
+          "sweep failed at " + std::to_string(failures.size()) + "/" +
+              std::to_string(n_points) + " points; first at index " +
+              std::to_string(f.freq_index) + " (" + std::to_string(f.freq_hz) +
+              " Hz): " + f.status.message()};
 }
 
 CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
@@ -286,14 +318,7 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
                                            const std::vector<std::string>& inductors,
                                            const std::vector<double>& freqs_hz,
                                            const AcOptions& opt) {
-  if (!opt.source_scale.empty() && opt.source_scale.size() != freqs_hz.size()) {
-    throw std::invalid_argument("ac_coupling_probe_model: source_scale size mismatch");
-  }
-  for (const double f : freqs_hz) {
-    if (f <= 0.0) {
-      throw std::invalid_argument("ac_coupling_probe_model: frequency must be > 0");
-    }
-  }
+  check_grid("ac_coupling_probe_model", freqs_hz, opt);
   const auto meas = c.find_node(meas_node);
   if (!meas) {
     throw std::invalid_argument("ac_coupling_probe_model: unknown node " + meas_node);
@@ -335,15 +360,9 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
       statuses[fi] = lu.status();
       return;
     }
-    const double cond = condition_estimate(lu.value());
-    if (cond > opt.condition_limit) {
-      statuses[fi] = core::Status(
-          core::ErrorCode::kIllConditioned, "ckt.coupling_model",
-          "condition estimate " + std::to_string(cond) + " exceeds limit " +
-              std::to_string(opt.condition_limit));
-      return;
-    }
-    core::Result<std::vector<Complex>> x = solve(lu.value(), rhs);
+    double cond = 0.0;
+    core::Result<std::vector<Complex>> x =
+        solve_conditioned(lu.value(), rhs, opt, "ckt.coupling_model", cond);
     if (!x.ok()) {
       statuses[fi] = x.status();
       return;
@@ -380,6 +399,170 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
     }
   }
   return m;
+}
+
+CouplingProbeSweep ac_coupling_probe_sweep(
+    const Circuit& c, const std::string& meas_node,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs, double probe_k,
+    const std::vector<double>& freqs_hz, const AcOptions& opt) {
+  check_grid("ac_coupling_probe_sweep", freqs_hz, opt);
+  const auto meas = c.find_node(meas_node);
+  if (!meas) {
+    throw std::invalid_argument("ac_coupling_probe_sweep: unknown node " + meas_node);
+  }
+  const auto& inds = c.inductors();
+  const std::size_t n = c.unknown_count();
+  const std::size_t nf = freqs_hz.size();
+  const InductanceMatrix lmat = c.inductance_matrix();
+  const std::shared_ptr<const num::BandOrdering> band = band_ordering(c, lmat, opt);
+
+  // A probe's system is the circuit's elements with the inductance matrix
+  // set_coupling leaves (assemble_point reads couplings only through it).
+  // It resumes the circuit's factorization when both are dense and it
+  // leaves the diagonal alone, so its lu fault draw is the circuit's.
+  struct Probe {
+    InductanceMatrix lmat;
+    std::shared_ptr<const num::BandOrdering> band;
+    std::size_t first = 0;  // first changed column: the lower branch
+  };
+  std::vector<Probe> probes(pairs.size());
+  std::vector<std::size_t> resume_order;
+  std::vector<std::size_t> full_order;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto [a, b] = pairs[p];
+    if (a >= inds.size() || b >= inds.size()) {
+      throw std::invalid_argument("ac_coupling_probe_sweep: no such inductor index");
+    }
+    Circuit probe = c;
+    probe.set_coupling(inds[a].name, inds[b].name, probe_k);
+    Probe& pr = probes[p];
+    pr.lmat = probe.inductance_matrix();
+    pr.band = band_ordering(c, pr.lmat, opt);
+    pr.first = std::min(c.inductor_branch(a), c.inductor_branch(b));
+    (band == nullptr && pr.band == nullptr && a != b ? resume_order : full_order).push_back(p);
+  }
+  // The circuit's elimination only moves forward, so probes resume in
+  // ascending first column.
+  std::stable_sort(resume_order.begin(), resume_order.end(),
+                   [&](std::size_t x, std::size_t y) { return probes[x].first < probes[y].first; });
+
+  // One slot per (system, point), system 0 the circuit and 1 + p probe p,
+  // each written only by its point: thread-count invariant.
+  struct Slot {
+    core::Status status;
+    double cond = 0.0;  // 0 when the factorization never completed
+    Complex v{};
+  };
+  std::vector<Slot> slots((1 + probes.size()) * nf);
+  const auto slot = [&](std::size_t sys, std::size_t fi) -> Slot& {
+    return slots[sys * nf + fi];
+  };
+  std::vector<std::uint8_t> visited(nf, 0);
+  std::vector<std::uint32_t> resumed(nf, 0);
+  const auto measure = [&](Slot& s, const core::Result<std::vector<Complex>>& x) {
+    if (!x.ok()) {
+      s.status = x.status();
+    } else if (*meas != kGround) {
+      s.v = x.value()[index(*meas)];
+    }
+  };
+  const auto solve_full = [&](Slot& s, const InductanceMatrix& l,
+                              const std::shared_ptr<const num::BandOrdering>& ord,
+                              double w, double scale) {
+    std::vector<Complex> rhs(n);
+    const core::Result<PointLu> lu = factor_point(c, l, w, scale, opt, ord, rhs);
+    if (!lu.ok()) {
+      s.status = lu.status();
+      return;
+    }
+    measure(s, solve_conditioned(lu.value(), rhs, opt, "ckt.ac", s.cond));
+  };
+
+  const num::LuOptions lu_opt{opt.pivot_threshold};
+  const core::CancelScope* cscope = core::CancelScope::current();
+  const auto solve_point = [&](std::size_t fi) {
+    visited[fi] = 1;
+    if (cscope != nullptr && cscope->should_stop()) {
+      for (std::size_t sys = 0; sys <= probes.size(); ++sys) {
+        slot(sys, fi).status = cscope->stop_status("ckt.ac");
+      }
+      return;
+    }
+    const double w = 2.0 * std::numbers::pi * freqs_hz[fi];
+    const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
+    if (band == nullptr) {
+      std::vector<Complex> rhs(n);
+      num::MatrixC a0(n, n);
+      assemble_point(c, lmat, w, scale, opt, a0, rhs);
+      core::Result<num::Lu<Complex>> base = num::Lu<Complex>::start(a0, lu_opt);
+      std::optional<num::Lu<Complex>> lu;
+      std::vector<Complex> col(n);
+      for (const std::size_t p : resume_order) {
+        const Probe& pr = probes[p];
+        const auto [a, b] = pairs[p];
+        Slot& s = slot(1 + p, fi);
+        // The steps before the first changed column are the circuit's, a
+        // failure among them included.
+        core::Status st = base.ok() ? base.value().advance(pr.first) : base.status();
+        if (!st.ok()) {
+          s.status = std::move(st);
+          continue;
+        }
+        lu = base.value();
+        for (const auto& [row, column] : {std::pair{a, b}, std::pair{b, a}}) {
+          const std::size_t bc = c.inductor_branch(column);
+          for (std::size_t r = 0; r < n; ++r) col[r] = a0(r, bc);
+          col[c.inductor_branch(row)] = branch_coupling_entry(w, pr.lmat[row][column]);
+          lu->replace_column(bc, col);
+        }
+        if (st = lu->advance(n); !st.ok()) {
+          s.status = std::move(st);
+          continue;
+        }
+        measure(s, solve_conditioned(*lu, rhs, opt, "ckt.ac", s.cond));
+        if (s.status.ok()) ++resumed[fi];
+      }
+      Slot& s = slot(0, fi);
+      if (core::Status st = base.ok() ? base.value().advance(n) : base.status(); !st.ok()) {
+        s.status = std::move(st);
+      } else {
+        measure(s, solve_conditioned(base.value(), rhs, opt, "ckt.ac", s.cond));
+      }
+    } else {
+      solve_full(slot(0, fi), lmat, band, w, scale);
+    }
+    for (const std::size_t p : full_order) {
+      solve_full(slot(1 + p, fi), probes[p].lmat, probes[p].band, w, scale);
+    }
+  };
+  core::parallel_for(0, nf, solve_point);
+
+  // Points a stopped scope skipped fail with the stop, as in ac_solve_checked.
+  if (cscope != nullptr && cscope->should_stop()) {
+    for (std::size_t fi = 0; fi < nf; ++fi) {
+      if (visited[fi]) continue;
+      for (std::size_t sys = 0; sys <= probes.size(); ++sys) {
+        slot(sys, fi).status = cscope->stop_status("ckt.ac");
+      }
+    }
+  }
+
+  const auto collect = [&](std::size_t sys) {
+    MeasuredSweep m;
+    m.v_meas.resize(nf);
+    for (std::size_t fi = 0; fi < nf; ++fi) {
+      const Slot& s = slot(sys, fi);
+      m.v_meas[fi] = s.v;
+      if (!s.status.ok()) m.failures.push_back({fi, freqs_hz[fi], s.cond, s.status});
+    }
+    return m;
+  };
+  CouplingProbeSweep out;
+  out.baseline = collect(0);
+  out.probes.reserve(probes.size());
+  for (std::size_t p = 0; p < probes.size(); ++p) out.probes.push_back(collect(1 + p));
+  for (const std::uint32_t r : resumed) out.resumed_points += r;
+  return out;
 }
 
 core::Result<std::vector<units::Hertz>> log_frequency_grid(units::Hertz f_lo,

@@ -5,9 +5,11 @@
 
 #include <complex>
 #include <concepts>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ckt/circuit.hpp"
@@ -66,6 +68,13 @@ struct AcPointFailure {
   core::Status status;              // kSingular / kIllConditioned / kInjectedFault
 };
 
+// The outcome of a sweep of `n_points` whose failed points are `failures`
+// (ascending freq_index): OK when there are none, otherwise the first
+// failure's code at stage ckt.ac with "sweep failed at K/N points; first at
+// index I (F Hz): <its message>".
+core::Status ac_sweep_status(const std::vector<AcPointFailure>& failures,
+                             std::size_t n_points);
+
 // Checked sweep outcome: failed points hold zero phasors in `solution` and
 // one entry each in `failures` (ascending freq_index, so the list is
 // deterministic for any thread count).
@@ -73,18 +82,20 @@ struct CheckedAcSolution {
   AcSolution solution;
   std::vector<AcPointFailure> failures;
   bool ok() const { return failures.empty(); }
+  // The solution of a clean sweep; otherwise raises ac_sweep_status.
+  AcSolution value() && {
+    ac_sweep_status(failures, solution.size()).throw_if_error();
+    return std::move(solution);
+  }
 };
 
 // Solve the circuit at each frequency. Diodes are treated as open (g_min);
-// switches as their frozen ac_state resistance.
-AcSolution ac_solve(const Circuit& c, const std::vector<double>& freqs_hz,
-                    const AcOptions& opt = {});
-
-// Structured variant: never throws on numeric failure; singular or
-// ill-conditioned points are skipped and reported instead of unwinding the
-// sweep (throwing from inside the parallel region would terminate).
+// switches as their frozen ac_state resistance. Never throws on numeric
+// failure: singular or ill-conditioned points are skipped and reported
+// instead of unwinding the sweep (throwing from inside the parallel region
+// would terminate); value() raises them.
 //
-// Solver selection, here and in ac_coupling_probe_model: see
+// Solver selection, here and in the probe entry points below: see
 // ac_band_ordering.
 CheckedAcSolution ac_solve_checked(const Circuit& c,
                                    const std::vector<double>& freqs_hz,
@@ -114,15 +125,45 @@ struct CouplingProbeModel {
 
 // Build the model at the given frequencies (typically a refined adaptive
 // grid). Throws std::invalid_argument on an unknown node/inductor or a
-// malformed grid, and raises the first per-point numeric failure the way
-// ac_solve does. Deterministic for any thread count.
+// malformed grid, and raises the first per-point numeric failure.
+// Deterministic for any thread count.
 CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
                                            const std::string& meas_node,
                                            const std::vector<std::string>& inductors,
                                            const std::vector<double>& freqs_hz,
                                            const AcOptions& opt = {});
 
-// The solver selection of ac_solve_checked and ac_coupling_probe_model.
+// The measurement phasor of one circuit over a sweep, with its failed points
+// as ac_solve_checked reports them (zero phasors there).
+struct MeasuredSweep {
+  std::vector<Complex> v_meas;
+  std::vector<AcPointFailure> failures;
+};
+
+// Exact sweeps of a circuit and of its coupling probes: probe p is the
+// circuit after set_coupling(pairs[p].first, pairs[p].second, probe_k)
+// (inductor indices), whose MNA matrix differs from the circuit's in the two
+// entries that couple the pair's branch columns. Each point stamps and
+// factors the circuit once. A probe of two distinct inductors resumes that
+// factorization after its first min(branch) steps, the steps it shares
+// (num::Lu), when both it and the circuit take the dense solver; any other
+// probe is factored in full at the same point. Every phasor and failure is
+// bit for bit what ac_solve_checked gives on the probe's own circuit, except
+// that an lu fault draw the probe shares with the circuit is not drawn again.
+// Throws std::invalid_argument on an unknown node or inductor, a malformed
+// grid, or a probe set_coupling rejects. Deterministic for any thread count.
+struct CouplingProbeSweep {
+  MeasuredSweep baseline;
+  std::vector<MeasuredSweep> probes;  // in `pairs` order
+  std::uint64_t resumed_points = 0;   // solved probe points that resumed
+};
+CouplingProbeSweep ac_coupling_probe_sweep(
+    const Circuit& c, const std::string& meas_node,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs, double probe_k,
+    const std::vector<double>& freqs_hz, const AcOptions& opt = {});
+
+// The solver selection of ac_solve_checked and the probe entry points (for
+// ac_coupling_probe_sweep, of the circuit and of each probe).
 // Each call orders the circuit's MNA stamp pattern once by reverse
 // Cuthill-McKee; the pattern depends on the elements, not the frequency.
 // When the ordered band is narrow (num::band_pays) every point is stamped
@@ -133,20 +174,11 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
 std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
                                                           const AcOptions& opt = {});
 
-// Unit-typed sweep entry points: a grid of units::Hertz cannot be confused
+// Unit-typed sweep entry point: a grid of units::Hertz cannot be confused
 // with one of rad/s (use units::cycles() to come back from angular
-// frequency). Templates (constrained to units::Hertz) rather than plain
-// overloads so braced-init double lists keep binding to the raw entry
-// points above without ambiguity.
-template <typename Q>
-  requires std::same_as<Q, units::Hertz>
-AcSolution ac_solve(const Circuit& c, const std::vector<Q>& freqs,
-                    const AcOptions& opt = {}) {
-  std::vector<double> hz;
-  hz.reserve(freqs.size());
-  for (const Q f : freqs) hz.push_back(f.raw());
-  return ac_solve(c, hz, opt);
-}
+// frequency). A template (constrained to units::Hertz) rather than a plain
+// overload so braced-init double lists keep binding to the raw entry point
+// above without ambiguity.
 template <typename Q>
   requires std::same_as<Q, units::Hertz>
 CheckedAcSolution ac_solve_checked(const Circuit& c, const std::vector<Q>& freqs,

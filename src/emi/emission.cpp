@@ -26,7 +26,7 @@ EmissionSpectrum conducted_emission_scaled(const ckt::Circuit& c,
   }
   ckt::AcOptions ac_opt = ac;
   ac_opt.source_scale = source_envelope;
-  const ckt::AcSolution sol = ckt::ac_solve(c, freqs_hz, ac_opt);
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, freqs_hz, ac_opt).value();
 
   EmissionSpectrum out;
   out.freqs_hz = freqs_hz;

@@ -13,69 +13,93 @@
 namespace emi::emc {
 namespace {
 
-// One dense-grid emission sweep: adaptive refinement when the accel options
-// engage it, otherwise the legacy dense path (identical arithmetic,
-// identical bits) plus a full_solves count.
-std::vector<double> sweep_levels(const ckt::Circuit& c, const std::string& meas_node,
-                                 const std::vector<double>& freqs,
-                                 const std::vector<double>& env,
-                                 const ckt::AcOptions& ac,
-                                 const emi::sweep::SweepAccel& accel,
-                                 emi::sweep::SweepStats* stats) {
-  if (accel.adaptive) {
-    auto a = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs, env, ac, accel);
-    stats->merge(a.stats);
+// The ranking entry of one probed spectrum against the baseline.
+CouplingSensitivity pair_delta(const std::string& a, const std::string& b,
+                               const std::vector<double>& probed,
+                               const std::vector<double>& baseline) {
+  double max_d = 0.0, sum_d = 0.0;
+  for (std::size_t fi = 0; fi < probed.size(); ++fi) {
+    const double v = probed[fi] - baseline[fi];
+    max_d = std::max(max_d, std::fabs(v));
+    sum_d += std::fabs(v);
+  }
+  return {a, b, max_d, probed.empty() ? 0.0 : sum_d / static_cast<double>(probed.size())};
+}
+
+std::vector<double> levels_dbuv(const std::vector<ckt::Complex>& v_meas) {
+  std::vector<double> out;
+  out.reserve(v_meas.size());
+  for (const ckt::Complex& v : v_meas) out.push_back(num::volts_to_dbuv(std::abs(v)));
+  return out;
+}
+
+// The exact ranking: every probe on the full grid through one probe sweep,
+// which factors each point once for the baseline and resumes that
+// factorization for the probes. A failed baseline point raises the
+// baseline's sweep Status, otherwise the lowest-index failed probe's.
+std::vector<CouplingSensitivity> exact_ranking(
+    const ckt::Circuit& c, const std::string& meas_node,
+    const std::vector<std::string>& names,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+    const std::vector<double>& freqs, const std::vector<double>& env,
+    const SensitivityOptions& opt, emi::sweep::SweepStats& stats) {
+  std::vector<std::pair<std::size_t, std::size_t>> inductors;
+  inductors.reserve(pairs.size());
+  for (const auto& [i, j] : pairs) {
+    inductors.emplace_back(c.inductor_index(names[i]), c.inductor_index(names[j]));
+  }
+  ckt::AcOptions ac = opt.sweep.ac;
+  ac.source_scale = env;
+  const ckt::CouplingProbeSweep sw =
+      ckt::ac_coupling_probe_sweep(c, meas_node, inductors, opt.probe_k, freqs, ac);
+  ckt::ac_sweep_status(sw.baseline.failures, freqs.size()).throw_if_error();
+  for (const ckt::MeasuredSweep& probe : sw.probes) {
+    ckt::ac_sweep_status(probe.failures, freqs.size()).throw_if_error();
+  }
+  stats.full_solves += freqs.size() * (1 + pairs.size());
+  stats.resumed_solves += sw.resumed_points;
+
+  const std::vector<double> baseline = levels_dbuv(sw.baseline.v_meas);
+  std::vector<CouplingSensitivity> out;
+  out.reserve(pairs.size());
+  for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+    out.push_back(pair_delta(names[pairs[pi].first], names[pairs[pi].second],
+                             levels_dbuv(sw.probes[pi].v_meas), baseline));
+  }
+  return out;
+}
+
+// The accelerated ranking: an adaptive baseline, then per pair either the
+// coupling model (with surrogate) or the pair's own adaptive sweep.
+std::vector<CouplingSensitivity> adaptive_ranking(
+    const ckt::Circuit& c, const std::string& meas_node,
+    const std::vector<std::string>& names,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+    const std::vector<double>& freqs, const std::vector<double>& env,
+    const SensitivityOptions& opt, emi::sweep::SweepStats& stats) {
+  // One pair's own adaptive sweep: full admission-controlled accuracy at
+  // the refined-solve price, not the dense one.
+  const auto probe_sweep = [&](std::size_t i, std::size_t j,
+                               emi::sweep::SweepStats& pair_stats) {
+    ckt::Circuit probe = c;
+    probe.set_coupling(names[i], names[j], opt.probe_k);
+    auto a = emi::sweep::adaptive_ac_sweep(probe, {meas_node}, freqs, env, opt.sweep.ac,
+                                           opt.accel);
+    pair_stats.merge(a.stats);
     return std::move(a.level_dbuv[0]);
-  }
-  const EmissionSpectrum dense = conducted_emission_scaled(c, meas_node, freqs, env, ac);
-  stats->full_solves += freqs.size();
-  return dense.level_dbuv;
-}
+  };
 
-}  // namespace
-
-std::vector<CouplingSensitivity> rank_coupling_sensitivity(
-    ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
-    const SensitivityOptions& opt) {
-  return rank_coupling_sensitivity_report(std::move(c), meas_node, source, opt).ranking;
-}
-
-SensitivityReport rank_coupling_sensitivity_report(
-    ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
-    const SensitivityOptions& opt) {
-  // The coupling model's grid is the adaptive baseline's refined grid, so
-  // the per-pair engine has nothing to run on without adaptive refinement.
-  if (opt.accel.surrogate && !opt.accel.adaptive) {
-    throw std::invalid_argument(
-        "rank_coupling_sensitivity: accel.surrogate requires accel.adaptive");
-  }
-  // Candidate inductors: explicit list or every inductor in the circuit.
-  std::vector<std::string> names = opt.candidates;
-  if (names.empty()) {
-    for (const auto& l : c.inductors()) names.push_back(l.name);
-  }
-
-  const std::vector<double> freqs =
-      num::log_space(opt.sweep.f_min_hz, opt.sweep.f_max_hz, opt.sweep.n_points);
-  const std::vector<double> env = envelope_series(source, freqs);
-
-  SensitivityReport rep;
   // The refined grid the adaptive baseline settles on doubles as the
   // coupling model's frequency grid below: refinement already spent its
   // solves where the response has structure, and a probe coupling only
   // perturbs that structure slightly.
-  std::vector<double> baseline;
+  auto base = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs, env, opt.sweep.ac,
+                                            opt.accel);
+  stats.merge(base.stats);
+  const std::vector<double> baseline = std::move(base.level_dbuv[0]);
   std::vector<std::size_t> refined;
-  if (opt.accel.adaptive) {
-    auto base = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs, env,
-                                              opt.sweep.ac, opt.accel);
-    rep.stats.merge(base.stats);
-    baseline = std::move(base.level_dbuv[0]);
-    for (std::size_t fi = 0; fi < base.solved.size(); ++fi) {
-      if (base.solved[fi]) refined.push_back(fi);
-    }
-  } else {
-    baseline = sweep_levels(c, meas_node, freqs, env, opt.sweep.ac, opt.accel, &rep.stats);
+  for (std::size_t fi = 0; fi < base.solved.size(); ++fi) {
+    if (base.solved[fi]) refined.push_back(fi);
   }
 
   // With surrogate on, the per-pair sweeps go through the reduced-order
@@ -110,20 +134,13 @@ SensitivityReport rank_coupling_sensitivity_report(
     ckt::AcOptions model_ac = opt.sweep.ac;
     model_ac.source_scale = model_env;
     model = ckt::ac_coupling_probe_model(c, meas_node, names, model_f, model_ac);
-    rep.stats.full_solves += refined.size();
+    stats.full_solves += refined.size();
     lmat = c.inductance_matrix();
   }
 
-  // The n(n-1)/2 probe sweeps are independent: each one runs against its own
-  // copy of the circuit (the copy is trivial next to an AC sweep) with the
-  // probe coupling overriding whatever the pair already had. Results and
-  // sweep stats land in index-addressed slots and are merged in pair-index
-  // order afterwards, so the whole report is thread-count invariant.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    for (std::size_t j = i + 1; j < names.size(); ++j) pairs.emplace_back(i, j);
-  }
-
+  // The per-pair sweeps are independent. Results and sweep stats land in
+  // index-addressed slots and are merged in pair-index order afterwards, so
+  // the whole report is thread-count invariant.
   std::vector<CouplingSensitivity> out(pairs.size());
   std::vector<emi::sweep::SweepStats> pair_stats(pairs.size());
   core::parallel_for(0, pairs.size(), [&](std::size_t pi) {
@@ -137,38 +154,56 @@ SensitivityReport rank_coupling_sensitivity_report(
       const std::size_t cj = c.inductor_index(names[j]);
       const double delta_m =
           opt.probe_k * std::sqrt(lmat[ci][ci] * lmat[cj][cj]) - lmat[ci][cj];
-      const auto escalate = [&]() {
-        // Past the gate the pair gets its own adaptive refinement - full
-        // admission-controlled accuracy at the refined-solve price, not the
-        // dense one.
-        ckt::Circuit esc_probe = c;
-        esc_probe.set_coupling(names[i], names[j], opt.probe_k);
-        auto a = emi::sweep::adaptive_ac_sweep(esc_probe, {meas_node}, freqs, env,
-                                               opt.sweep.ac, opt.accel);
-        pair_stats[pi].merge(a.stats);
-        return std::move(a.level_dbuv[0]);
-      };
       probed = emi::sweep::coupling_model_pair_sweep(
           model, refined, freqs, env, delta_m, i, j, opt.accel, &pair_stats[pi],
-          escalate);
+          [&]() { return probe_sweep(i, j, pair_stats[pi]); });
     } else {
-      ckt::Circuit probe = c;
-      probe.set_coupling(names[i], names[j], opt.probe_k);
-      probed = sweep_levels(probe, meas_node, freqs, env, opt.sweep.ac, opt.accel,
-                            &pair_stats[pi]);
+      probed = probe_sweep(i, j, pair_stats[pi]);
     }
-
-    double max_d = 0.0, sum_d = 0.0;
-    for (std::size_t fi = 0; fi < probed.size(); ++fi) {
-      const double v = probed[fi] - baseline[fi];
-      max_d = std::max(max_d, std::fabs(v));
-      sum_d += std::fabs(v);
-    }
-    out[pi] = {names[i], names[j], max_d,
-               probed.empty() ? 0.0 : sum_d / static_cast<double>(probed.size())};
+    out[pi] = pair_delta(names[i], names[j], probed, baseline);
   });
-  for (const auto& st : pair_stats) rep.stats.merge(st);
+  for (const auto& st : pair_stats) stats.merge(st);
+  return out;
+}
 
+}  // namespace
+
+std::vector<CouplingSensitivity> rank_coupling_sensitivity(
+    ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
+    const SensitivityOptions& opt) {
+  return rank_coupling_sensitivity_report(std::move(c), meas_node, source, opt).ranking;
+}
+
+SensitivityReport rank_coupling_sensitivity_report(
+    ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
+    const SensitivityOptions& opt) {
+  // The coupling model's grid is the adaptive baseline's refined grid, so
+  // the per-pair engine has nothing to run on without adaptive refinement.
+  if (opt.accel.surrogate && !opt.accel.adaptive) {
+    throw std::invalid_argument(
+        "rank_coupling_sensitivity: accel.surrogate requires accel.adaptive");
+  }
+  // Candidate inductors: explicit list or every inductor in the circuit.
+  std::vector<std::string> names = opt.candidates;
+  if (names.empty()) {
+    for (const auto& l : c.inductors()) names.push_back(l.name);
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    for (std::size_t j = i + 1; j < names.size(); ++j) pairs.emplace_back(i, j);
+  }
+
+  const std::vector<double> freqs =
+      num::log_space(opt.sweep.f_min_hz, opt.sweep.f_max_hz, opt.sweep.n_points);
+  const std::vector<double> env = envelope_series(source, freqs);
+
+  SensitivityReport rep;
+  std::vector<CouplingSensitivity> out;
+  if (!opt.accel.adaptive) {
+    out = exact_ranking(c, meas_node, names, pairs, freqs, env, opt, rep.stats);
+  } else {
+    out = adaptive_ranking(c, meas_node, names, pairs, freqs, env, opt, rep.stats);
+  }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.max_delta_db > b.max_delta_db;
   });

@@ -30,8 +30,8 @@ struct SensitivityOptions {
   std::vector<std::string> candidates;
   // Opt-in sweep acceleration: adaptive frequency refinement for the dense
   // sweeps, plus (with surrogate, which requires adaptive) the coupling
-  // model for the per-pair probe sweeps. Defaults off; the legacy dense path
-  // then runs bit-identically to older builds.
+  // model for the per-pair probe sweeps. Defaults off: every probe is then
+  // solved exactly on the full grid (ckt::ac_coupling_probe_sweep).
   emi::sweep::SweepAccel accel{};
 };
 
@@ -52,8 +52,11 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
 // Same ranking, plus sweep economics. With opt.accel engaged the per-pair
 // sweeps go through the adaptive engine or the coupling model (per-pair
 // stats are accumulated in pair-index order, so the report is thread-count
-// invariant); with a default accel this is the dense path plus counters.
-// Throws std::invalid_argument for accel.surrogate without accel.adaptive.
+// invariant). With a default accel one ckt::ac_coupling_probe_sweep solves
+// the baseline and every probe exactly; a failed baseline point raises the
+// baseline's ac_sweep_status, otherwise the lowest-index failed pair's.
+// Throws std::invalid_argument for accel.surrogate without accel.adaptive,
+// an unknown candidate, or a probe_k set_coupling rejects.
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt = {});

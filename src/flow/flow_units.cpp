@@ -364,9 +364,12 @@ FlowResult FlowEngine::finish() {
                          kern1.cluster_skipped - kern0_.cluster_skipped);
   // Sweep economics: always present so profile consumers (and the serve
   // STATS verb) can rely on the entries. full_solves counts every solved
-  // point, dense or adaptive; the other three stay zero unless
-  // FlowOptions::sweep_accel engaged an engine this run.
+  // point, dense or adaptive, and resumed_solves those of them that resumed
+  // a baseline's factorization (exact sensitivity; not on the STATS wire);
+  // the other three stay zero unless FlowOptions::sweep_accel engaged an
+  // engine this run.
   res_.profile.add_count("sweep.full_solves", sweep_stats_.full_solves);
+  res_.profile.add_count("sweep.resumed_solves", sweep_stats_.resumed_solves);
   res_.profile.add_count("sweep.interp_points", sweep_stats_.interp_points);
   res_.profile.add_count("sweep.surrogate_evals", sweep_stats_.surrogate_evals);
   res_.profile.add_count("sweep.escalations", sweep_stats_.escalations);

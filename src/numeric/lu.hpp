@@ -60,46 +60,50 @@ inline core::Status lu_singular(double pivot, std::size_t column, const LuOption
               std::to_string(opt.pivot_threshold)};
 }
 
+// Row-pivoted LU. The elimination is resumable: start() sets it up,
+// advance() runs its steps, and factor() is the two in one call. Step k
+// reads only column k (its pivot search, row swap and multipliers) and
+// updates each later column from that column and its own entries, so two
+// matrices that agree in columns 0..m-1 take the same first m steps. A
+// caller holding one matrix's state after those steps can copy it,
+// replace_column() the columns where a second matrix differs, and advance()
+// to finish the second matrix's factorization bit for bit as factor() would
+// (ckt::ac_coupling_probe_sweep does this per frequency point).
 template <typename T>
 class Lu {
  public:
   // Factorize `a`; the error Status carries the failing column (singular)
   // or kInjectedFault when the lu fault site fired.
   [[nodiscard]] static core::Result<Lu<T>> factor(Matrix<T> a, const LuOptions& opt = {}) {
-    Lu<T> lu(std::move(a));
-    if (core::Status st = lu.factorize(opt); !st.ok()) return st;
-    return core::Result<Lu<T>>(std::move(lu));
+    core::Result<Lu<T>> lu = start(std::move(a), opt);
+    if (!lu.ok()) return lu;
+    if (core::Status st = lu.value().advance(lu.value().size()); !st.ok()) return st;
+    return lu;
   }
 
-  // max|pivot| / min|pivot| over the factorization - a cheap lower bound on
-  // the condition number, good enough to flag near-singular systems.
-  double condition_estimate() const { return cond_; }
-
-  [[nodiscard]] core::Result<std::vector<T>> try_solve(const std::vector<T>& b) const {
-    if (b.size() != lu_.rows()) {
-      return core::Status(core::ErrorCode::kInvalidArgument, "numeric.lu",
-                          "solve: size mismatch");
-    }
-    return solve_impl(b);
-  }
-
- private:
-  explicit Lu(Matrix<T> a) : lu_(std::move(a)), perm_(lu_.rows()) {}
-
-  [[nodiscard]] core::Status factorize(const LuOptions& opt) {
+  // An elimination of `a` with no step done. Rejects a non-square `a` and
+  // draws the lu fault site on `a`'s diagonal; advance() does the rest.
+  [[nodiscard]] static core::Result<Lu<T>> start(Matrix<T> a, const LuOptions& opt = {}) {
     using core::ErrorCode;
-    if (lu_.rows() != lu_.cols()) {
-      return {ErrorCode::kInvalidArgument, "numeric.lu", "matrix not square"};
+    if (a.rows() != a.cols()) {
+      return core::Status(ErrorCode::kInvalidArgument, "numeric.lu", "matrix not square");
     }
-    const std::size_t n = lu_.rows();
-    if (core::Status st = lu_injected_fault(n, [&](std::size_t i) { return lu_(i, i); }, opt);
+    const std::size_t n = a.rows();
+    if (core::Status st = lu_injected_fault(n, [&](std::size_t i) { return a(i, i); }, opt);
         !st.ok()) {
       return st;
     }
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-    double max_pivot = 0.0;
-    double min_pivot = std::numeric_limits<double>::infinity();
-    for (std::size_t col = 0; col < n; ++col) {
+    return Lu<T>(std::move(a), opt);
+  }
+
+  // Run elimination steps until `stop` of them (at most size()) are done.
+  // A pivot below the threshold stops at that step with kSingular naming
+  // the column and leaves the state as it was, so a later call fails the
+  // same way.
+  [[nodiscard]] core::Status advance(std::size_t stop) {
+    const std::size_t n = lu_.rows();
+    for (stop = std::min(stop, n); step_ < stop; ++step_) {
+      const std::size_t col = step_;
       // Partial pivot on the largest magnitude in the column.
       std::size_t pivot = col;
       double best = std::abs(lu_(col, col));
@@ -110,9 +114,9 @@ class Lu {
           pivot = r;
         }
       }
-      if (best < opt.pivot_threshold) return lu_singular(best, col, opt);
-      max_pivot = std::max(max_pivot, best);
-      min_pivot = std::min(min_pivot, best);
+      if (best < opt_.pivot_threshold) return lu_singular(best, col, opt_);
+      max_pivot_ = std::max(max_pivot_, best);
+      min_pivot_ = std::min(min_pivot_, best);
       if (pivot != col) {
         for (std::size_t c = 0; c < n; ++c) std::swap(lu_(col, c), lu_(pivot, c));
         std::swap(perm_[col], perm_[pivot]);
@@ -125,8 +129,57 @@ class Lu {
         for (std::size_t c = col + 1; c < n; ++c) lu_(r, c) -= f * lu_(col, c);
       }
     }
-    cond_ = (n == 0 || min_pivot <= 0.0) ? 1.0 : max_pivot / min_pivot;
     return {};
+  }
+
+  // Overwrite column c, which no done step has eliminated (c >= steps()),
+  // with `col` in the original row order, carried through the done steps:
+  // their row swaps, then their multipliers in step order, skipping a zero
+  // multiplier as the elimination does. That is bit for bit the column the
+  // same steps leave in a matrix whose column c is `col`.
+  void replace_column(std::size_t c, const std::vector<T>& col) {
+    assert(c >= step_ && col.size() == lu_.rows());
+    const std::size_t n = lu_.rows();
+    for (std::size_t i = 0; i < n; ++i) lu_(i, c) = col[perm_[i]];
+    for (std::size_t k = 0; k < step_; ++k) {
+      for (std::size_t r = k + 1; r < n; ++r) {
+        const T f = lu_(r, k);
+        if (f == T{}) continue;
+        lu_(r, c) -= f * lu_(k, c);
+      }
+    }
+  }
+
+  std::size_t size() const { return lu_.rows(); }
+  std::size_t steps() const { return step_; }
+
+  // The factors in place (U on and above the diagonal, the unit-diagonal
+  // L's multipliers below it, rows in pivot order) and the pivot order:
+  // row i of the factors is row perm()[i] of the input.
+  const Matrix<T>& factors() const { return lu_; }
+  const std::vector<std::size_t>& perm() const { return perm_; }
+
+  // max|pivot| / min|pivot| over the factorization - a cheap lower bound on
+  // the condition number, good enough to flag near-singular systems.
+  double condition_estimate() const {
+    return (step_ == 0 || min_pivot_ <= 0.0) ? 1.0 : max_pivot_ / min_pivot_;
+  }
+
+  [[nodiscard]] core::Result<std::vector<T>> try_solve(const std::vector<T>& b) const {
+    if (b.size() != lu_.rows()) {
+      return core::Status(core::ErrorCode::kInvalidArgument, "numeric.lu",
+                          "solve: size mismatch");
+    }
+    if (step_ != lu_.rows()) {
+      return core::Status(core::ErrorCode::kFailedPrecondition, "numeric.lu",
+                          "solve: factorization incomplete");
+    }
+    return solve_impl(b);
+  }
+
+ private:
+  Lu(Matrix<T> a, const LuOptions& opt) : lu_(std::move(a)), perm_(lu_.rows()), opt_(opt) {
+    for (std::size_t i = 0; i < perm_.size(); ++i) perm_[i] = i;
   }
 
   std::vector<T> solve_impl(const std::vector<T>& b) const {
@@ -149,7 +202,10 @@ class Lu {
 
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
-  double cond_ = 1.0;
+  LuOptions opt_;
+  std::size_t step_ = 0;  // elimination steps done
+  double max_pivot_ = 0.0;
+  double min_pivot_ = std::numeric_limits<double>::infinity();
 };
 
 // Factor and solve in one call; never throws on numeric failure.

@@ -36,7 +36,7 @@ std::vector<std::vector<Complex>> solve_batch(const ckt::Circuit& c,
   }
   ckt::AcOptions ac_opt = ac;
   ac_opt.source_scale = env;
-  const ckt::AcSolution sol = ckt::ac_solve(c, f, ac_opt);
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, f, ac_opt).value();
   std::vector<std::vector<Complex>> v(nodes.size(), std::vector<Complex>(idx.size()));
   for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
     for (std::size_t i = 0; i < idx.size(); ++i) {

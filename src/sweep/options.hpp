@@ -56,6 +56,8 @@ struct SweepAccel {
 // values, so they are bit-identical at any thread count.
 struct SweepStats {
   std::uint64_t full_solves = 0;     // full-size MNA solves performed
+  std::uint64_t resumed_solves = 0;  // of those, factored from a baseline's
+                                     // shared prefix (num::Lu resume)
   std::uint64_t interp_points = 0;   // dense points filled by interpolation
   std::uint64_t surrogate_evals = 0; // dense points filled by the coupling model
   std::uint64_t escalations = 0;     // candidate sweeps escalated to dense
@@ -63,6 +65,7 @@ struct SweepStats {
 
   void merge(const SweepStats& o) {
     full_solves += o.full_solves;
+    resumed_solves += o.resumed_solves;
     interp_points += o.interp_points;
     surrogate_evals += o.surrogate_evals;
     escalations += o.escalations;

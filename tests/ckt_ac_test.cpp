@@ -21,7 +21,7 @@ TEST(AcSolve, ResistiveDivider) {
   c.add_vsource("V1", "in", "0", Waveform::dc(0.0), 1.0);
   c.add_resistor("R1", "in", "out", 1000.0);
   c.add_resistor("R2", "out", "0", 1000.0);
-  const AcSolution sol = ac_solve(c, {1e3, 1e6});
+  const AcSolution sol = ac_solve_checked(c, {1e3, 1e6}).value();
   for (std::size_t fi = 0; fi < 2; ++fi) {
     EXPECT_NEAR(std::abs(sol.voltage("out", fi)), 0.5, 1e-9);
     EXPECT_NEAR(std::abs(sol.voltage("in", fi)), 1.0, 1e-9);
@@ -34,7 +34,7 @@ TEST(AcSolve, RcLowPassCornerFrequency) {
   c.add_resistor("R1", "in", "out", 1000.0);
   c.add_capacitor("C1", "out", "0", 1e-6);
   const double fc = 1.0 / (kTwoPi * 1000.0 * 1e-6);
-  const AcSolution sol = ac_solve(c, {fc, 10.0 * fc});
+  const AcSolution sol = ac_solve_checked(c, {fc, 10.0 * fc}).value();
   // At the corner |H| = 1/sqrt(2); a decade above ~ -20 dB.
   EXPECT_NEAR(std::abs(sol.voltage("out", 0)), 1.0 / std::sqrt(2.0), 1e-6);
   EXPECT_NEAR(std::abs(sol.voltage("out", 1)), 1.0 / std::sqrt(101.0), 1e-6);
@@ -48,7 +48,7 @@ TEST(AcSolve, RlHighPass) {
   c.add_resistor("R1", "in", "out", 100.0);
   c.add_inductor("L1", "out", "0", 1e-3);
   const double fc = 100.0 / (kTwoPi * 1e-3);  // R/(2 pi L)
-  const AcSolution sol = ac_solve(c, {fc});
+  const AcSolution sol = ac_solve_checked(c, {fc}).value();
   EXPECT_NEAR(std::abs(sol.voltage("out", 0)), 1.0 / std::sqrt(2.0), 1e-6);
   // Inductor branch current = V_L / (j w L).
   const Complex il = sol.inductor_current("L1", 0);
@@ -63,7 +63,7 @@ TEST(AcSolve, SeriesRlcResonance) {
   c.add_inductor("L1", "a", "b", 1e-3);
   c.add_capacitor("C1", "b", "0", 1e-9);
   const double f0 = 1.0 / (kTwoPi * std::sqrt(1e-3 * 1e-9));
-  const AcSolution sol = ac_solve(c, {f0});
+  const AcSolution sol = ac_solve_checked(c, {f0}).value();
   // At resonance L and C cancel: the full source current flows, I = V/R.
   EXPECT_NEAR(std::abs(sol.inductor_current("L1", 0)), 0.1, 1e-4);
 }
@@ -79,7 +79,7 @@ TEST(AcSolve, CoupledInductorsOpenSecondary) {
   c.add_coupling("K12", "L1", "L2", 0.9);
   // Secondary loaded lightly to define the node.
   c.add_resistor("Rl", "s", "0", 1e9);
-  const AcSolution sol = ac_solve(c, {100e3});
+  const AcSolution sol = ac_solve_checked(c, {100e3}).value();
   const double ratio = std::abs(sol.voltage("s", 0)) / std::abs(sol.voltage("p", 0));
   EXPECT_NEAR(ratio, 0.9 * std::sqrt(4.0), 0.01);
 }
@@ -92,7 +92,7 @@ TEST(AcSolve, CouplingSignMatters) {
   c.add_inductor("L2", "s", "0", 1e-3);
   c.add_resistor("Rl", "s", "0", 1e9);
   c.add_coupling("K12", "L1", "L2", 0.5);
-  const AcSolution pos = ac_solve(c, {100e3});
+  const AcSolution pos = ac_solve_checked(c, {100e3}).value();
 
   Circuit c2;
   c2.add_vsource("V1", "in", "0", Waveform::dc(0.0), 1.0);
@@ -101,7 +101,7 @@ TEST(AcSolve, CouplingSignMatters) {
   c2.add_inductor("L2", "s", "0", 1e-3);
   c2.add_resistor("Rl", "s", "0", 1e9);
   c2.add_coupling("K12", "L1", "L2", -0.5);
-  const AcSolution neg = ac_solve(c2, {100e3});
+  const AcSolution neg = ac_solve_checked(c2, {100e3}).value();
 
   const Complex vp = pos.voltage("s", 0);
   const Complex vn = neg.voltage("s", 0);
@@ -116,18 +116,18 @@ TEST(AcSolve, SourceScaleShapesOutput) {
   c.add_resistor("R2", "out", "0", 1.0);
   AcOptions opt;
   opt.source_scale = {2.0, 0.5};
-  const AcSolution sol = ac_solve(c, {1e3, 1e4}, opt);
+  const AcSolution sol = ac_solve_checked(c, {1e3, 1e4}, opt).value();
   EXPECT_NEAR(std::abs(sol.voltage("out", 0)), 1.0, 1e-9);
   EXPECT_NEAR(std::abs(sol.voltage("out", 1)), 0.25, 1e-9);
   opt.source_scale = {1.0};
-  EXPECT_THROW(ac_solve(c, {1e3, 1e4}, opt), std::invalid_argument);
+  EXPECT_THROW(ac_solve_checked(c, {1e3, 1e4}, opt).value(), std::invalid_argument);
 }
 
 TEST(AcSolve, CurrentSource) {
   Circuit c;
   c.add_isource("I1", "0", "out", Waveform::dc(0.0), 1e-3);
   c.add_resistor("R1", "out", "0", 1000.0);
-  const AcSolution sol = ac_solve(c, {1e3});
+  const AcSolution sol = ac_solve_checked(c, {1e3}).value();
   EXPECT_NEAR(std::abs(sol.voltage("out", 0)), 1.0, 1e-9);
 }
 
@@ -136,11 +136,11 @@ TEST(AcSolve, SwitchFrozenState) {
   c.add_vsource("V1", "in", "0", Waveform::dc(0.0), 1.0);
   c.add_switch("S1", "in", "out", Waveform::dc(1.0), 1.0, 1e9);
   c.add_resistor("R1", "out", "0", 1.0);
-  const AcSolution on = ac_solve(c, {1e3});
+  const AcSolution on = ac_solve_checked(c, {1e3}).value();
   EXPECT_NEAR(std::abs(on.voltage("out", 0)), 0.5, 1e-6);
   // Freeze off: nearly nothing gets through.
   c.set_switch_ac_state("S1", false);
-  const AcSolution off = ac_solve(c, {1e3});
+  const AcSolution off = ac_solve_checked(c, {1e3}).value();
   EXPECT_THROW(c.set_switch_ac_state("S9", true), std::invalid_argument);
   EXPECT_LT(std::abs(off.voltage("out", 0)), 1e-6);
 }
@@ -149,9 +149,9 @@ TEST(AcSolve, Validation) {
   Circuit c;
   c.add_vsource("V1", "in", "0", Waveform::dc(0.0), 1.0);
   c.add_resistor("R1", "in", "0", 1.0);
-  EXPECT_THROW(ac_solve(c, {0.0}), std::invalid_argument);
-  EXPECT_THROW(ac_solve(c, {-5.0}), std::invalid_argument);
-  const AcSolution sol = ac_solve(c, {1e3});
+  EXPECT_THROW(ac_solve_checked(c, {0.0}).value(), std::invalid_argument);
+  EXPECT_THROW(ac_solve_checked(c, {-5.0}).value(), std::invalid_argument);
+  const AcSolution sol = ac_solve_checked(c, {1e3}).value();
   EXPECT_THROW(sol.voltage("nope", 0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(std::abs(sol.voltage("0", 0)), 0.0);  // ground is 0
 }
@@ -208,7 +208,7 @@ TEST(AcSolve, RaisesStatusErrorNamingTheFailingIndex) {
   AcOptions opt;
   opt.condition_limit = 1.5;
   try {
-    ac_solve(c, {1e3, 1e4}, opt);
+    ac_solve_checked(c, {1e3, 1e4}, opt).value();
     FAIL() << "expected StatusError";
   } catch (const core::StatusError& e) {
     EXPECT_EQ(e.status().code(), core::ErrorCode::kIllConditioned);

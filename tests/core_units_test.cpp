@@ -131,8 +131,8 @@ TEST(Units, TypedAcSweepMatchesRawSweep) {
   std::vector<double> raw_grid;
   for (const Hertz f : grid) raw_grid.push_back(f.raw());
 
-  const ckt::AcSolution typed = ckt::ac_solve(c, grid);
-  const ckt::AcSolution raw = ckt::ac_solve(c, raw_grid);
+  const ckt::AcSolution typed = ckt::ac_solve_checked(c, grid).value();
+  const ckt::AcSolution raw = ckt::ac_solve_checked(c, raw_grid).value();
   const auto mag_t = typed.voltage_magnitude("out");
   const auto mag_r = raw.voltage_magnitude("out");
   ASSERT_EQ(mag_t.size(), mag_r.size());

@@ -53,7 +53,7 @@ TEST(Ferrite, AttachedBeadMatchesClosedForm) {
   attach_ferrite_bead(c, "FB", "a", "b", p);
   c.add_resistor("RL", "b", "0", 50.0);
   for (double f : {1e6, 10e6, 50e6}) {
-    const ckt::AcSolution sol = ckt::ac_solve(c, {f});
+    const ckt::AcSolution sol = ckt::ac_solve_checked(c, {f}).value();
     // Voltage divider check: |V_b| = |Z_RL / (RS + Z_bead + RL)|.
     const double z_bead = ferrite_bead_impedance(p, f);
     const double expected_mag_lower = 50.0 / (100.0 + z_bead * 1.1);
@@ -84,7 +84,7 @@ TEST(Ferrite, BeadDampsFilterResonance) {
     c.add_capacitor("C1", "b", "0", 1e-6);
     double peak = 0.0;
     for (double f = 20e3; f < 300e3; f *= 1.05) {
-      const ckt::AcSolution sol = ckt::ac_solve(c, {f});
+      const ckt::AcSolution sol = ckt::ac_solve_checked(c, {f}).value();
       peak = std::max(peak, std::abs(sol.voltage("b", 0)));
     }
     return peak;

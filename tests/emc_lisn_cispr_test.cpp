@@ -32,7 +32,7 @@ TEST(Lisn, HighFrequencyNoiseReachesReceiver) {
   const std::string meas = attach_lisn(c, "batt", "dut");
   c.add_vsource("VN", "nz", "0", ckt::Waveform::dc(0.0), 1.0);
   c.add_resistor("RN", "nz", "dut", 10.0);
-  const ckt::AcSolution sol = ckt::ac_solve(c, {100e3, 10e6, 100e6});
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, {100e3, 10e6, 100e6}).value();
   const double lo = std::abs(sol.voltage(meas, 0));
   const double hi = std::abs(sol.voltage(meas, 2));
   EXPECT_GT(hi, 0.5);      // most of the source appears at the receiver

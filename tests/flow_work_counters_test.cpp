@@ -28,6 +28,7 @@ struct FlowCounters {
   std::uint64_t interp_points;
   std::uint64_t surrogate_evals;
   std::uint64_t escalations;
+  std::uint64_t resumed_solves;
 };
 
 FlowResult run_flow(bool boost, bool adaptive) {
@@ -55,29 +56,32 @@ void expect_counters(const FlowResult& r, const FlowCounters& want) {
   EXPECT_EQ(p.count("sweep.interp_points"), want.interp_points);
   EXPECT_EQ(p.count("sweep.surrogate_evals"), want.surrogate_evals);
   EXPECT_EQ(p.count("sweep.escalations"), want.escalations);
+  EXPECT_EQ(p.count("sweep.resumed_solves"), want.resumed_solves);
 }
 
 // The exact flows solve every grid point of every sweep: buck runs 25
 // sweeps (baseline + 21 candidate pairs, 2 initial predictions, 1
-// verification) of 60 points, boost 19 (baseline + 15 pairs + 3).
+// verification) of 60 points, boost 19 (baseline + 15 pairs + 3). Each
+// candidate pair's points resume the sensitivity baseline's factorization
+// (buck 21 x 60, boost 15 x 60); the adaptive flows resume none.
 TEST(FlowWorkCounters, BuckExact) {
   expect_counters(run_flow(false, false),
-                  {8114976, 56354, 237, 5, 25, 96, 1040, 1500, 0, 0, 0});
+                  {8114976, 56354, 237, 5, 25, 96, 1040, 1500, 0, 0, 0, 1260});
 }
 
 TEST(FlowWorkCounters, BuckAdaptive) {
   expect_counters(run_flow(false, true),
-                  {8114976, 56354, 237, 5, 25, 96, 1040, 276, 24, 0, 0});
+                  {8114976, 56354, 237, 5, 25, 96, 1040, 276, 24, 0, 0, 0});
 }
 
 TEST(FlowWorkCounters, BoostExact) {
   expect_counters(run_flow(true, false),
-                  {8616672, 59838, 299, 5, 37, 115, 1092, 1140, 0, 0, 0});
+                  {8616672, 59838, 299, 5, 37, 115, 1092, 1140, 0, 0, 0, 900});
 }
 
 TEST(FlowWorkCounters, BoostAdaptive) {
   expect_counters(run_flow(true, true),
-                  {8616672, 59838, 299, 5, 37, 115, 1092, 263, 37, 0, 0});
+                  {8616672, 59838, 299, 5, 37, 115, 1092, 263, 37, 0, 0, 0});
 }
 
 }  // namespace

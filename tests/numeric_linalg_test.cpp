@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -254,6 +257,169 @@ std::vector<Complex> random_rhs(std::size_t n, std::uint64_t seed) {
   std::vector<Complex> b(n);
   for (Complex& v : b) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
   return b;
+}
+
+// --- Resumed LU ------------------------------------------------------------
+
+bool same_bits(const Complex& a, const Complex& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// A random dense complex system. Rows 1, 4, 7, ... are zero in the first
+// three columns off the diagonal, so the first steps meet exact-zero
+// multipliers, which the elimination and the column replay both skip.
+MatrixC random_dense(std::size_t n, Rng& rng) {
+  MatrixC a(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  }
+  for (std::size_t r = 1; r < n; r += 3) {
+    for (std::size_t c = 0; c < std::min<std::size_t>(3, n); ++c) {
+      if (r != c) a(r, c) = Complex{};
+    }
+  }
+  return a;
+}
+
+std::vector<Complex> column(const MatrixC& a, std::size_t c) {
+  std::vector<Complex> v(a.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r) v[r] = a(r, c);
+  return v;
+}
+
+// Factors, pivot order, condition estimate and a solution, all bitwise.
+void expect_same_factorization(const Lu<Complex>& got, const Lu<Complex>& want,
+                               const std::vector<Complex>& rhs) {
+  const std::size_t n = want.size();
+  ASSERT_EQ(got.size(), n);
+  std::size_t differing = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      differing += !same_bits(got.factors()(r, c), want.factors()(r, c));
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "n " << n;
+  EXPECT_EQ(got.perm(), want.perm());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.condition_estimate()),
+            std::bit_cast<std::uint64_t>(want.condition_estimate()));
+  const std::vector<Complex> x = got.try_solve(rhs).value();
+  const std::vector<Complex> y = want.try_solve(rhs).value();
+  for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(same_bits(x[i], y[i])) << "x[" << i << "]";
+}
+
+// b differs from a only in columns >= m, so a's state after m steps, with
+// those columns replaced, resumes into b's factorization.
+TEST(LuResume, ResumedFactorizationEqualsFullBitForBit) {
+  Rng rng(20261019);
+  std::size_t zero_multipliers = 0;
+  for (std::size_t n = 5; n <= 40; n += 5) {
+    for (const std::size_t m : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+      const MatrixC a = random_dense(n, rng);
+      MatrixC b = a;
+      std::vector<std::size_t> cols;
+      for (std::size_t c = m; c < n; ++c) {
+        if (c == m || c == n - 1 || (c - m) % 3 == 0) cols.push_back(c);
+      }
+      for (const std::size_t c : cols) {
+        for (std::size_t r = 0; r < n; ++r) {
+          b(r, c) += Complex{rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)};
+        }
+      }
+      core::Result<Lu<Complex>> resumed = Lu<Complex>::start(a);
+      ASSERT_TRUE(resumed.ok());
+      ASSERT_TRUE(resumed.value().advance(m).ok());
+      EXPECT_EQ(resumed.value().steps(), m);
+      for (const std::size_t c : cols) resumed.value().replace_column(c, column(b, c));
+      ASSERT_TRUE(resumed.value().advance(n).ok());
+      const core::Result<Lu<Complex>> full = Lu<Complex>::factor(b);
+      ASSERT_TRUE(full.ok());
+      expect_same_factorization(resumed.value(), full.value(), random_rhs(n, n + m));
+      for (std::size_t r = 1; r < n; ++r) {
+        zero_multipliers += full.value().factors()(r, 0) == Complex{};
+      }
+    }
+  }
+  EXPECT_GT(zero_multipliers, 0u);
+}
+
+TEST(LuResume, SingularPivotBeforeOrAfterTheResumeStepFailsLikeAFullFactorization) {
+  Rng rng(7);
+  constexpr std::size_t n = 12;
+  constexpr std::size_t m = 6;
+  {
+    // Both matrices are singular at column 3, a step the resume shares.
+    MatrixC a = random_dense(n, rng);
+    for (std::size_t r = 0; r < n; ++r) a(r, 3) = Complex{};
+    MatrixC b = a;
+    for (std::size_t r = 0; r < n; ++r) b(r, m + 2) += Complex{0.25, -0.5};
+    core::Result<Lu<Complex>> resumed = Lu<Complex>::start(a);
+    ASSERT_TRUE(resumed.ok());
+    const core::Status st = resumed.value().advance(m);
+    const core::Result<Lu<Complex>> full = Lu<Complex>::factor(b);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(st, full.status());
+    EXPECT_EQ(st.code(), core::ErrorCode::kSingular);
+    EXPECT_NE(st.message().find("column 3"), std::string::npos) << st.to_string();
+    // The state stays at the failing step, so a later call fails the same way.
+    EXPECT_EQ(resumed.value().steps(), 3u);
+    EXPECT_EQ(resumed.value().advance(n), full.status());
+    EXPECT_FALSE(resumed.value().try_solve(std::vector<Complex>(n)).ok());
+  }
+  {
+    // Only the resumed matrix is singular, at a column past the resume step.
+    const MatrixC a = random_dense(n, rng);
+    MatrixC b = a;
+    for (std::size_t r = 0; r < n; ++r) b(r, m + 2) = Complex{};
+    core::Result<Lu<Complex>> resumed = Lu<Complex>::start(a);
+    ASSERT_TRUE(resumed.ok());
+    ASSERT_TRUE(resumed.value().advance(m).ok());
+    resumed.value().replace_column(m + 2, column(b, m + 2));
+    const core::Status st = resumed.value().advance(n);
+    const core::Result<Lu<Complex>> full = Lu<Complex>::factor(b);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(st, full.status());
+    EXPECT_NE(st.message().find("column 8"), std::string::npos) << st.to_string();
+    EXPECT_TRUE(Lu<Complex>::factor(a).ok());
+  }
+}
+
+// The lu site draws on the diagonal, so a matrix that differs off the
+// diagonal draws what the matrix it resumes from drew.
+TEST(LuResume, ArmedLuSiteFailsAResumedMatrixAsItsFullFactorization) {
+  struct Guard {
+    ~Guard() { core::FaultInjector::instance().disarm(); }
+  } guard;
+  core::FaultInjector::instance().configure(core::FaultSite::kLu, 0.5, 42);
+  Rng rng(99);
+  constexpr std::size_t n = 8;
+  constexpr std::size_t m = 3;
+  int fired = 0;
+  int clean = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    const MatrixC a = random_dense(n, rng);
+    MatrixC b = a;
+    for (std::size_t c = m; c < n; ++c) {
+      for (std::size_t r = 0; r < n; ++r) {
+        if (r != c) b(r, c) += Complex{rng.uniform(-0.5, 0.5), 0.0};
+      }
+    }
+    core::Result<Lu<Complex>> resumed = Lu<Complex>::start(a);
+    const core::Result<Lu<Complex>> full = Lu<Complex>::factor(b);
+    ASSERT_EQ(resumed.ok(), full.ok()) << "trial " << trial;
+    if (!full.ok()) {
+      ++fired;
+      EXPECT_EQ(resumed.status(), full.status());
+      EXPECT_EQ(full.status().code(), core::ErrorCode::kInjectedFault);
+      continue;
+    }
+    ++clean;
+    ASSERT_TRUE(resumed.value().advance(m).ok());
+    for (std::size_t c = m; c < n; ++c) resumed.value().replace_column(c, column(b, c));
+    ASSERT_TRUE(resumed.value().advance(n).ok());
+    expect_same_factorization(resumed.value(), full.value(), random_rhs(n, 5));
+  }
+  EXPECT_GT(fired, 0);
+  EXPECT_GT(clean, 0);
 }
 
 TEST(RcmOrdering, RecoversAHiddenBandAsAPermutation) {

@@ -25,7 +25,7 @@ TEST_P(RcTransfer, MagnitudeAndPhase) {
   c.add_resistor("R1", "in", "out", 1591.5);  // fc = 1/(2 pi R C) = 100 kHz
   c.add_capacitor("C1", "out", "0", 1e-9);
   const double fc = 1.0 / (2.0 * std::numbers::pi * 1591.5 * 1e-9);
-  const ckt::AcSolution sol = ckt::ac_solve(c, {f});
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, {f}).value();
   const auto v = sol.voltage("out", 0);
   const double expected_mag = 1.0 / std::sqrt(1.0 + (f / fc) * (f / fc));
   EXPECT_NEAR(std::abs(v), expected_mag, 1e-6 + 1e-3 * expected_mag) << f;
@@ -47,7 +47,7 @@ TEST_P(RlcCurrent, MatchesImpedance) {
   c.add_resistor("R1", "in", "a", R);
   c.add_inductor("L1", "a", "b", L);
   c.add_capacitor("C1", "b", "0", C);
-  const ckt::AcSolution sol = ckt::ac_solve(c, {f});
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, {f}).value();
   const double w = 2.0 * std::numbers::pi * f;
   const double x = w * L - 1.0 / (w * C);
   const double z = std::sqrt(R * R + x * x);

@@ -54,7 +54,7 @@ std::vector<double> dense_reference(const ckt::Circuit& c, const std::string& me
                                     const std::vector<double>& env) {
   ckt::AcOptions ac;
   ac.source_scale = env;
-  const ckt::AcSolution sol = ckt::ac_solve(c, freqs, ac);
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, freqs, ac).value();
   std::vector<double> level(freqs.size());
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     level[i] = num::volts_to_dbuv(std::abs(sol.voltage(meas, i)));

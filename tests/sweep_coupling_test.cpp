@@ -45,7 +45,7 @@ std::vector<double> probed_dense_levels(ckt::Circuit c, const std::string& meas,
   c.set_coupling(a, b, k);
   ckt::AcOptions ac;
   ac.source_scale = env;
-  const ckt::AcSolution sol = ckt::ac_solve(c, freqs, ac);
+  const ckt::AcSolution sol = ckt::ac_solve_checked(c, freqs, ac).value();
   std::vector<double> level(freqs.size());
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     level[i] = num::volts_to_dbuv(std::abs(sol.voltage(meas, i)));
@@ -76,7 +76,7 @@ void expect_probe_matches_full_solve(const ckt::Circuit& c, const std::string& m
           probe_k * std::sqrt(lmat[cp][cp] * lmat[cq][cq]) - lmat[cp][cq];
       ckt::Circuit probe = c;
       probe.set_coupling(names[p], names[q], probe_k);
-      const ckt::AcSolution ref = ckt::ac_solve(probe, freqs, ac);
+      const ckt::AcSolution ref = ckt::ac_solve_checked(probe, freqs, ac).value();
       for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
         const ckt::Complex want = ref.voltage(meas, fi);
         const ckt::Complex got = coupling_probe_phasor(model, fi, p, q, dm);
@@ -109,7 +109,7 @@ TEST(CouplingProbeModel, ShermanMorrisonMatchesOnTheBandedLadder) {
   const std::vector<double> freqs = num::log_space(150e3, 108e6, 12);
   const ckt::CouplingProbeModel model =
       ckt::ac_coupling_probe_model(sc.circuit, sc.meas_node, names, freqs);
-  const ckt::AcSolution sweep = ckt::ac_solve(sc.circuit, freqs);
+  const ckt::AcSolution sweep = ckt::ac_solve_checked(sc.circuit, freqs).value();
   for (std::size_t fi = 0; fi < freqs.size(); ++fi) {
     EXPECT_EQ(model.v_meas[fi], sweep.voltage(sc.meas_node, fi)) << "fi=" << fi;
     for (std::size_t p = 0; p < names.size(); ++p) {

@@ -22,9 +22,10 @@
 #
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
-#       coupling-model battery, flow-level 10x/1 dB acceptance, digest and
-#       resume coupling, thread invariance) and the
-#       Adaptive benchmarks, so the solve-count counters land in the log.
+#       coupling-model battery, exact probe-sweep bit identity, flow-level
+#       10x/1 dB acceptance, digest and resume coupling, thread invariance)
+#       and the sensitivity and Adaptive benchmarks, so the solve-count
+#       counters (full, resumed, pool batches) land in the log.
 #       The benchmarks are skipped (with a notice) when the bench binary was
 #       not built.
 #
@@ -96,8 +97,8 @@ case "$label" in
     ctest --test-dir "$build_dir" -L sweep --output-on-failure
     bench="${build_dir}/bench/bench_perf_parallel"
     if [[ -x "$bench" ]]; then
-      echo "check sweep: solve-count economics (BM_AdaptiveSweep / BM_SensitivityRankingAdaptive)"
-      "$bench" --benchmark_filter='Adaptive' --benchmark_min_time=0.05
+      echo "check sweep: solve-count economics (BM_SensitivityRanking / BM_AdaptiveSweep / BM_SensitivityRankingAdaptive)"
+      "$bench" --benchmark_filter='SensitivityRanking|Adaptive' --benchmark_min_time=0.05
     else
       echo "check sweep: SKIP benchmarks (${bench} not built)"
     fi
