@@ -5,13 +5,15 @@
 // is affordable. Run the binary for the curve: `segments` and the pair
 // counters give the work growth, wall-clock the end-to-end cost,
 // `max_err_over_bound` the accuracy ledger (must stay <= 1). emibench's
-// large_board is the gated end-to-end record of the clustered path.
+// large_board is the gated end-to-end record of the clustered path;
+// BM_ScreeningMatrix times its extraction alone at 1, 2, 4 and 8 lanes.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <utility>
 #include <vector>
 
+#include "src/core/thread_pool.hpp"
 #include "src/flow/scenario_large.hpp"
 #include "src/peec/cluster_tree.hpp"
 #include "src/peec/coupling.hpp"
@@ -126,6 +128,40 @@ void BM_ScalingError(benchmark::State& state) {
   state.counters["max_err_over_bound"] = max_ratio;
 }
 BENCHMARK(BM_ScalingError)->Arg(2)->Arg(6)->Unit(benchmark::kMillisecond);
+
+// large_board's extraction: one cold clustered mutual_matrix over the
+// 64-stage grid (board seed 3, emibench --seed 2) at default quadrature and
+// cluster options, with the pool sized to the argument. One untimed matrix
+// warms the freshly sized pool. The counters are per matrix.
+void BM_ScreeningMatrix(benchmark::State& state) {
+  core::ThreadPool::set_global_thread_count(static_cast<std::size_t>(state.range(0)));
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 64;
+  opt.seed = 3;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  peec::KernelOptions kopt;
+  kopt.cluster = true;
+  benchmark::DoNotOptimize(
+      peec::CouplingExtractor(peec::QuadratureOptions{}, kopt).mutual_matrix(s.placed).data());
+  peec::KernelStats work{};
+  std::uint64_t batches = 0;
+  for (auto _ : state) {
+    const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
+    const peec::KernelStats k0 = peec::kernel_stats();
+    const core::PoolStats p0 = core::ThreadPool::global().stats();
+    benchmark::DoNotOptimize(ex.mutual_matrix(s.placed).data());
+    const peec::KernelStats k1 = peec::kernel_stats();
+    batches = core::ThreadPool::global().stats().batches - p0.batches;
+    work.exact_pairs = k1.exact_pairs - k0.exact_pairs;
+    work.cluster_pairs = k1.cluster_pairs - k0.cluster_pairs;
+    work.cluster_skipped = k1.cluster_skipped - k0.cluster_skipped;
+  }
+  state.counters["pairs_exact"] = static_cast<double>(work.exact_pairs);
+  state.counters["pairs_cluster"] = static_cast<double>(work.cluster_pairs);
+  state.counters["cluster_skipped"] = static_cast<double>(work.cluster_skipped);
+  state.counters["pool_batches"] = static_cast<double>(batches);
+}
+BENCHMARK(BM_ScreeningMatrix)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

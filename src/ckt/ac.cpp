@@ -418,8 +418,9 @@ CouplingProbeSweep ac_coupling_probe_sweep(
 
   // A probe's system is the circuit's elements with the inductance matrix
   // set_coupling leaves (assemble_point reads couplings only through it).
-  // It resumes the circuit's factorization when both are dense and it
-  // leaves the diagonal alone, so its lu fault draw is the circuit's.
+  // It resumes the circuit's factorization when both are dense. set_coupling
+  // rejects a self pair, so a probe leaves the diagonal alone and its lu
+  // fault draw is the circuit's.
   struct Probe {
     InductanceMatrix lmat;
     std::shared_ptr<const num::BandOrdering> band;
@@ -439,7 +440,7 @@ CouplingProbeSweep ac_coupling_probe_sweep(
     pr.lmat = probe.inductance_matrix();
     pr.band = band_ordering(c, pr.lmat, opt);
     pr.first = std::min(c.inductor_branch(a), c.inductor_branch(b));
-    (band == nullptr && pr.band == nullptr && a != b ? resume_order : full_order).push_back(p);
+    (band == nullptr && pr.band == nullptr ? resume_order : full_order).push_back(p);
   }
   // The circuit's elimination only moves forward, so probes resume in
   // ascending first column.

@@ -144,10 +144,10 @@ struct MeasuredSweep {
 // circuit after set_coupling(pairs[p].first, pairs[p].second, probe_k)
 // (inductor indices), whose MNA matrix differs from the circuit's in the two
 // entries that couple the pair's branch columns. Each point stamps and
-// factors the circuit once. A probe of two distinct inductors resumes that
-// factorization after its first min(branch) steps, the steps it shares
-// (num::Lu), when both it and the circuit take the dense solver; any other
-// probe is factored in full at the same point. Every phasor and failure is
+// factors the circuit once. A probe resumes that factorization after its
+// first min(branch) steps, the steps it shares (num::Lu), when both it and
+// the circuit take the dense solver; otherwise it is factored in full at the
+// same point. Every phasor and failure is
 // bit for bit what ac_solve_checked gives on the probe's own circuit, except
 // that an lu fault draw the probe shares with the circuit is not drawn again.
 // Throws std::invalid_argument on an unknown node or inductor, a malformed

@@ -68,19 +68,32 @@ std::size_t Circuit::inductor_index(const std::string& name) const {
   throw std::invalid_argument("no such inductor: " + name);
 }
 
+namespace {
+
+// What both coupling setters reject before touching the circuit: |k| >= 1
+// or a NaN k (a non-physical inductance matrix) and an inductor coupled to
+// itself (which would add to its own self term).
+void check_coupling(const std::string& what, const std::string& l1_name,
+                    const std::string& l2_name, double k) {
+  if (!(std::fabs(k) < 1.0)) throw std::invalid_argument(what + ": |k| must be below 1");
+  if (l1_name == l2_name) throw std::invalid_argument(what + ": self coupling");
+}
+
+}  // namespace
+
 std::size_t Circuit::add_coupling(const std::string& name, const std::string& l1_name,
                                   const std::string& l2_name, double k) {
-  if (std::fabs(k) >= 1.0) throw std::invalid_argument("coupling " + name + ": |k| >= 1");
+  check_coupling("coupling " + name, l1_name, l2_name, k);
   check_unique(name);
   const std::size_t i1 = inductor_index(l1_name);
   const std::size_t i2 = inductor_index(l2_name);
-  if (i1 == i2) throw std::invalid_argument("coupling " + name + ": self coupling");
   couplings_.push_back({name, i1, i2, k});
   return couplings_.size() - 1;
 }
 
 void Circuit::set_coupling(const std::string& l1_name, const std::string& l2_name,
                            double k) {
+  check_coupling("set_coupling", l1_name, l2_name, k);
   const std::size_t i1 = inductor_index(l1_name);
   const std::size_t i2 = inductor_index(l2_name);
   for (Coupling& c : couplings_) {
@@ -89,7 +102,6 @@ void Circuit::set_coupling(const std::string& l1_name, const std::string& l2_nam
       return;
     }
   }
-  if (std::fabs(k) >= 1.0) throw std::invalid_argument("set_coupling: |k| >= 1");
   couplings_.push_back({"K_" + l1_name + "_" + l2_name, i1, i2, k});
 }
 

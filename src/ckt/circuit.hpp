@@ -138,7 +138,9 @@ class Circuit {
   }
 
   // Mutate a coupling factor in place (the sensitivity analysis sweeps
-  // these). Creates the coupling if it does not exist yet.
+  // these). Creates the coupling if it does not exist yet. Like
+  // add_coupling, throws std::invalid_argument for |k| >= 1, a NaN k or an
+  // inductor coupled to itself, whether or not the pair is coupled already.
   void set_coupling(const std::string& l1_name, const std::string& l2_name, double k);
 
   // Freeze a switch's state for AC analysis.

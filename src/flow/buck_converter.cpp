@@ -264,9 +264,10 @@ ckt::Circuit circuit_with_couplings(
   }
 
   // One batched mutual extraction for the whole pair list (one cache probe,
-  // one flat parallel region over the unique canonical poses) instead of a
-  // per-pair coupling_factor() lock round-trip. Each k is computed from the
-  // batch result by the same expression coupling_factor uses, so installed
+  // one flat parallel region over the unique canonical poses) and one
+  // batched self extraction for coupling_factor's two self lookups per pair,
+  // instead of per-pair coupling_factor() calls. Each k is computed from the
+  // batch results by the same expression coupling_factor uses, so installed
   // couplings are bit-identical to the per-call path.
   std::vector<peec::PlacedModel> models;
   std::unordered_map<std::string, std::size_t> model_of;
@@ -290,11 +291,18 @@ ckt::Circuit circuit_with_couplings(
     idx.emplace_back(ia, ib);
   }
   const std::vector<units::Henry> ms = extractor.mutual_batch(models, idx);
+  std::vector<std::size_t> lookups;
+  lookups.reserve(2 * idx.size());
+  for (const auto& [ia, ib] : idx) {
+    lookups.push_back(ia);
+    lookups.push_back(ib);
+  }
+  const std::vector<units::Henry> ls = extractor.self_inductance_batch(models, lookups);
 
   for (std::size_t p = 0; p < todo.size(); ++p) {
     const auto& [la, lb] = todo[p];
-    const units::Henry sa = extractor.self_inductance(*models[idx[p].first].model);
-    const units::Henry sb = extractor.self_inductance(*models[idx[p].second].model);
+    const units::Henry sa = ls[2 * p];
+    const units::Henry sb = ls[2 * p + 1];
     const double k = (sa.raw() <= 0.0 || sb.raw() <= 0.0)
                          ? 0.0
                          : ms[p] / units::sqrt(sa * sb);

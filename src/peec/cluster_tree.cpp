@@ -5,12 +5,13 @@
 #include <stdexcept>
 
 #include "src/geom/angle.hpp"
+#include "src/numeric/quadrature.hpp"
 
 namespace emi::peec {
 
 namespace {
 
-// Per-segment geometry pulled out of the SoA arrays once per tree build.
+// Per-segment geometry the tree aggregates.
 struct SegGeom {
   double ax, ay, az;  // start endpoint
   double bx, by, bz;  // end endpoint
@@ -19,23 +20,92 @@ struct SegGeom {
   double mass;              // |w| * l
 };
 
-SegGeom seg_geom(const SampledPath& p, std::size_t i) {
+// From a segment's start point, the per-segment quantities sample_path
+// stores for it and its current weight.
+SegGeom seg_geom(const Vec3& a, const SegmentAxis& x, double weight) {
   SegGeom g;
-  g.ax = p.ax[i];
-  g.ay = p.ay[i];
-  g.az = p.az[i];
-  g.bx = p.ax[i] + p.dx[i] * p.len[i];
-  g.by = p.ay[i] + p.dy[i] * p.len[i];
-  g.bz = p.az[i] + p.dz[i] * p.len[i];
-  g.mx = p.mx[i];
-  g.my = p.my[i];
-  g.mz = p.mz[i];
-  const double wl = p.wgt[i] * p.len[i];
-  g.momx = wl * p.dx[i];
-  g.momy = wl * p.dy[i];
-  g.momz = wl * p.dz[i];
-  g.mass = std::fabs(p.wgt[i]) * p.len[i];
+  g.ax = a.x;
+  g.ay = a.y;
+  g.az = a.z;
+  g.bx = a.x + x.dir.x * x.len;
+  g.by = a.y + x.dir.y * x.len;
+  g.bz = a.z + x.dir.z * x.len;
+  g.mx = x.mid.x;
+  g.my = x.mid.y;
+  g.mz = x.mid.z;
+  const double wl = weight * x.len;
+  g.momx = wl * x.dir.x;
+  g.momy = wl * x.dir.y;
+  g.momz = wl * x.dir.z;
+  g.mass = std::fabs(weight) * x.len;
   return g;
+}
+
+SegGeom seg_geom(const SampledPath& p, std::size_t i) {
+  return seg_geom({p.ax[i], p.ay[i], p.az[i]},
+                  {p.len[i], {p.dx[i], p.dy[i], p.dz[i]}, {p.mx[i], p.my[i], p.mz[i]}},
+                  p.wgt[i]);
+}
+
+// The same geometry of an unsampled segment, through sample_path's own
+// per-segment expressions: the bits seg_geom gives its sampling.
+SegGeom seg_geom(const Segment& s) { return seg_geom(s.a, segment_axis(s), s.weight); }
+
+// The node over members geom(begin) .. geom(end - 1): aggregate moment,
+// mass, the mass-weighted center and the radius covering every member
+// endpoint. Zero-mass ranges (all zero-length segments) fall back to the
+// plain midpoint average so the center stays inside the cluster. Children
+// are left unset.
+template <typename Geom>
+ClusterNode aggregate(std::size_t begin, std::size_t end, const Geom& geom) {
+  double momx = 0.0, momy = 0.0, momz = 0.0, mass = 0.0;
+  double wx = 0.0, wy = 0.0, wz = 0.0;
+  double sx = 0.0, sy = 0.0, sz = 0.0;
+  for (std::size_t k = begin; k < end; ++k) {
+    const SegGeom g = geom(k);
+    momx += g.momx;
+    momy += g.momy;
+    momz += g.momz;
+    mass += g.mass;
+    wx += g.mass * g.mx;
+    wy += g.mass * g.my;
+    wz += g.mass * g.mz;
+    sx += g.mx;
+    sy += g.my;
+    sz += g.mz;
+  }
+  const double n = static_cast<double>(end - begin);
+  double cx, cy, cz;
+  if (mass > 0.0) {
+    cx = wx / mass;
+    cy = wy / mass;
+    cz = wz / mass;
+  } else {
+    cx = sx / n;
+    cy = sy / n;
+    cz = sz / n;
+  }
+  double r2 = 0.0;
+  for (std::size_t k = begin; k < end; ++k) {
+    const SegGeom g = geom(k);
+    const double da = (g.ax - cx) * (g.ax - cx) + (g.ay - cy) * (g.ay - cy) +
+                      (g.az - cz) * (g.az - cz);
+    const double db = (g.bx - cx) * (g.bx - cx) + (g.by - cy) * (g.by - cy) +
+                      (g.bz - cz) * (g.bz - cz);
+    r2 = std::max(r2, std::max(da, db));
+  }
+  ClusterNode node;
+  node.cx = cx;
+  node.cy = cy;
+  node.cz = cz;
+  node.radius = std::sqrt(r2);
+  node.mx = momx;
+  node.my = momy;
+  node.mz = momz;
+  node.abs_moment = mass;
+  node.begin = begin;
+  node.end = end;
+  return node;
 }
 
 struct Builder {
@@ -50,56 +120,8 @@ struct Builder {
   int emit(std::size_t begin, std::size_t end) {
     const int self = static_cast<int>(nodes.size());
     nodes.emplace_back();
-    // Aggregate moment, mass and the mass-weighted center; zero-mass ranges
-    // (all zero-length segments) fall back to the plain midpoint average so
-    // the center stays inside the cluster.
-    double momx = 0.0, momy = 0.0, momz = 0.0, mass = 0.0;
-    double wx = 0.0, wy = 0.0, wz = 0.0;
-    double sx = 0.0, sy = 0.0, sz = 0.0;
-    for (std::size_t k = begin; k < end; ++k) {
-      const SegGeom g = seg_geom(path, order[k]);
-      momx += g.momx;
-      momy += g.momy;
-      momz += g.momz;
-      mass += g.mass;
-      wx += g.mass * g.mx;
-      wy += g.mass * g.my;
-      wz += g.mass * g.mz;
-      sx += g.mx;
-      sy += g.my;
-      sz += g.mz;
-    }
-    const double n = static_cast<double>(end - begin);
-    double cx, cy, cz;
-    if (mass > 0.0) {
-      cx = wx / mass;
-      cy = wy / mass;
-      cz = wz / mass;
-    } else {
-      cx = sx / n;
-      cy = sy / n;
-      cz = sz / n;
-    }
-    double r2 = 0.0;
-    for (std::size_t k = begin; k < end; ++k) {
-      const SegGeom g = seg_geom(path, order[k]);
-      const double da = (g.ax - cx) * (g.ax - cx) + (g.ay - cy) * (g.ay - cy) +
-                        (g.az - cz) * (g.az - cz);
-      const double db = (g.bx - cx) * (g.bx - cx) + (g.by - cy) * (g.by - cy) +
-                        (g.bz - cz) * (g.bz - cz);
-      r2 = std::max(r2, std::max(da, db));
-    }
-    ClusterNode node;
-    node.cx = cx;
-    node.cy = cy;
-    node.cz = cz;
-    node.radius = std::sqrt(r2);
-    node.mx = momx;
-    node.my = momy;
-    node.mz = momz;
-    node.abs_moment = mass;
-    node.begin = begin;
-    node.end = end;
+    ClusterNode node =
+        aggregate(begin, end, [&](std::size_t k) { return seg_geom(path, order[k]); });
     if (end - begin > leaf) {
       // Median split along the longest bbox axis of the member midpoints;
       // ties between axes resolve x < y < z, ties between members resolve
@@ -137,6 +159,28 @@ struct Builder {
   }
 };
 
+// The admission gate R >= theta * (r_a + r_b) on a cluster pair's center
+// separation R, stored in `r`.
+bool admitted(const ClusterNode& na, const ClusterNode& nb, double theta, double& r) {
+  const double rx = nb.cx - na.cx;
+  const double ry = nb.cy - na.cy;
+  const double rz = nb.cz - na.cz;
+  r = std::sqrt(rx * rx + ry * ry + rz * rz);
+  return r > 0.0 && r >= theta * (na.radius + nb.radius);
+}
+
+// Folds one admitted cluster pair at separation r into `out`: the
+// moment-moment contraction, its error bound and the pair counters.
+void admit(const ClusterNode& na, const ClusterNode& nb, double r, double coeff,
+           ClusteredMutual& out) {
+  const double k = kMu0 / (4.0 * geom::kPi) / r * kMmToM;
+  const double dot = na.mx * nb.mx + na.my * nb.my + na.mz * nb.mz;
+  out.value += k * dot;
+  out.error_bound += k * na.abs_moment * nb.abs_moment * coeff;
+  out.cluster_pairs += 1;
+  out.cluster_skipped += static_cast<std::uint64_t>(na.count()) * nb.count();
+}
+
 // Dual-traversal state shared down the recursion. Serial and
 // traversal-ordered throughout: the result never depends on thread count.
 struct Traversal {
@@ -152,18 +196,9 @@ struct Traversal {
   void visit(int ia, int ib) {
     const ClusterNode& na = ta.nodes()[static_cast<std::size_t>(ia)];
     const ClusterNode& nb = tb.nodes()[static_cast<std::size_t>(ib)];
-    const double rx = nb.cx - na.cx;
-    const double ry = nb.cy - na.cy;
-    const double rz = nb.cz - na.cz;
-    const double r = std::sqrt(rx * rx + ry * ry + rz * rz);
-    if (r > 0.0 && r >= theta * (na.radius + nb.radius)) {
-      const double k = kMu0 / (4.0 * geom::kPi) / r * kMmToM;
-      const double dot = na.mx * nb.mx + na.my * nb.my + na.mz * nb.mz;
-      out.value += k * dot;
-      out.error_bound += k * na.abs_moment * nb.abs_moment * coeff;
-      out.cluster_pairs += 1;
-      out.cluster_skipped +=
-          static_cast<std::uint64_t>(na.count()) * nb.count();
+    double r = 0.0;
+    if (admitted(na, nb, theta, r)) {
+      admit(na, nb, r, coeff, out);
       const std::size_t n2 = B.segment_count();
       for (std::size_t ka = na.begin; ka < na.end; ++ka) {
         const std::size_t i = ta.order()[ka];
@@ -241,43 +276,55 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
     throw std::invalid_argument(
         "path_mutual_clustered: cluster_theta must be >= 2");
   }
-  const SampledPath b = sample_path(p2, opt);
   const std::size_t n1 = a.segment_count();
-  const std::size_t n2 = b.segment_count();
+  const std::size_t n2 = p2.segments.size();
+  // sample_path's validation of the rule, which the root test below may
+  // leave uncalled.
+  if (n2 > 0) (void)num::gauss_rule(opt.order);
   if (n1 == 0 || n2 == 0) return out;
   const ClusterTree& ta = p1.tree;
   if (ta.empty()) {
     throw std::invalid_argument(
         "path_mutual_clustered: first side prepared without clustering");
   }
-  const ClusterTree tb = ClusterTree::build(b, kopt.cluster_leaf_segments);
-  std::vector<unsigned char> covered(n1 * n2, 0);
-  Traversal tr{a,
-               b,
-               ta,
-               tb,
-               kopt.cluster_theta,
-               cluster_error_coefficient(kopt.cluster_theta),
-               covered,
-               {}};
-  tr.visit(0, 0);
-  out = tr.out;
-  detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
-  // Exact remainder in the reference fold order (i ascending with a per-row
-  // accumulator, j ascending): when nothing was admitted this reproduces
-  // path_mutual_sampled bit for bit, and the per-pair sampled_mutual_exact
-  // call keeps the kernel counters intact.
+  const double theta = kopt.cluster_theta;
+  const double coeff = cluster_error_coefficient(theta);
+  // Root test before the second side is sampled: its root node is
+  // aggregated from the segments alone, through the expressions the tree
+  // build applies to their sampling, so it carries the bits of the built
+  // tree's root. Admitted, that root pair is the whole traversal and the
+  // remainder is empty; sampling, tree and coverage would go unused.
+  const ClusterNode root_b =
+      aggregate(0, n2, [&](std::size_t k) { return seg_geom(p2.segments[k]); });
+  double r = 0.0;
   double near = 0.0;
-  for (std::size_t i = 0; i < n1; ++i) {
-    double row = 0.0;
-    const double wi = a.wgt[i];
-    const unsigned char* cov = covered.data() + i * n2;
-    for (std::size_t j = 0; j < n2; ++j) {
-      if (cov[j]) continue;
-      row += wi * b.wgt[j] * sampled_mutual_exact(a, i, b, j);
+  if (admitted(ta.root(), root_b, theta, r)) {
+    admit(ta.root(), root_b, r, coeff, out);
+  } else {
+    const SampledPath b = sample_path(p2, opt);
+    const ClusterTree tb = ClusterTree::build(b, kopt.cluster_leaf_segments);
+    std::vector<unsigned char> covered(n1 * n2, 0);
+    Traversal tr{a, b, ta, tb, theta, coeff, covered, {}};
+    tr.visit(0, 0);
+    out = tr.out;
+    // Exact remainder in the reference fold order (i ascending with a
+    // per-row accumulator, j ascending): when nothing was admitted this
+    // reproduces path_mutual_sampled bit for bit. Its pairs are counted
+    // locally and published once.
+    detail::PairTally tally;
+    for (std::size_t i = 0; i < n1; ++i) {
+      double row = 0.0;
+      const double wi = a.wgt[i];
+      const unsigned char* cov = covered.data() + i * n2;
+      for (std::size_t j = 0; j < n2; ++j) {
+        if (cov[j]) continue;
+        row += wi * b.wgt[j] * sampled_mutual_exact(a, i, b, j, tally);
+      }
+      near += row;
     }
-    near += row;
+    tally.publish();
   }
+  detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
   out.value += near;
   return out;
 }

@@ -118,6 +118,10 @@ ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
 
 // Same, with the first side prepared by prepare_path under the same
 // options; the overload above is this one on prepare_path(p1, opt, kopt).
+// The second side's root cluster is tested against the first side's before
+// anything else is built: when the roots pass the gate, that one admitted
+// pair is the result (the same bits and counters a full traversal gives)
+// and the second side is never sampled.
 ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},

@@ -30,6 +30,15 @@ inline std::uint64_t fnv1a(std::uint64_t h, double v) {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
+// The cache fault site's draw for a mutual key: an injected miss recomputes
+// instead of returning the memoized value. The key hash reads all 72 key
+// bytes, so it is only taken while some fault site is armed.
+bool forced_mutual_miss(const MutualCacheKey& key) {
+  return core::fault::armed() &&
+         core::fault::should_fire(core::FaultSite::kCache,
+                                  core::fault::mix(1, MutualCacheKeyHash{}(key)));
+}
+
 }  // namespace
 
 std::uint64_t model_digest(const ComponentFieldModel& m) {
@@ -63,38 +72,108 @@ std::uint64_t CouplingExtractor::self_key(std::uint64_t digest) const {
 }
 
 Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
-  return self_inductance_digested(m, model_digest(m));
+  const PlacedModel placed{&m, Pose{}};
+  const std::uint64_t digest = model_digest(m);
+  const std::size_t lookup = 0;
+  return self_inductance_batch_digested({&placed, 1}, {&digest, 1}, {&lookup, 1}).front();
 }
 
-Henry CouplingExtractor::self_inductance_digested(const ComponentFieldModel& m,
-                                                  std::uint64_t id) const {
-  // Per-pair cooperative stop probe: once the owning stage's CancelScope
-  // reports a stop, skip the quadrature and return the zero sentinel without
+std::vector<Henry> CouplingExtractor::self_inductance_batch(
+    std::span<const PlacedModel> models, std::span<const std::size_t> lookups) const {
+  std::vector<std::uint64_t> digest(models.size(), 0);
+  std::vector<char> digested(models.size(), 0);
+  for (const std::size_t i : lookups) {
+    if (i >= models.size()) {
+      throw std::invalid_argument("self_inductance_batch: lookup index out of range");
+    }
+    if (models[i].model == nullptr) {
+      throw std::invalid_argument("self_inductance_batch: null model");
+    }
+    if (digested[i]) continue;
+    digest[i] = model_digest(*models[i].model);
+    digested[i] = 1;
+  }
+  return self_inductance_batch_digested(models, digest, lookups);
+}
+
+std::vector<Henry> CouplingExtractor::self_inductance_batch_digested(
+    std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
+    std::span<const std::size_t> lookups) const {
+  std::vector<Henry> out(lookups.size(), Henry{0.0});
+  // Cooperative stop probe: once the owning stage's CancelScope reports a
+  // stop, skip the quadrature and return the zero sentinels without
   // touching the cache. The stage discards all results on a stop, so the
-  // sentinel never reaches a caller that keeps them.
-  if (!core::CancelScope::poll()) return Henry{0.0};
-  // Injected cache miss: recompute instead of returning the memoized value.
-  // Entries are pure functions of the key, so this perturbs timing and hit
-  // counters but never the returned inductance - exactly what the cache's
-  // correctness contract promises.
-  const bool forced_miss =
-      core::fault::should_fire(core::FaultSite::kCache, core::fault::mix(0, id));
-  if (!forced_miss) {
-    if (const std::optional<double> v = cache_->lookup_self(self_key(id))) {
-      self_hits_.fetch_add(1, std::memory_order_relaxed);
-      return Henry{*v};
+  // sentinels never reach a caller that keeps them.
+  if (!core::CancelScope::poll()) return out;
+
+  // Probe in lookup order. Each missed key becomes one job however often
+  // it is looked up; a later unforced lookup of it counts the hit the job's
+  // store would have served a lone call.
+  struct Job {
+    const ComponentFieldModel* model;
+    std::uint64_t key;
+  };
+  std::vector<Job> jobs;
+  std::unordered_map<std::uint64_t, std::size_t> job_of_key;
+  constexpr std::size_t kServed = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> job_of(lookups.size(), kServed);
+  for (std::size_t t = 0; t < lookups.size(); ++t) {
+    const std::size_t i = lookups[t];
+    const std::uint64_t key = self_key(digest[i]);
+    // Injected cache miss: recompute instead of returning the memoized
+    // value. Entries are pure functions of the key, so this perturbs timing
+    // and hit counters but never the returned inductance - exactly what the
+    // cache's correctness contract promises.
+    const bool forced_miss =
+        core::fault::should_fire(core::FaultSite::kCache, core::fault::mix(0, digest[i]));
+    const auto it = job_of_key.find(key);
+    if (!forced_miss) {
+      if (it != job_of_key.end()) {
+        self_hits_.fetch_add(1, std::memory_order_relaxed);
+        job_of[t] = it->second;
+        continue;
+      }
+      if (const std::optional<double> v = cache_->lookup_self(key)) {
+        self_hits_.fetch_add(1, std::memory_order_relaxed);
+        out[t] = Henry{*v};
+        continue;
+      }
+    }
+    self_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (it != job_of_key.end()) {
+      job_of[t] = it->second;
+    } else {
+      job_of[t] = jobs.size();
+      job_of_key.emplace(key, jobs.size());
+      jobs.push_back(Job{models[i].model, key});
     }
   }
-  self_misses_.fetch_add(1, std::memory_order_relaxed);
-  const double l_air = path_inductance(m.local_path, opt_);
-  const double l = m.mu_eff * l_air;
-  // A stop raised mid-quadrature truncates parallel chunks, so the sum may
-  // be partial: re-poll before the store. A torn value must never reach the
-  // shared cache - it outlives this stopped stage and would poison a later
-  // attempt's bit-identical replay.
-  if (!core::CancelScope::poll()) return Henry{0.0};
-  cache_->store_self(self_key(id), l);
-  return Henry{l};
+  if (jobs.empty()) return out;
+
+  // One region samples every job's path, one flat region runs every row of
+  // every job.
+  std::vector<SampledPath> samples(jobs.size());
+  core::parallel_for(
+      0, jobs.size(),
+      [&](std::size_t j) { samples[j] = sample_path(jobs[j].model->local_path, opt_); }, 1);
+  std::vector<const SampledPath*> paths(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) paths[j] = &samples[j];
+  std::vector<double> l_air(jobs.size(), 0.0);
+  path_inductance_sampled_many(paths, l_air);
+  // A stop in either region skipped whole chunks, so any value may be torn:
+  // store none. A torn value must never reach the shared cache - it
+  // outlives this stopped stage and would poison a later attempt's
+  // bit-identical replay.
+  if (!core::CancelScope::poll()) return out;
+  std::vector<double> l(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    l[j] = jobs[j].model->mu_eff * l_air[j];
+    cache_->store_self(jobs[j].key, l[j]);
+  }
+  for (std::size_t t = 0; t < lookups.size(); ++t) {
+    if (job_of[t] != kServed) out[t] = Henry{l[job_of[t]]};
+  }
+  return out;
 }
 
 CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
@@ -172,9 +251,7 @@ Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) cons
   // untouched, results discarded by the stopped stage.
   if (!core::CancelScope::poll()) return Henry{0.0};
   const CanonicalPair c = canonicalize(a, b, model_digest(*a.model), model_digest(*b.model));
-  const bool forced_miss = core::fault::should_fire(
-      core::FaultSite::kCache, core::fault::mix(1, MutualCacheKeyHash{}(c.key)));
-  if (!forced_miss) {
+  if (!forced_mutual_miss(c.key)) {
     if (const std::optional<double> v = cache_->lookup_mutual(c.key)) {
       mutual_hits_.fetch_add(1, std::memory_order_relaxed);
       return Henry{c.stray * *v};
@@ -255,9 +332,7 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
   std::vector<char> forced(jobs.size(), 0);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     keys[j] = jobs[j].c.key;
-    if (core::fault::should_fire(
-            core::FaultSite::kCache,
-            core::fault::mix(1, MutualCacheKeyHash{}(keys[j])))) {
+    if (forced_mutual_miss(keys[j])) {
       forced[j] = 1;
       found[j] = 1;
     }
@@ -385,23 +460,30 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
 std::vector<Henry> CouplingExtractor::mutual_matrix(
     std::span<const PlacedModel> models) const {
   const std::size_t n = models.size();
+  std::vector<std::uint64_t> digest(n);
+  std::vector<std::size_t> diagonal(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (models[i].model == nullptr) {
+      throw std::invalid_argument("mutual_matrix: null model");
+    }
+    digest[i] = model_digest(*models[i].model);
+    diagonal[i] = i;
+  }
   std::vector<Henry> m(n * n, Henry{0.0});
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   pairs.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
-  const std::vector<Henry> off = mutual_batch(models, pairs);
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    m[pairs[p].first * n + pairs[p].second] = off[p];
-    m[pairs[p].second * n + pairs[p].first] = off[p];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (models[i].model == nullptr) {
-      throw std::invalid_argument("mutual_matrix: null model");
+  if (!pairs.empty()) {
+    const std::vector<Henry> off = mutual_batch_digested(models, digest, pairs);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      m[pairs[p].first * n + pairs[p].second] = off[p];
+      m[pairs[p].second * n + pairs[p].first] = off[p];
     }
-    m[i * n + i] = self_inductance(*models[i].model);
   }
+  const std::vector<Henry> self = self_inductance_batch_digested(models, digest, diagonal);
+  for (std::size_t i = 0; i < n; ++i) m[i * n + i] = self[i];
   return m;
 }
 
@@ -544,6 +626,7 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
   std::vector<PlacedModel> models;
   std::vector<std::uint64_t> digests;
   std::vector<std::pair<std::size_t, std::size_t>> idx;
+  std::vector<std::size_t> lookups;
   while (!open.empty()) {
     // Levels chain extractions serially; bail out between them once the
     // stage is stopped (the returned values are discarded).
@@ -559,13 +642,18 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
       idx.emplace_back(models.size() - 2, models.size() - 1);
     }
     const std::vector<Henry> ms = mutual_batch_digested(models, digests, idx);
+    // coupling_factor's self lookups, per evaluation and in order: the two
+    // sides of each open pair.
+    lookups.resize(models.size());
+    for (std::size_t t = 0; t < lookups.size(); ++t) lookups[t] = t;
+    const std::vector<Henry> ls = self_inductance_batch_digested(models, digests, lookups);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < open.size(); ++i) {
       const std::size_t p = open[i];
       Search& q = search[p];
-      // coupling_factor's self lookups and expression, per evaluation.
-      const Henry la = self_inductance_digested(*pairs[p].first, pair_digest[2 * p]);
-      const Henry lb = self_inductance_digested(*pairs[p].second, pair_digest[2 * p + 1]);
+      // coupling_factor's expression.
+      const Henry la = ls[2 * i];
+      const Henry lb = ls[2 * i + 1];
       const double k_abs = std::fabs(
           (la.raw() <= 0.0 || lb.raw() <= 0.0) ? 0.0 : ms[i] / units::sqrt(la * lb));
       bool more = false;

@@ -88,8 +88,22 @@ class CouplingExtractor {
   // hit/miss counters stay monotone across evictions).
   static constexpr std::size_t kMutualCacheCap = ExtractionCache::kMutualCap;
 
-  // Effective self inductance (air-core PEEC result scaled by mu_eff).
+  // Effective self inductance (air-core PEEC result scaled by mu_eff). The
+  // one-lookup call of self_inductance_batch.
   Henry self_inductance(const ComponentFieldModel& m) const;
+
+  // Batched self extraction: out[t] is the effective self inductance of
+  // models[lookups[t]].model (poses are ignored). Each referenced model's
+  // digest is computed once; lookups probe the cache in order and count
+  // hits and misses exactly as one self_inductance call per lookup would (a
+  // key an earlier lookup of the batch computes counts as a hit, without a
+  // tier probe; a forced cache-fault miss counts as a miss every time).
+  // Every missed model is computed once, all their quadrature rows in one
+  // flat parallel region (path_inductance_sampled_many). Values are
+  // bit-identical to the per-call path. Throws std::invalid_argument for an
+  // out-of-range lookup or a null model.
+  std::vector<Henry> self_inductance_batch(std::span<const PlacedModel> models,
+                                           std::span<const std::size_t> lookups) const;
 
   // Mutual inductance between two placed models (air-core Neumann result
   // scaled by the models' stray factors). Evaluated in the pair's canonical
@@ -115,9 +129,10 @@ class CouplingExtractor {
       std::span<const std::pair<std::size_t, std::size_t>> pairs) const;
 
   // Full coupling matrix, row-major n x n: diagonal entries are effective
-  // self inductances, off-diagonals mutual inductances via one
-  // mutual_batch over the upper triangle (mirrored; mutual() is symmetric
-  // bit-for-bit by canonicalization).
+  // self inductances via one self_inductance_batch, off-diagonals mutual
+  // inductances via one mutual_batch over the upper triangle (mirrored;
+  // mutual() is symmetric bit-for-bit by canonicalization). Each model is
+  // digested once for both batches.
   // With KernelOptions::cluster on, admitted well-separated cluster pairs
   // are served by aggregated dipole moments within the documented theta
   // error bound (cluster_tree.hpp); everything else stays pair-exact.
@@ -193,10 +208,12 @@ class CouplingExtractor {
     double rel_rot;
     double stray;
   };
-  // self_inductance and mutual_batch with the models' digests
+  // self_inductance_batch and mutual_batch with the models' digests
   // (model_digest) supplied, for callers that extract the same models over
   // and over. `digest[i]` belongs to `models[i]`.
-  Henry self_inductance_digested(const ComponentFieldModel& m, std::uint64_t digest) const;
+  std::vector<Henry> self_inductance_batch_digested(
+      std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
+      std::span<const std::size_t> lookups) const;
   std::vector<Henry> mutual_batch_digested(
       std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
       std::span<const std::pair<std::size_t, std::size_t>> pairs) const;

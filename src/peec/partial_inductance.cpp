@@ -22,11 +22,6 @@ std::atomic<std::uint64_t> g_cluster_skipped{0};
 
 namespace detail {
 
-void tally_exact_pair(std::uint64_t sample_evals) {
-  g_sample_evals.fetch_add(sample_evals, std::memory_order_relaxed);
-  g_exact_pairs.fetch_add(1, std::memory_order_relaxed);
-}
-
 void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals) {
   if (sample_evals != 0) g_sample_evals.fetch_add(sample_evals, std::memory_order_relaxed);
   if (exact_pairs != 0) g_exact_pairs.fetch_add(exact_pairs, std::memory_order_relaxed);
@@ -118,7 +113,7 @@ double mutual_neumann(const Segment& s1, const Segment& s2, const QuadratureOpti
           a1, b1, opt.order);
     }
   }
-  detail::tally_exact_pair(sub * sub * opt.order * opt.order);
+  detail::tally_pairs(1, sub * sub * opt.order * opt.order);
   // dl1.dl2 = dot * dt1 * dt2; convert the mm-valued integral (mm^2/mm = mm)
   // to metres.
   return kMu0 / (4.0 * geom::kPi) * dot * integral_mm * kMmToM;
@@ -129,22 +124,11 @@ double self_inductance(const Segment& s) {
 }
 
 double path_inductance(const SegmentPath& path, const QuadratureOptions& opt) {
-  const auto& segs = path.segments;
-  const std::size_t n = segs.size();
-  if (n == 0) return 0.0;
   const SampledPath sp = sample_path(path, opt);
-  // Row i: the self term plus the upper-triangle mutual terms of segment i.
-  const auto row = [&](std::size_t i) {
-    double r = segs[i].weight * segs[i].weight * self_inductance(segs[i]);
-    for (std::size_t j = i + 1; j < n; ++j) {
-      r += 2.0 * segs[i].weight * segs[j].weight * sampled_mutual_exact(sp, i, sp, j);
-    }
-    return r;
-  };
-  if (n * n >= kParallelPairThreshold) return core::parallel_sum(0, n, row);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) total += row(i);
-  return total;
+  const SampledPath* p = &sp;
+  double out = 0.0;
+  path_inductance_sampled_many({&p, 1}, {&out, 1});
+  return out;
 }
 
 double path_mutual(const SegmentPath& p1, const SegmentPath& p2,

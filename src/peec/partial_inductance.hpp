@@ -79,13 +79,20 @@ struct KernelStats {
 KernelStats kernel_stats();
 
 namespace detail {
-// Counter plumbing shared by the legacy and sampled kernels.
-void tally_exact_pair(std::uint64_t sample_evals);
-// Bulk form used by the row kernel: counts are accumulated in plain locals
-// over a whole segment row and published with one atomic add per counter.
+// Counter plumbing shared by the legacy and sampled kernels: one atomic add
+// per counter for any number of exact pairs and their sample evaluations.
 void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals);
 // Bulk form used by the clustered dual traversal (cluster_tree.cpp).
 void tally_cluster(std::uint64_t cluster_pairs, std::uint64_t cluster_skipped);
+
+// Plain exact-pair counters a batched caller sums over one call (or one
+// row) and publishes once, instead of two process-wide atomic adds per
+// segment pair.
+struct PairTally {
+  std::uint64_t exact_pairs = 0;
+  std::uint64_t sample_evals = 0;
+  void publish() const { tally_pairs(exact_pairs, sample_evals); }
+};
 }  // namespace detail
 
 // Partial self inductance of a straight round wire of length l and radius r
@@ -117,7 +124,8 @@ double self_inductance(const Segment& s);
 // Loop inductance of a closed (or terminal-to-terminal) current path: the
 // double sum of partial self and mutual terms, weighted by the per-segment
 // current weights. Always runs the exact kernel (self-inductance accuracy
-// is what the effective-permeability calibration rests on).
+// is what the effective-permeability calibration rests on). The one-path
+// call of path_inductance_sampled_many (sampled_path.hpp).
 double path_inductance(const SegmentPath& path, const QuadratureOptions& opt = {});
 
 // Mutual inductance between two current paths (double sum of Neumann

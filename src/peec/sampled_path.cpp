@@ -34,6 +34,13 @@ constexpr std::size_t kStackSamples = 64;
 
 }  // namespace
 
+SegmentAxis segment_axis(const Segment& s) {
+  const double l = s.length();
+  // Zero-length segments get a zero direction; every pair kernel
+  // early-outs on l <= 0 before reading their samples.
+  return {l, l > 0.0 ? s.direction() : Vec3{0.0, 0.0, 0.0}, s.midpoint()};
+}
+
 SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
   SampledPath out;
   out.order = opt.order;
@@ -53,11 +60,7 @@ SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
     v->reserve(n);
   }
   for (const Segment& s : path.segments) {
-    const double l = s.length();
-    // Zero-length segments store a zero direction; every pair kernel
-    // early-outs on l <= 0 before reading their samples.
-    const Vec3 d = l > 0.0 ? s.direction() : Vec3{0.0, 0.0, 0.0};
-    const Vec3 m = s.midpoint();
+    const auto [l, d, m] = segment_axis(s);
     out.len.push_back(l);
     out.rad.push_back(s.radius);
     out.wgt.push_back(s.weight);
@@ -91,9 +94,18 @@ SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
   return out;
 }
 
-EMI_KERNEL_CLONES
 double sampled_mutual_exact(const SampledPath& A, std::size_t i,
                             const SampledPath& B, std::size_t j) {
+  detail::PairTally tally;
+  const double m = sampled_mutual_exact(A, i, B, j, tally);
+  tally.publish();
+  return m;
+}
+
+EMI_KERNEL_CLONES
+double sampled_mutual_exact(const SampledPath& A, std::size_t i,
+                            const SampledPath& B, std::size_t j,
+                            detail::PairTally& tally) {
   const double l1 = A.len[i];
   const double l2 = B.len[j];
   if (l1 <= 0.0 || l2 <= 0.0) return 0.0;
@@ -158,7 +170,8 @@ double sampled_mutual_exact(const SampledPath& A, std::size_t i,
     const double h1 = ahalf[si];
     for (std::size_t sj = 0; sj < B.n_sub; ++sj) integral_mm += acc[sj] * h1;
   }
-  detail::tally_exact_pair(static_cast<std::uint64_t>(ns1) * ns2);
+  ++tally.exact_pairs;
+  tally.sample_evals += static_cast<std::uint64_t>(ns1) * ns2;
   return kMu0 / (4.0 * geom::kPi) * dot * integral_mm * kMmToM;
 }
 
@@ -166,12 +179,6 @@ namespace {
 
 // How each segment pair of a row is served.
 enum : unsigned char { kPairSkip = 0, kPairExact = 1 };
-
-// Plain per-row counters, published in one tally_pairs call per row.
-struct RowCounts {
-  std::uint64_t exact = 0;
-  std::uint64_t evals = 0;
-};
 
 // Mutual inductance of segment i of A against all of B, returned as the
 // row sum  sum_j wgt_i * wgt_j * M(i, j)  with j ascending - the exact
@@ -186,7 +193,8 @@ struct RowCounts {
 // (subinterval, sample) - so each pair's value carries the same bits.
 //
 // `buf` holds (2 * n2 * ns2 + n2 * n_sub + n2) doubles, `cls` n2 bytes;
-// both are caller scratch so parallel rows never share.
+// both are caller scratch so parallel rows never share. The row's pairs are
+// counted into `rc`, which the caller publishes once per row.
 //
 // The body is a template over B's quadrature shape: the dispatcher below
 // instantiates it with integral_constant order/subdivision counts for the
@@ -196,7 +204,7 @@ struct RowCounts {
 template <typename Ord2T, typename Sub2T>
 __attribute__((always_inline)) inline double sampled_mutual_row_body(
     const SampledPath& A, std::size_t i, const SampledPath& B, double* buf,
-    unsigned char* cls, RowCounts& rc, Ord2T ord2_t, Sub2T nsub2_t) {
+    unsigned char* cls, detail::PairTally& rc, Ord2T ord2_t, Sub2T nsub2_t) {
   const std::size_t n2 = B.segment_count();
   const std::size_t ns1 = A.samples_per_segment();
   const std::size_t ns2 = static_cast<std::size_t>(ord2_t) * nsub2_t;
@@ -228,8 +236,8 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
     }
     const double g = std::max(1e-6, std::sqrt(rad1 * B.rad[j]));
     cls[j] = kPairExact;
-    ++rc.exact;
-    rc.evals += static_cast<std::uint64_t>(ns1) * ns2;
+    ++rc.exact_pairs;
+    rc.sample_evals += static_cast<std::uint64_t>(ns1) * ns2;
     for (std::size_t b = 0; b < ns2; ++b) guard[j * ns2 + b] = g;
     integ[j] = 0.0;
     jlo = std::min(jlo, j);
@@ -319,7 +327,7 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
 // own target; the shape constants then drive full unrolling per clone.
 #define EMI_ROW_ARGS                                                        \
   const SampledPath &A, std::size_t i, const SampledPath &B, double *buf,   \
-      unsigned char *cls, RowCounts &rc
+      unsigned char *cls, detail::PairTally &rc
 EMI_KERNEL_CLONES
 double sampled_mutual_row_o4s2(EMI_ROW_ARGS) {
   return sampled_mutual_row_body(A, i, B, buf, cls, rc,
@@ -358,55 +366,100 @@ double path_mutual_sampled(const SampledPath& A, const SampledPath& B) {
   return out;
 }
 
+namespace {
+
+// The flat row schedule of both batches below: item p owns rows_of[p]
+// consecutive rows of one flat row list, and row(p, i, tally) returns row i
+// of item p, counting its pairs into `tally`, which is published once per
+// row. Every row runs in one parallel region (serially when the batch holds
+// fewer than kParallelPairThreshold segment pairs in total); each row
+// writes its own slot and grain 1 keeps the chunking fixed, so neither the
+// schedule nor the thread count reaches the results. Each item then folds
+// its row totals serially in row order: the legacy accumulation order, so
+// neither the threshold, the batch around an item nor the schedule changes
+// its bits. Under a stopped CancelScope skipped rows stay 0.0.
+template <typename Row>
+void run_rows(std::span<const std::size_t> rows_of, std::size_t seg_pairs,
+              std::span<double> out, const Row& row) {
+  const std::size_t n = rows_of.size();
+  std::vector<std::size_t> first_row(n + 1, 0);
+  for (std::size_t p = 0; p < n; ++p) first_row[p + 1] = first_row[p] + rows_of[p];
+  const std::size_t rows = first_row[n];
+  std::vector<std::size_t> item_of_row(rows);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::fill(item_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p]),
+              item_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p + 1]), p);
+  }
+  std::vector<double> row_total(rows, 0.0);
+  const auto run = [&](std::size_t r) {
+    const std::size_t p = item_of_row[r];
+    detail::PairTally tally;
+    row_total[r] = row(p, r - first_row[p], tally);
+    tally.publish();
+  };
+  if (seg_pairs < kParallelPairThreshold) {
+    for (std::size_t r = 0; r < rows; ++r) run(r);
+  } else {
+    core::parallel_for(0, rows, run, 1);
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    double total = 0.0;
+    for (std::size_t r = first_row[p]; r < first_row[p + 1]; ++r) total += row_total[r];
+    out[p] = total;
+  }
+}
+
+}  // namespace
+
 void path_mutual_sampled_many(std::span<const SampledPath* const> a,
                               std::span<const SampledPath* const> b,
                               std::span<double> out) {
   if (b.size() != a.size() || out.size() != a.size()) {
     throw std::invalid_argument("path_mutual_sampled_many: span lengths differ");
   }
-  // Pair p owns rows [first_row[p], first_row[p + 1]) of one flat row list;
-  // a pair with an empty side owns none and folds to 0.0.
-  const std::size_t n = a.size();
-  std::vector<std::size_t> first_row(n + 1, 0);
+  // Pair p owns one row per segment of a[p]; a pair with an empty side owns
+  // none and folds to 0.0.
+  std::vector<std::size_t> rows_of(a.size());
   std::size_t seg_pairs = 0;
-  for (std::size_t p = 0; p < n; ++p) {
+  for (std::size_t p = 0; p < a.size(); ++p) {
     const std::size_t n1 = a[p]->segment_count();
     const std::size_t n2 = b[p]->segment_count();
-    first_row[p + 1] = first_row[p] + (n2 == 0 ? 0 : n1);
+    rows_of[p] = n2 == 0 ? 0 : n1;
     seg_pairs += n1 * n2;
   }
-  const std::size_t rows = first_row[n];
-  std::vector<std::size_t> pair_of_row(rows);
-  for (std::size_t p = 0; p < n; ++p) {
-    std::fill(pair_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p]),
-              pair_of_row.begin() + static_cast<std::ptrdiff_t>(first_row[p + 1]), p);
+  run_rows(rows_of, seg_pairs, out,
+           [&](std::size_t p, std::size_t i, detail::PairTally& tally) {
+             const std::size_t n2 = b[p]->segment_count();
+             std::vector<double> buf(2 * n2 * b[p]->samples_per_segment() +
+                                     n2 * b[p]->n_sub + n2);
+             std::vector<unsigned char> cls(n2);
+             return sampled_mutual_row(*a[p], i, *b[p], buf.data(), cls.data(), tally);
+           });
+}
+
+void path_inductance_sampled_many(std::span<const SampledPath* const> paths,
+                                  std::span<double> out) {
+  if (out.size() != paths.size()) {
+    throw std::invalid_argument("path_inductance_sampled_many: span lengths differ");
   }
-  // Each row writes its own slot, so neither the schedule nor the thread
-  // count reaches the results; grain 1 keeps the chunking fixed too.
-  std::vector<double> row_total(rows, 0.0);
-  const auto row = [&](std::size_t r) {
-    const std::size_t p = pair_of_row[r];
-    const std::size_t n2 = b[p]->segment_count();
-    std::vector<double> buf(2 * n2 * b[p]->samples_per_segment() + n2 * b[p]->n_sub + n2);
-    std::vector<unsigned char> cls(n2);
-    RowCounts rc;
-    row_total[r] =
-        sampled_mutual_row(*a[p], r - first_row[p], *b[p], buf.data(), cls.data(), rc);
-    detail::tally_pairs(rc.exact, rc.evals);
-  };
-  if (seg_pairs < kParallelPairThreshold) {
-    for (std::size_t r = 0; r < rows; ++r) row(r);
-  } else {
-    core::parallel_for(0, rows, row, 1);
+  // Path p owns one row per segment: the self term plus the upper-triangle
+  // mutual terms of that segment.
+  std::vector<std::size_t> rows_of(paths.size());
+  std::size_t seg_pairs = 0;
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    rows_of[p] = paths[p]->segment_count();
+    seg_pairs += rows_of[p] * rows_of[p];
   }
-  // Each pair folds its row totals serially in row order: the legacy
-  // accumulation order, so neither the threshold, the batch around a pair
-  // nor the schedule changes its bits.
-  for (std::size_t p = 0; p < n; ++p) {
-    double total = 0.0;
-    for (std::size_t r = first_row[p]; r < first_row[p + 1]; ++r) total += row_total[r];
-    out[p] = total;
-  }
+  run_rows(rows_of, seg_pairs, out,
+           [&](std::size_t p, std::size_t i, detail::PairTally& tally) {
+             const SampledPath& sp = *paths[p];
+             const double wi = sp.wgt[i];
+             double v = wi * wi * self_inductance_wire(sp.len[i], sp.rad[i]);
+             for (std::size_t j = i + 1; j < sp.segment_count(); ++j) {
+               v += 2.0 * wi * sp.wgt[j] * sampled_mutual_exact(sp, i, sp, j, tally);
+             }
+             return v;
+           });
 }
 
 bool kernel_clones_enabled() {

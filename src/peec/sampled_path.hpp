@@ -48,11 +48,27 @@ struct SampledPath {
 // legacy kernel's first gauss_rule call would).
 SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt = {});
 
+// The per-segment quantities sample_path stores: length, unit direction
+// (zero for a zero-length segment) and midpoint. Code that needs a
+// segment's geometry without sampling it (the cluster root test) goes
+// through this too, so both see the same bits.
+struct SegmentAxis {
+  double len;
+  Vec3 dir;
+  Vec3 mid;
+};
+SegmentAxis segment_axis(const Segment& s);
+
 // Neumann mutual partial inductance of segment i of `a` against segment j of
 // `b`. Bit-identical to mutual_neumann(a_segment, b_segment, opt) for paths
 // sampled with the same options.
 double sampled_mutual_exact(const SampledPath& a, std::size_t i,
                             const SampledPath& b, std::size_t j);
+// Same value; the pair is counted into `tally` instead of kernel_stats(),
+// for callers that publish once per call or per row.
+double sampled_mutual_exact(const SampledPath& a, std::size_t i,
+                            const SampledPath& b, std::size_t j,
+                            detail::PairTally& tally);
 
 // Mutual inductance between two sampled paths: the weighted double sum over
 // all segment pairs, evaluated by a row kernel that batches one row of A
@@ -74,6 +90,20 @@ double path_mutual_sampled(const SampledPath& a, const SampledPath& b);
 void path_mutual_sampled_many(std::span<const SampledPath* const> a,
                               std::span<const SampledPath* const> b,
                               std::span<double> out);
+
+// out[p] = path_inductance of the path sampled as *paths[p], for every p,
+// bit for bit, with the same kernel_stats() tallies. Row i of a path is
+//   w_i^2 * L_self(segment i) + sum_{j > i} 2 * w_i * w_j * M_ij;
+// every row of every path runs in one flat parallel region (serially when
+// the batch holds fewer than kParallelPairThreshold segment pairs in total),
+// then each path folds its rows serially in row order - the association the
+// row-parallel sum gives at grain 1. Each row publishes its tallies once.
+// The spans must have equal lengths (std::invalid_argument otherwise); a
+// zero-length segment's self term throws like self_inductance_wire. Under a
+// stopped CancelScope skipped rows stay 0.0, so the caller must discard
+// `out`.
+void path_inductance_sampled_many(std::span<const SampledPath* const> paths,
+                                  std::span<double> out);
 
 // True when the hot kernels above were compiled with per-ISA clones
 // (target_clones default/avx2/avx512f, ifunc dispatch); false on toolchains

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -254,6 +255,29 @@ TEST(Circuit, SetCouplingUpdatesInPlace) {
   c.set_coupling("L2", "L1", 0.1);  // reversed order updates the same pair
   ASSERT_EQ(c.couplings().size(), 1u);
   EXPECT_DOUBLE_EQ(c.couplings()[0].k, 0.1);
+}
+
+// set_coupling validates like add_coupling, whether it would update an
+// existing coupling or append one: |k| >= 1, a NaN k and a self coupling all
+// throw and leave the circuit as it was.
+TEST(Circuit, CouplingSettersRejectInvalidCouplings) {
+  Circuit c;
+  c.add_inductor("L1", "a", "0", 1e-6);
+  c.add_inductor("L2", "b", "0", 1e-6);
+  c.add_inductor("L3", "d", "0", 1e-6);
+  c.set_coupling("L1", "L2", 0.3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double k : {1.0, -1.0, 1.5, nan}) {
+    EXPECT_THROW(c.set_coupling("L1", "L2", k), std::invalid_argument) << k;  // update
+    EXPECT_THROW(c.set_coupling("L1", "L3", k), std::invalid_argument) << k;  // append
+    EXPECT_THROW(c.add_coupling("K13", "L1", "L3", k), std::invalid_argument) << k;
+  }
+  EXPECT_THROW(c.set_coupling("L1", "L1", 0.5), std::invalid_argument);
+  EXPECT_THROW(c.add_coupling("K11", "L1", "L1", 0.5), std::invalid_argument);
+  ASSERT_EQ(c.couplings().size(), 1u);
+  EXPECT_DOUBLE_EQ(c.couplings()[0].k, 0.3);
+  const auto m = c.inductance_matrix();
+  EXPECT_DOUBLE_EQ(m[0][0], 1e-6);
 }
 
 // Each degenerate grid request surfaces as its own line-item

@@ -314,11 +314,9 @@ void expect_probe_phasors(const ckt::Circuit& c, const std::string& meas,
 TEST(ProbeSweep, DenseProbesResumeAndBandedOnesFactorInFull) {
   const std::vector<double> freqs = num::log_space(150e3, 108e6, 9);
   {
-    // The buck stays dense: every probe of two distinct inductors resumes,
-    // and a probe coupling an inductor to itself is factored in full.
+    // The buck stays dense: every probe resumes.
     const flow::BuckConverter bc = flow::make_buck_converter();
-    const std::vector<std::pair<std::size_t, std::size_t>> pairs = {
-        {3, 1}, {0, 5}, {2, 2}, {4, 6}};
+    const std::vector<std::pair<std::size_t, std::size_t>> pairs = {{3, 1}, {0, 5}, {4, 6}};
     ASSERT_EQ(ckt::ac_band_ordering(bc.circuit), nullptr);
     const ckt::CouplingProbeSweep sw =
         ckt::ac_coupling_probe_sweep(bc.circuit, bc.meas_node, pairs, 0.05, freqs);
@@ -334,6 +332,36 @@ TEST(ProbeSweep, DenseProbesResumeAndBandedOnesFactorInFull) {
         ckt::ac_coupling_probe_sweep(sc.circuit, sc.meas_node, pairs, 0.05, freqs);
     EXPECT_EQ(sw.resumed_points, 0u);
     expect_probe_phasors(sc.circuit, sc.meas_node, pairs, freqs, sw);
+  }
+}
+
+// A probe set_coupling rejects is rejected up front: an inductor coupled to
+// itself (a probed self pair, or a candidate name listed twice) and a probe
+// k of 1 or more on a pair the circuit already couples.
+TEST(ProbeSweep, InvalidProbesThrow) {
+  const std::vector<double> freqs = num::log_space(150e3, 108e6, 9);
+  const flow::BuckConverter bc = flow::make_buck_converter();
+  const std::vector<std::pair<std::size_t, std::size_t>> self_pair = {{3, 1}, {2, 2}};
+  EXPECT_THROW(
+      ckt::ac_coupling_probe_sweep(bc.circuit, bc.meas_node, self_pair, 0.05, freqs),
+      std::invalid_argument);
+
+  const std::string l0 = bc.circuit.inductors()[0].name;
+  const std::string l1 = bc.circuit.inductors()[1].name;
+  SensitivityOptions opt;
+  opt.sweep.n_points = 9;
+  opt.candidates = {l0, l1, l0};
+  EXPECT_THROW(rank_coupling_sensitivity(bc.circuit, bc.meas_node, bc.noise, opt),
+               std::invalid_argument);
+
+  ckt::Circuit coupled = bc.circuit;
+  coupled.set_coupling(l0, l1, 0.2);
+  opt.candidates = {l0, l1};
+  for (const double k : {1.0, 1.5}) {
+    opt.probe_k = k;
+    EXPECT_THROW(rank_coupling_sensitivity(coupled, bc.meas_node, bc.noise, opt),
+                 std::invalid_argument)
+        << "probe_k " << k;
   }
 }
 

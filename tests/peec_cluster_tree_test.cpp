@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -311,6 +313,71 @@ TEST(ClusterTree, MatrixClusteredWithDefaultOptionsIsMatrixBitwise) {
   for (std::size_t i = 0; i < m1.size(); ++i) {
     EXPECT_EQ(m1[i].raw(), m2[i].raw()) << "entry " << i;
   }
+}
+
+// The root gate at its boundary: chain B moved along +x to just past and
+// just inside R = theta * (r_A + r_B) of the two root clusters. Past the
+// gate the root pair is admitted outright - one cluster pair covering every
+// segment pair, no exact pair; inside it the second side is sampled and the
+// traversal recurses. Both results carry the bits recorded before the root
+// test moved ahead of the second side's sampling, at 1, 2 and 4 lanes.
+TEST(ClusterTree, RootGateBoundaryPairs) {
+  const QuadratureOptions q{};
+  const KernelOptions k = clustered(4.0);
+  num::Rng rng(7);
+  const PreparedPath a = prepare_path(random_chain(rng, {0.0, 0.0, 0.0}, 12), q, k);
+  const SegmentPath b0 = random_chain(rng, {0.0, 0.0, 0.0}, 10);
+  const auto shifted = [&](double dx) {
+    SegmentPath p = b0;
+    for (Segment& seg : p.segments) {
+      seg.a.x += dx;
+      seg.b.x += dx;
+    }
+    return p;
+  };
+  const ClusterNode& ra = a.tree.root();
+  const ClusterNode rb = prepare_path(b0, q, k).tree.root();
+  const double gate = 4.0 * (ra.radius + rb.radius);
+  const double ox = rb.cx - ra.cx;
+  const double oy = rb.cy - ra.cy;
+  const double oz = rb.cz - ra.cz;
+  const double d_gate = -ox + std::sqrt(gate * gate - oy * oy - oz * oz);
+  ASSERT_GT(d_gate, 0.0);
+
+  struct Case {
+    double scale;
+    std::uint64_t value_bits, bound_bits, cluster_pairs, cluster_skipped, exact_pairs;
+  };
+  const std::size_t n = b0.segments.size() * 12;
+  const Case cases[] = {
+      {1.0 + 1e-9, 0xbdbf1321c8c491bdull, 0x3e31830f32e9ef37ull, 1u, 120u, 0u},
+      {1.0 - 1e-9, 0xbdb8b3d1fbf9ec1cull, 0x3e31896895ae749eull, 2u, 120u, 0u},
+  };
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const Case& c : cases) {
+    const SegmentPath pb = shifted(d_gate * c.scale);
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      core::ThreadPool::set_global_thread_count(lanes);
+      const KernelStats before = kernel_stats();
+      const ClusteredMutual got = path_mutual_clustered_stats(a, pb, q, k);
+      const KernelStats after = kernel_stats();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value), c.value_bits)
+          << "scale " << c.scale << " lanes " << lanes;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.error_bound), c.bound_bits);
+      EXPECT_EQ(got.cluster_pairs, c.cluster_pairs);
+      EXPECT_EQ(got.cluster_skipped, c.cluster_skipped);
+      const std::uint64_t exact = after.exact_pairs - before.exact_pairs;
+      EXPECT_EQ(exact, c.exact_pairs);
+      if (c.scale > 1.0) {  // the root pair alone covers every segment pair
+        EXPECT_EQ(got.cluster_pairs, 1u);
+        EXPECT_EQ(got.cluster_skipped, n);
+        EXPECT_EQ(exact, 0u);
+      } else {
+        EXPECT_GT(got.cluster_pairs, 1u);
+      }
+    }
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // populate its counters, cut the evaluation count and stay in its bound.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/flow/scenario_large.hpp"
@@ -123,6 +125,74 @@ TEST(KernelPerfGate, ClusteredMatrixOverSixteenStageGrid) {
   EXPECT_EQ(k.cluster_skipped, 442862u);
   const ExtractionCacheStats c = ex.cache_stats();
   EXPECT_EQ(c.mutual_misses, 496u);
+  EXPECT_EQ(c.mutual_hits, 0u);
+}
+
+// FNV-1a over the IEEE-754 bits of every matrix entry, row-major: equal
+// hashes mean equal bits in every entry.
+std::uint64_t entry_bits_hash(const std::vector<units::Henry>& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const units::Henry& v : m) {
+    const std::uint64_t b = std::bit_cast<std::uint64_t>(v.raw());
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+std::vector<units::Henry> grid_matrix(std::size_t stages, std::uint64_t seed,
+                                      bool cluster) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = stages;
+  opt.seed = seed;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  KernelOptions kopt;
+  kopt.cluster = cluster;
+  return CouplingExtractor(QuadratureOptions{}, kopt).mutual_matrix(s.placed);
+}
+
+// Entry bits of the screening matrices, recorded before the clustered path
+// learned to test the roots ahead of second-side preparation and before self
+// terms were batched: a change that only reorganizes the work keeps them.
+TEST(KernelPerfGate, ScreeningMatrixBitsOverSixteenStageGrids) {
+  const std::uint64_t want_clustered[] = {0xdef418c18e854fedull, 0x68c41eebab232c1aull,
+                                          0x45755b8ca13044a3ull};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_EQ(entry_bits_hash(grid_matrix(16, seed, true)), want_clustered[seed - 1])
+        << "seed " << seed;
+  }
+  EXPECT_EQ(entry_bits_hash(grid_matrix(16, 1, false)), 0xa30c29d17ac2ad85ull);
+}
+
+// The extraction emibench's large_board times: one cold clustered
+// mutual_matrix over the 64-stage grid (128 models, 8,128 pairs) with board
+// seed 3. Bits, kernel counters and cache counters are pure functions of
+// the geometry and options, so all are pinned exactly.
+TEST(KernelPerfGate, ScreeningMatrixOverSixtyFourStageGrid) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 64;
+  opt.seed = 3;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  KernelOptions kopt;
+  kopt.cluster = true;
+  const CouplingExtractor ex(QuadratureOptions{}, kopt);
+
+  KernelDelta delta;
+  const std::vector<units::Henry> m = ex.mutual_matrix(s.placed);
+  const KernelStats k = delta.sample();
+  ASSERT_EQ(m.size(), s.placed.size() * s.placed.size());
+
+  EXPECT_EQ(entry_bits_hash(m), 0xf837deae5717a340ull);
+  EXPECT_EQ(k.sample_evals, 47294208u);
+  EXPECT_EQ(k.exact_pairs, 328432u);
+  EXPECT_EQ(k.cluster_pairs, 16301u);
+  EXPECT_EQ(k.cluster_skipped, 8012404u);
+  const ExtractionCacheStats c = ex.cache_stats();
+  EXPECT_EQ(c.self_misses, 128u);
+  EXPECT_EQ(c.self_hits, 0u);
+  EXPECT_EQ(c.mutual_misses, 8128u);
   EXPECT_EQ(c.mutual_hits, 0u);
 }
 

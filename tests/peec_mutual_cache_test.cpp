@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "src/core/fault_injection.hpp"
+#include "src/core/thread_pool.hpp"
 #include "src/peec/component_model.hpp"
 #include "src/peec/partial_inductance.hpp"
 
@@ -262,6 +266,69 @@ TEST_F(MutualCacheTest, MutualMatrixSymmetricWithSelfDiagonal) {
       EXPECT_EQ(m[i * n + j].raw(), ex_.mutual(models[i], models[j]).raw());
     }
   }
+}
+
+// self_inductance_batch against one self_inductance call per lookup on a
+// fresh extractor: the same bits, the same self hits and misses and the same
+// cache fault draws, with models looked up more than once (the same object
+// and a copy sharing its digest), at 1, 2 and 4 lanes, with no fault armed
+// and with every cache lookup forced to miss.
+TEST(SelfBatch, MatchesPerCallLookupsBitwiseWithSameCounts) {
+  struct Disarm {
+    ~Disarm() {
+      core::FaultInjector::instance().disarm();
+      core::ThreadPool::set_global_thread_count(core::ThreadPool::default_thread_count());
+    }
+  } disarm;
+  const ComponentFieldModel coil = bobbin_coil("L1");
+  const ComponentFieldModel coil_copy = bobbin_coil("L2");
+  const ComponentFieldModel cap = x_capacitor("C");
+  const ComponentFieldModel trace = trace_model("T", {0.0, 0.0, 0.0}, {20.0, 0.0, 0.0});
+  const ComponentFieldModel choke = cm_choke("CM");
+  const std::vector<PlacedModel> models = {
+      {&coil, {}}, {&cap, {}}, {&coil_copy, {{5.0, 0.0, 0.0}, 30.0}}, {&trace, {}}, {&choke, {}}};
+  const std::vector<std::size_t> lookups = {0, 1, 2, 0, 3, 1, 4, 4, 2};
+  auto& inj = core::FaultInjector::instance();
+  for (const bool armed : {false, true}) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      core::ThreadPool::set_global_thread_count(lanes);
+      if (armed) inj.configure(core::FaultSite::kCache, 1.0, 5);
+      const CouplingExtractor seq;
+      std::vector<Henry> want;
+      for (const std::size_t i : lookups) want.push_back(seq.self_inductance(*models[i].model));
+      const std::uint64_t fired_seq = inj.fired(core::FaultSite::kCache);
+      if (armed) inj.configure(core::FaultSite::kCache, 1.0, 5);  // resets the count
+      const CouplingExtractor batch;
+      const std::vector<Henry> got = batch.self_inductance_batch(models, lookups);
+      EXPECT_EQ(inj.fired(core::FaultSite::kCache), fired_seq);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].raw()),
+                  std::bit_cast<std::uint64_t>(want[t].raw()))
+            << "lookup " << t << " lanes " << lanes << " armed " << armed;
+      }
+      const ExtractionCacheStats cs = seq.cache_stats();
+      const ExtractionCacheStats cb = batch.cache_stats();
+      EXPECT_EQ(cb.self_hits, cs.self_hits);
+      EXPECT_EQ(cb.self_misses, cs.self_misses);
+      // Four distinct digests (the coil and its copy share one).
+      EXPECT_EQ(cs.self_misses, armed ? lookups.size() : 4u);
+      if (armed) {
+        EXPECT_EQ(fired_seq, lookups.size());
+        inj.disarm();
+      }
+      // A second batch on the warm extractor is all hits.
+      const std::vector<Henry> warm = batch.self_inductance_batch(models, lookups);
+      EXPECT_EQ(batch.cache_stats().self_hits, cb.self_hits + lookups.size());
+      for (std::size_t t = 0; t < want.size(); ++t) EXPECT_EQ(warm[t].raw(), want[t].raw());
+    }
+  }
+  const CouplingExtractor ex;
+  const std::vector<std::size_t> out_of_range = {5};
+  EXPECT_THROW(ex.self_inductance_batch(models, out_of_range), std::invalid_argument);
+  const std::vector<PlacedModel> with_null = {{nullptr, {}}};
+  const std::vector<std::size_t> first = {0};
+  EXPECT_THROW(ex.self_inductance_batch(with_null, first), std::invalid_argument);
 }
 
 }  // namespace

@@ -229,5 +229,89 @@ TEST(SampledKernel, BatchMatchesPerPairBitwiseAndTallies) {
   EXPECT_THROW(path_mutual_sampled_many(a, b, short_out), std::invalid_argument);
 }
 
+// Open zig-zag chain of n segments along +x with alternating weights.
+SegmentPath zigzag(std::size_t n) {
+  SegmentPath p;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = 3.0 * static_cast<double>(i);
+    const double y = (i % 2 == 0) ? 0.0 : 2.0;
+    p.segments.push_back(make_segment({x, y, 0.0}, {x + 3.0, 2.0 - y, 0.5}, 0.2,
+                                      (i % 3 == 0) ? -1.0 : 2.0));
+  }
+  return p;
+}
+
+// path_inductance_sampled_many against one path_inductance call per path
+// and the legacy term-by-term double sum: a coil, a capacitor loop, a
+// one-segment path and chains of 15 and 16 segments (n^2 on both sides of
+// kParallelPairThreshold), batched above the threshold and below it. Same
+// bits and the same kernel tallies at 1, 2 and 4 lanes. A zero-length
+// segment's self term throws in both.
+TEST(SampledKernel, SelfBatchMatchesPathInductanceBitwiseAndTallies) {
+  const QuadratureOptions q{6, 2};
+  SegmentPath one;
+  one.segments = {make_segment({0, 0, 0}, {7, 1, 0}, 0.3, 3.0)};
+  const std::vector<SegmentPath> paths = {bobbin_coil("L").path_at({}),
+                                          x_capacitor("C").path_at({}), one, zigzag(15),
+                                          zigzag(16)};
+  ASSERT_LT(15u * 15u, kParallelPairThreshold);
+  ASSERT_GE(16u * 16u, kParallelPairThreshold);
+  std::vector<double> legacy;
+  std::vector<SampledPath> sampled;
+  for (const SegmentPath& p : paths) {
+    double ref = 0.0;
+    const auto& segs = p.segments;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      double row = segs[i].weight * segs[i].weight * self_inductance(segs[i]);
+      for (std::size_t j = i + 1; j < segs.size(); ++j) {
+        row += 2.0 * segs[i].weight * segs[j].weight * mutual_neumann(segs[i], segs[j], q);
+      }
+      ref += row;
+    }
+    legacy.push_back(ref);
+    sampled.push_back(sample_path(p, q));
+  }
+  std::vector<const SampledPath*> all;
+  for (const SampledPath& sp : sampled) all.push_back(&sp);
+  // Capacitor loop plus one segment: 17 segment pairs, a serial batch.
+  const std::vector<const SampledPath*> small = {&sampled[1], &sampled[2]};
+
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const KernelStats k0 = kernel_stats();
+    std::vector<double> per_path;
+    for (const SegmentPath& p : paths) per_path.push_back(path_inductance(p, q));
+    const KernelStats k1 = kernel_stats();
+    std::vector<double> batch(all.size(), -1.0);
+    path_inductance_sampled_many(all, batch);
+    const KernelStats k2 = kernel_stats();
+    std::vector<double> small_batch(small.size(), -1.0);
+    path_inductance_sampled_many(small, small_batch);
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[p]),
+                std::bit_cast<std::uint64_t>(per_path[p]))
+          << "path " << p << " lanes " << lanes;
+      EXPECT_EQ(batch[p], legacy[p]) << "path " << p;
+    }
+    EXPECT_EQ(small_batch[0], per_path[1]);
+    EXPECT_EQ(small_batch[1], per_path[2]);
+    EXPECT_EQ(k2.exact_pairs - k1.exact_pairs, k1.exact_pairs - k0.exact_pairs);
+    EXPECT_EQ(k2.sample_evals - k1.sample_evals, k1.sample_evals - k0.sample_evals);
+    EXPECT_GT(k2.exact_pairs - k1.exact_pairs, 1000u);
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
+
+  SegmentPath with_zero = zigzag(16);
+  with_zero.segments.push_back(make_segment({2, 2, 1}, {2, 2, 1}));
+  EXPECT_THROW(path_inductance(with_zero, q), std::invalid_argument);
+  const SampledPath zero_sampled = sample_path(with_zero, q);
+  const std::vector<const SampledPath*> with_zero_batch = {&sampled[0], &zero_sampled};
+  std::vector<double> out(2);
+  EXPECT_THROW(path_inductance_sampled_many(with_zero_batch, out), std::invalid_argument);
+  std::vector<double> short_out(1);
+  EXPECT_THROW(path_inductance_sampled_many(all, short_out), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace emi::peec

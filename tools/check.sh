@@ -20,6 +20,15 @@
 #       (<build>/tests/tmp) are per build tree, so a nested concurrent run in
 #       the same tree would collide.
 #
+#   tools/check.sh peec [build-dir]       default build dir: build
+#       Builds, then runs the `peec` and `large` labels (kernel, cluster
+#       tree, extraction cache and screening pins, the large-scenario
+#       battery) and BM_ScreeningMatrix - large_board's clustered
+#       extraction at 1/2/4/8 lanes - so its work counters (exact pairs,
+#       cluster pairs, skipped pairs, pool batches) land in the log. The
+#       benchmark is skipped (with a notice) when the bench binary was not
+#       built.
+#
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
 #       coupling-model battery, exact probe-sweep bit identity, flow-level
@@ -33,7 +42,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: tools/check.sh <analysis|serve|sweep> [build-dir]" >&2
+  echo "usage: tools/check.sh <analysis|peec|serve|sweep> [build-dir]" >&2
   exit 2
 }
 
@@ -81,6 +90,19 @@ case "$label" in
     cmake --build "$build_dir" -j "$(nproc)"
     echo "check analysis: running 'analysis' ctest label"
     ctest --test-dir "$build_dir" -L analysis --output-on-failure
+    ;;
+  peec)
+    build_dir="${2:-"${repo_root}/build"}"
+    configure_and_build /dev/stdout
+    echo "check peec: running 'peec|large' ctest labels"
+    ctest --test-dir "$build_dir" -L 'peec|large' --output-on-failure
+    bench="${build_dir}/bench/bench_peec_scaling"
+    if [[ -x "$bench" ]]; then
+      echo "check peec: screening extraction (BM_ScreeningMatrix)"
+      "$bench" --benchmark_filter=ScreeningMatrix --benchmark_min_time=0.5
+    else
+      echo "check peec: SKIP benchmark (${bench} not built)"
+    fi
     ;;
   serve)
     build_dir="${2:-"${repo_root}/build"}"
