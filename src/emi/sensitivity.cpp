@@ -239,12 +239,8 @@ std::vector<GeometricCoupling> rank_geometric_coupling(
   std::vector<GeometricCoupling> out;
   out.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
-    const double li = m[i * n + i].raw();
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double lj = m[j * n + j].raw();
-      const double k = (li <= 0.0 || lj <= 0.0)
-                           ? 0.0
-                           : m[i * n + j].raw() / std::sqrt(li * lj);
+      const double k = peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]);
       out.push_back({names[i], names[j], std::fabs(k)});
     }
   }

@@ -263,15 +263,13 @@ ckt::Circuit circuit_with_couplings(
     }
   }
 
-  // One batched mutual extraction for the whole pair list (one cache probe,
-  // one flat parallel region over the unique canonical poses) and one
-  // batched self extraction for coupling_factor's two self lookups per pair,
-  // instead of per-pair coupling_factor() calls. Each k is computed from the
-  // batch results by the same expression coupling_factor uses, so installed
-  // couplings are bit-identical to the per-call path.
+  // One coupling batch for the whole pair list: one mutual batch (one cache
+  // probe, one flat parallel region over the unique canonical poses) and one
+  // self batch for both self terms of every pair, with each model digested
+  // once. Each k is the one coupling_factor gives its pair, bit for bit.
   std::vector<peec::PlacedModel> models;
   std::unordered_map<std::string, std::size_t> model_of;
-  std::vector<std::pair<std::size_t, std::size_t>> idx;
+  std::vector<peec::IndexPair> idx;
   idx.reserve(todo.size());
   const auto placed_index = [&](const std::string& l) {
     const auto it = model_of.find(l);
@@ -290,22 +288,11 @@ ckt::Circuit circuit_with_couplings(
     }
     idx.emplace_back(ia, ib);
   }
-  const std::vector<units::Henry> ms = extractor.mutual_batch(models, idx);
-  std::vector<std::size_t> lookups;
-  lookups.reserve(2 * idx.size());
-  for (const auto& [ia, ib] : idx) {
-    lookups.push_back(ia);
-    lookups.push_back(ib);
-  }
-  const std::vector<units::Henry> ls = extractor.self_inductance_batch(models, lookups);
+  const std::vector<double> ks = extractor.coupling_batch(models, idx);
 
   for (std::size_t p = 0; p < todo.size(); ++p) {
     const auto& [la, lb] = todo[p];
-    const units::Henry sa = ls[2 * p];
-    const units::Henry sb = ls[2 * p + 1];
-    const double k = (sa.raw() <= 0.0 || sb.raw() <= 0.0)
-                         ? 0.0
-                         : ms[p] / units::sqrt(sa * sb);
+    const double k = ks[p];
     if (std::fabs(k) >= k_min) {
       // K magnitudes are capped defensively: the simplified field models can
       // overestimate k for overlapping footprints, and |k| >= 1 would be

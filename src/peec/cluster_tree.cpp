@@ -267,10 +267,8 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
   ClusteredMutual out;
   const SampledPath& a = p1.samples;
   if (!kopt.cluster) {
-    // path_mutual, with the first side's sampling already done.
-    if (a.segment_count() == 0 || p2.segments.empty()) return out;
-    out.value = path_mutual_sampled(a, sample_path(p2, opt));
-    return out;
+    throw std::invalid_argument(
+        "path_mutual_clustered: clustering is off (the exact kernel is path_mutual)");
   }
   if (!(kopt.cluster_theta >= 2.0)) {
     throw std::invalid_argument(
@@ -327,12 +325,6 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
   detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
   out.value += near;
   return out;
-}
-
-double path_mutual_clustered(const SegmentPath& p1, const SegmentPath& p2,
-                             const QuadratureOptions& opt,
-                             const KernelOptions& kopt) {
-  return path_mutual_clustered_stats(p1, p2, opt, kopt).value;
 }
 
 }  // namespace emi::peec

@@ -6,7 +6,8 @@
 // moment  m = sum_i w_i * l_i * d_i  (the weighted length-direction vectors
 // the far-field midpoint formula contracts against), a moment-weighted
 // center, and a radius covering every member endpoint. The dual traversal
-// in path_mutual_clustered() admits a cluster pair when the Barnes-Hut gate
+// in path_mutual_clustered_stats() admits a cluster pair when the
+// Barnes-Hut gate
 //   R >= theta * (radius_a + radius_b)
 // holds, replacing count_a * count_b exact pair integrals with one
 // moment-moment contraction  mu0/(4pi) * (m_a . m_b) / R.  Non-admitted
@@ -27,8 +28,9 @@
 // axis, stable ordering) and the dual traversal are serial and
 // input-ordered; the exact remainder folds rows in the same ascending
 // (i, j) order as path_mutual_sampled. Results are bit-identical at any
-// thread count, and with clustering disabled (or theta so large nothing is
-// admitted) bit-identical to path_mutual.
+// thread count, and when theta is so large that nothing is admitted,
+// bit-identical to path_mutual. The clustered entry point serves clustering
+// only: the exact kernel is path_mutual (partial_inductance.hpp).
 #pragma once
 
 #include <cstddef>
@@ -106,11 +108,10 @@ struct PreparedPath {
 PreparedPath prepare_path(const SegmentPath& path, const QuadratureOptions& opt = {},
                           const KernelOptions& kopt = {});
 
-// Mutual inductance between two paths with hierarchical clustering. With
-// kopt.cluster false this is exactly path_mutual (same bits). With it true,
+// Mutual inductance between two paths with hierarchical clustering:
 // admitted cluster pairs are served by aggregated moments and everything
 // else by the exact sampled kernel in reference fold order. Throws
-// std::invalid_argument for cluster_theta < 2.
+// std::invalid_argument with kopt.cluster off and for cluster_theta < 2.
 ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},
@@ -126,10 +127,5 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},
                                             const KernelOptions& kopt = {});
-
-// Value-only convenience wrapper over path_mutual_clustered_stats.
-double path_mutual_clustered(const SegmentPath& p1, const SegmentPath& p2,
-                             const QuadratureOptions& opt = {},
-                             const KernelOptions& kopt = {});
 
 }  // namespace emi::peec

@@ -39,7 +39,36 @@ bool forced_mutual_miss(const MutualCacheKey& key) {
                                   core::fault::mix(1, MutualCacheKeyHash{}(key)));
 }
 
+// The digest of every model `pairs` references, once per model; the others
+// stay 0. Throws std::invalid_argument for an out-of-range index or a null
+// model.
+std::vector<std::uint64_t> pair_digests(std::span<const PlacedModel> models,
+                                        std::span<const IndexPair> pairs) {
+  std::vector<std::uint64_t> digest(models.size(), 0);
+  std::vector<char> digested(models.size(), 0);
+  for (const auto& [ia, ib] : pairs) {
+    for (const std::size_t i : {ia, ib}) {
+      if (i >= models.size()) {
+        throw std::invalid_argument("CouplingExtractor: pair index out of range");
+      }
+      if (models[i].model == nullptr) {
+        throw std::invalid_argument("CouplingExtractor: null model");
+      }
+      if (digested[i]) continue;
+      digest[i] = model_digest(*models[i].model);
+      digested[i] = 1;
+    }
+  }
+  return digest;
+}
+
 }  // namespace
+
+double coupling_ratio(Henry m, Henry la, Henry lb) {
+  if (la.raw() <= 0.0 || lb.raw() <= 0.0) return 0.0;
+  // M / sqrt(La * Lb) is dimensionless; the quantity algebra checks it.
+  return m / units::sqrt(la * lb);
+}
 
 std::uint64_t model_digest(const ComponentFieldModel& m) {
   std::uint64_t h = kFnvOffset;
@@ -76,24 +105,6 @@ Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
   const std::uint64_t digest = model_digest(m);
   const std::size_t lookup = 0;
   return self_inductance_batch_digested({&placed, 1}, {&digest, 1}, {&lookup, 1}).front();
-}
-
-std::vector<Henry> CouplingExtractor::self_inductance_batch(
-    std::span<const PlacedModel> models, std::span<const std::size_t> lookups) const {
-  std::vector<std::uint64_t> digest(models.size(), 0);
-  std::vector<char> digested(models.size(), 0);
-  for (const std::size_t i : lookups) {
-    if (i >= models.size()) {
-      throw std::invalid_argument("self_inductance_batch: lookup index out of range");
-    }
-    if (models[i].model == nullptr) {
-      throw std::invalid_argument("self_inductance_batch: null model");
-    }
-    if (digested[i]) continue;
-    digest[i] = model_digest(*models[i].model);
-    digested[i] = 1;
-  }
-  return self_inductance_batch_digested(models, digest, lookups);
 }
 
 std::vector<Henry> CouplingExtractor::self_inductance_batch_digested(
@@ -232,78 +243,62 @@ PreparedPath CouplingExtractor::prepare_first(const ComponentFieldModel& m) cons
   return prepare_path(m.path_at(Pose{}), opt_, kernel_);
 }
 
-double CouplingExtractor::compute_mutual_air(const CanonicalPair& c,
-                                             const PreparedPath& first) const {
-  // Compute in the canonical frame so the stored value is a pure function of
-  // the key: a concurrent duplicate computation lands on identical bits. The
-  // second side is sampled here, at the pair's relative pose.
-  const SegmentPath ps = c.second->model->path_at(Pose{c.rel_pos, c.rel_rot});
-  // path_mutual_clustered_stats is path_mutual when kernel_.cluster is off
-  // (same bits), so one dispatch point serves both modes.
-  return path_mutual_clustered_stats(first, ps, opt_, kernel_).value;
-}
-
 Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) const {
-  if (a.model == nullptr || b.model == nullptr) {
-    throw std::invalid_argument("CouplingExtractor::mutual: null model");
-  }
-  // Same cooperative stop contract as self_inductance: sentinel out, cache
-  // untouched, results discarded by the stopped stage.
-  if (!core::CancelScope::poll()) return Henry{0.0};
-  const CanonicalPair c = canonicalize(a, b, model_digest(*a.model), model_digest(*b.model));
-  if (!forced_mutual_miss(c.key)) {
-    if (const std::optional<double> v = cache_->lookup_mutual(c.key)) {
-      mutual_hits_.fetch_add(1, std::memory_order_relaxed);
-      return Henry{c.stray * *v};
-    }
-  }
-  mutual_misses_.fetch_add(1, std::memory_order_relaxed);
-  const double m_air = compute_mutual_air(c, prepare_first(*c.first->model));
-  // Same torn-value guard as self_inductance: a stop that lands inside the
-  // quadrature's parallel region leaves a partial sum, which must not be
-  // memoized under the true key.
-  if (!core::CancelScope::poll()) return Henry{0.0};
-  cache_->store_mutual(c.key, m_air);
-  return Henry{c.stray * m_air};
+  const PlacedModel models[] = {a, b};
+  const IndexPair pair{0, 1};
+  return mutual_batch(models, {&pair, 1}).front();
 }
 
-std::vector<Henry> CouplingExtractor::mutual_batch(
-    std::span<const PlacedModel> models,
-    std::span<const std::pair<std::size_t, std::size_t>> pairs) const {
-  if (pairs.empty()) return {};
+double CouplingExtractor::coupling_factor(const PlacedModel& a,
+                                          const PlacedModel& b) const {
+  const PlacedModel models[] = {a, b};
+  const IndexPair pair{0, 1};
+  return coupling_batch(models, {&pair, 1}).front();
+}
+
+std::vector<Henry> CouplingExtractor::mutual_batch(std::span<const PlacedModel> models,
+                                                   std::span<const IndexPair> pairs) const {
+  return mutual_batch_digested(models, pair_digests(models, pairs), pairs);
+}
+
+std::vector<double> CouplingExtractor::coupling_batch(std::span<const PlacedModel> models,
+                                                      std::span<const IndexPair> pairs) const {
+  return coupling_batch_digested(models, pair_digests(models, pairs), pairs);
+}
+
+std::vector<double> CouplingExtractor::coupling_batch_digested(
+    std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
+    std::span<const IndexPair> pairs) const {
+  const std::vector<Henry> m = mutual_batch_digested(models, digest, pairs);
+  std::vector<std::size_t> lookups;
+  lookups.reserve(2 * pairs.size());
   for (const auto& [ia, ib] : pairs) {
-    if (ia >= models.size() || ib >= models.size()) {
-      throw std::invalid_argument("mutual_batch: pair index out of range");
-    }
-    if (models[ia].model == nullptr || models[ib].model == nullptr) {
-      throw std::invalid_argument("mutual_batch: null model");
-    }
+    lookups.push_back(ia);
+    lookups.push_back(ib);
   }
-  // Each placed model's digest once, not once for every pair it is in.
-  std::vector<std::uint64_t> digest(models.size(), 0);
-  std::vector<char> digested(models.size(), 0);
-  for (const auto& [ia, ib] : pairs) {
-    for (const std::size_t i : {ia, ib}) {
-      if (digested[i]) continue;
-      digest[i] = model_digest(*models[i].model);
-      digested[i] = 1;
-    }
+  const std::vector<Henry> l = self_inductance_batch_digested(models, digest, lookups);
+  std::vector<double> k(pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    k[p] = coupling_ratio(m[p], l[2 * p], l[2 * p + 1]);
   }
-  return mutual_batch_digested(models, digest, pairs);
+  return k;
 }
 
 std::vector<Henry> CouplingExtractor::mutual_batch_digested(
     std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
-    std::span<const std::pair<std::size_t, std::size_t>> pairs) const {
+    std::span<const IndexPair> pairs) const {
+  if (pairs.empty()) return {};
+  // Cooperative stop contract, as in the self batch: sentinel zeros, cache
+  // untouched, results discarded by the stopped stage.
   std::vector<Henry> out(pairs.size(), Henry{0.0});
-  if (!core::CancelScope::poll()) return out;  // sentinel zeros, cache untouched
+  if (!core::CancelScope::poll()) return out;
 
   // Canonicalize every pair, then collapse duplicates: jobs holds one entry
   // per distinct canonical key, slot[p] maps each input pair to its job.
   struct Job {
     CanonicalPair c;
-    double m_air = 0.0;
-    bool computed = false;  // false for cached hits and cancelled jobs
+    double m_air = 0.0;     // stays 0 for a miss the batch did not finish
+    bool computed = false;  // false for cached hits and unfinished misses
     bool cached = false;
   };
   std::vector<Job> jobs;
@@ -324,8 +319,7 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
   }
 
   // One batched tier probe for the unique keys. Forced-miss jobs are masked
-  // out by pre-setting their found flag, so no tier serves (or counts) them -
-  // the same "skip the probe entirely" behavior as the per-call path.
+  // out by pre-setting their found flag, so no tier serves or counts them.
   std::vector<MutualCacheKey> keys(jobs.size());
   std::vector<double> vals(jobs.size(), 0.0);
   std::vector<char> found(jobs.size(), 0);
@@ -392,10 +386,17 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
           // A stop (or one that skipped this first side's preparation)
           // leaves the sentinel and skips the store.
           if (!core::CancelScope::poll() || !prep_done[m]) return;
-          job.m_air = compute_mutual_air(job.c, prepared[m]);
+          // Computed in the canonical frame, so the value is a pure function
+          // of the key: the second side sits at the pair's relative pose.
+          const SegmentPath second =
+              job.c.second->model->path_at(Pose{job.c.rel_pos, job.c.rel_rot});
+          const double m_air =
+              path_mutual_clustered_stats(prepared[m], second, opt_, kernel_).value;
           // Re-poll after the compute: a stop that landed mid-traversal
-          // leaves a torn value, which must not reach the bulk store.
-          job.computed = core::CancelScope::poll();
+          // leaves a torn value, which is neither stored nor returned.
+          if (!core::CancelScope::poll()) return;
+          job.m_air = m_air;
+          job.computed = true;
         },
         1);
   } else {
@@ -403,7 +404,8 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
     // second side (at the pair's relative pose), then one flat row region
     // runs every row of every miss. A large pair's rows and the small
     // pairs' rows share the lanes instead of running one region after
-    // another; each value keeps the bits compute_mutual_air gives it.
+    // another; each value keeps the bits path_mutual gives it in the
+    // canonical frame.
     const std::size_t n_prep = prep_model.size();
     std::vector<SampledPath> second(miss.size());
     core::parallel_for(
@@ -428,12 +430,14 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
     std::vector<double> m_air(miss.size(), 0.0);
     path_mutual_sampled_many(first_of, second_of, m_air);
     // A stop anywhere in the two regions skipped whole chunks (a
-    // preparation or a row), so every value may be torn: store none. The
-    // scope latches its stop, so this poll sees any stop the regions saw.
-    const bool complete = core::CancelScope::poll();
-    for (std::size_t k = 0; k < miss.size(); ++k) {
-      jobs[miss[k]].m_air = m_air[k];
-      jobs[miss[k]].computed = complete;
+    // preparation or a row), so every value may be torn: store and return
+    // none. The scope latches its stop, so this poll sees any stop the
+    // regions saw.
+    if (core::CancelScope::poll()) {
+      for (std::size_t k = 0; k < miss.size(); ++k) {
+        jobs[miss[k]].m_air = m_air[k];
+        jobs[miss[k]].computed = true;
+      }
     }
   }
 
@@ -470,30 +474,19 @@ std::vector<Henry> CouplingExtractor::mutual_matrix(
     diagonal[i] = i;
   }
   std::vector<Henry> m(n * n, Henry{0.0});
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<IndexPair> pairs;
   pairs.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
-  if (!pairs.empty()) {
-    const std::vector<Henry> off = mutual_batch_digested(models, digest, pairs);
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      m[pairs[p].first * n + pairs[p].second] = off[p];
-      m[pairs[p].second * n + pairs[p].first] = off[p];
-    }
+  const std::vector<Henry> off = mutual_batch_digested(models, digest, pairs);
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    m[pairs[p].first * n + pairs[p].second] = off[p];
+    m[pairs[p].second * n + pairs[p].first] = off[p];
   }
   const std::vector<Henry> self = self_inductance_batch_digested(models, digest, diagonal);
   for (std::size_t i = 0; i < n; ++i) m[i * n + i] = self[i];
   return m;
-}
-
-double CouplingExtractor::coupling_factor(const PlacedModel& a,
-                                          const PlacedModel& b) const {
-  const Henry la = self_inductance(*a.model);
-  const Henry lb = self_inductance(*b.model);
-  if (la.raw() <= 0.0 || lb.raw() <= 0.0) return 0.0;
-  // M / sqrt(La * Lb) is dimensionless; the quantity algebra checks it.
-  return mutual(a, b) / units::sqrt(la * lb);
 }
 
 double CouplingExtractor::coupling_at(const ComponentFieldModel& a,
@@ -511,17 +504,14 @@ std::vector<CouplingExtractor::CurvePoint> CouplingExtractor::coupling_vs_distan
   if (n_points < 2 || d_max <= d_min) {
     throw std::invalid_argument("coupling_vs_distance: bad sweep range");
   }
-  // One batch for the whole sweep: self terms are shared, the mutual points
-  // extract in a single parallel region. k values match the per-point
-  // coupling_at() formula bit for bit.
-  const Henry la = self_inductance(a);
-  const Henry lb = self_inductance(b);
+  // One coupling batch for the whole sweep: the mutual points extract in a
+  // single parallel region.
   std::vector<PlacedModel> models;
   models.reserve(n_points + 1);
   models.push_back({&a, Pose{{0.0, 0.0, 0.0}, 0.0}});
   std::vector<Millimeters> dist;
   dist.reserve(n_points);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<IndexPair> pairs;
   pairs.reserve(n_points);
   for (std::size_t i = 0; i < n_points; ++i) {
     const Millimeters d = d_min + (d_max - d_min) * (static_cast<double>(i) /
@@ -530,15 +520,10 @@ std::vector<CouplingExtractor::CurvePoint> CouplingExtractor::coupling_vs_distan
     models.push_back({&b, Pose{{d.raw(), 0.0, 0.0}, rot_b_deg}});
     pairs.emplace_back(0, models.size() - 1);
   }
-  const std::vector<Henry> ms = mutual_batch(models, pairs);
+  const std::vector<double> k = coupling_batch(models, pairs);
   std::vector<CurvePoint> out;
   out.reserve(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const double k = (la.raw() <= 0.0 || lb.raw() <= 0.0)
-                         ? 0.0
-                         : ms[i] / units::sqrt(la * lb);
-    out.push_back({dist[i], std::fabs(k)});
-  }
+  for (std::size_t i = 0; i < n_points; ++i) out.push_back({dist[i], std::fabs(k[i])});
   return out;
 }
 
@@ -546,14 +531,12 @@ std::vector<CouplingExtractor::AnglePoint> CouplingExtractor::coupling_vs_angle(
     const ComponentFieldModel& a, const ComponentFieldModel& b,
     Millimeters center_distance, std::size_t n_points) const {
   if (n_points < 2) throw std::invalid_argument("coupling_vs_angle: need points");
-  const Henry la = self_inductance(a);
-  const Henry lb = self_inductance(b);
   std::vector<PlacedModel> models;
   models.reserve(n_points + 1);
   models.push_back({&a, Pose{{0.0, 0.0, 0.0}, 0.0}});
   std::vector<double> angles;
   angles.reserve(n_points);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  std::vector<IndexPair> pairs;
   pairs.reserve(n_points);
   for (std::size_t i = 0; i < n_points; ++i) {
     const double ang = 90.0 * static_cast<double>(i) / static_cast<double>(n_points - 1);
@@ -561,15 +544,10 @@ std::vector<CouplingExtractor::AnglePoint> CouplingExtractor::coupling_vs_angle(
     models.push_back({&b, Pose{{center_distance.raw(), 0.0, 0.0}, ang}});
     pairs.emplace_back(0, models.size() - 1);
   }
-  const std::vector<Henry> ms = mutual_batch(models, pairs);
+  const std::vector<double> k = coupling_batch(models, pairs);
   std::vector<AnglePoint> out;
   out.reserve(n_points);
-  for (std::size_t i = 0; i < n_points; ++i) {
-    const double k = (la.raw() <= 0.0 || lb.raw() <= 0.0)
-                         ? 0.0
-                         : ms[i] / units::sqrt(la * lb);
-    out.push_back({angles[i], k});
-  }
+  for (std::size_t i = 0; i < n_points; ++i) out.push_back({angles[i], k[i]});
   return out;
 }
 
@@ -625,8 +603,7 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
 
   std::vector<PlacedModel> models;
   std::vector<std::uint64_t> digests;
-  std::vector<std::pair<std::size_t, std::size_t>> idx;
-  std::vector<std::size_t> lookups;
+  std::vector<IndexPair> idx;
   while (!open.empty()) {
     // Levels chain extractions serially; bail out between them once the
     // stage is stopped (the returned values are discarded).
@@ -641,21 +618,12 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
       digests.push_back(pair_digest[2 * p + 1]);
       idx.emplace_back(models.size() - 2, models.size() - 1);
     }
-    const std::vector<Henry> ms = mutual_batch_digested(models, digests, idx);
-    // coupling_factor's self lookups, per evaluation and in order: the two
-    // sides of each open pair.
-    lookups.resize(models.size());
-    for (std::size_t t = 0; t < lookups.size(); ++t) lookups[t] = t;
-    const std::vector<Henry> ls = self_inductance_batch_digested(models, digests, lookups);
+    const std::vector<double> k = coupling_batch_digested(models, digests, idx);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < open.size(); ++i) {
       const std::size_t p = open[i];
       Search& q = search[p];
-      // coupling_factor's expression.
-      const Henry la = ls[2 * i];
-      const Henry lb = ls[2 * i + 1];
-      const double k_abs = std::fabs(
-          (la.raw() <= 0.0 || lb.raw() <= 0.0) ? 0.0 : ms[i] / units::sqrt(la * lb));
+      const double k_abs = std::fabs(k[i]);
       bool more = false;
       switch (q.step) {
         case Step::kLo:

@@ -2,6 +2,12 @@
 // factor k = M / sqrt(L1*L2) between placed component field models, plus the
 // distance/angle sweeps the design rules are derived from.
 //
+// One path per quantity. Every self term goes through one self batch, every
+// mutual through mutual_batch and every coupling factor through
+// coupling_batch; the per-call forms (self_inductance, mutual,
+// coupling_factor) are their one-item calls, and k itself is written once,
+// in coupling_ratio.
+//
 // Caching. Extraction is the hot path of the whole pipeline (rule
 // derivation bisections, per-layout coupling installation, benches), and the
 // same geometry recurs constantly, so the extractor memoizes two levels:
@@ -48,11 +54,20 @@ struct PlacedModel {
 // Two models whose coupling rule is searched (min_distances_for_coupling).
 using ModelPair = std::pair<const ComponentFieldModel*, const ComponentFieldModel*>;
 
+// Two indices into a batch's span of placed models.
+using IndexPair = std::pair<std::size_t, std::size_t>;
+
 // Stable identity of a field model: a 64-bit FNV-1a digest over kind,
 // material parameters and conductor geometry. Copies share a digest (and so
 // share cache entries - correct, extraction only reads that content);
 // mutating a copy changes it.
 std::uint64_t model_digest(const ComponentFieldModel& m);
+
+// Coupling factor k = M / sqrt(La * Lb), or 0 when either self term is not
+// positive. Signed: the sign indicates field orientation; design rules use
+// |k|. The one copy of the expression: every k the extractors, the flow and
+// the geometric ranking report comes from here.
+double coupling_ratio(Henry m, Henry la, Henry lb);
 
 struct ExtractionCacheStats {
   std::uint64_t self_hits = 0;
@@ -89,30 +104,18 @@ class CouplingExtractor {
   static constexpr std::size_t kMutualCacheCap = ExtractionCache::kMutualCap;
 
   // Effective self inductance (air-core PEEC result scaled by mu_eff). The
-  // one-lookup call of self_inductance_batch.
+  // one-lookup call of the private self batch.
   Henry self_inductance(const ComponentFieldModel& m) const;
-
-  // Batched self extraction: out[t] is the effective self inductance of
-  // models[lookups[t]].model (poses are ignored). Each referenced model's
-  // digest is computed once; lookups probe the cache in order and count
-  // hits and misses exactly as one self_inductance call per lookup would (a
-  // key an earlier lookup of the batch computes counts as a hit, without a
-  // tier probe; a forced cache-fault miss counts as a miss every time).
-  // Every missed model is computed once, all their quadrature rows in one
-  // flat parallel region (path_inductance_sampled_many). Values are
-  // bit-identical to the per-call path. Throws std::invalid_argument for an
-  // out-of-range lookup or a null model.
-  std::vector<Henry> self_inductance_batch(std::span<const PlacedModel> models,
-                                           std::span<const std::size_t> lookups) const;
 
   // Mutual inductance between two placed models (air-core Neumann result
   // scaled by the models' stray factors). Evaluated in the pair's canonical
   // relative frame, so the result is invariant under rigid motion of the
-  // pair and symmetric in the arguments, bit-for-bit.
+  // pair and symmetric in the arguments, bit-for-bit. The one-pair call of
+  // mutual_batch.
   Henry mutual(const PlacedModel& a, const PlacedModel& b) const;
 
-  // Coupling factor k = M / sqrt(La * Lb). Signed: the sign indicates field
-  // orientation; design rules use |k|.
+  // coupling_ratio(mutual(a, b), La, Lb): the one-pair call of
+  // coupling_batch. Throws std::invalid_argument for a null model.
   double coupling_factor(const PlacedModel& a, const PlacedModel& b) const;
 
   // Batched mutual extraction: `pairs` indexes into `models`. Each placed
@@ -122,24 +125,36 @@ class CouplingExtractor {
   // tree) once per distinct model, a single flat parallel region over the
   // *unique* canonical-pose misses (duplicates within the batch count as
   // hits and are computed once), and one bulk store - instead of N^2
-  // per-call lock round-trips and per-pair rebuilds of shared state. Each
-  // value is bit-identical to the corresponding mutual(a, b) call.
-  std::vector<Henry> mutual_batch(
-      std::span<const PlacedModel> models,
-      std::span<const std::pair<std::size_t, std::size_t>> pairs) const;
+  // per-call lock round-trips and per-pair rebuilds of shared state. Throws
+  // std::invalid_argument for an out-of-range index or a null model. Once
+  // the calling stage's CancelScope stops, every miss the batch did not
+  // finish comes back as 0 and nothing torn is stored; the stage discards
+  // the results.
+  std::vector<Henry> mutual_batch(std::span<const PlacedModel> models,
+                                  std::span<const IndexPair> pairs) const;
+
+  // Batched coupling factors: one mutual_batch over `pairs`, then both self
+  // terms of each pair looked up in pair order (a, then b) in one self
+  // batch, and k[p] = coupling_ratio(M[p], La[p], Lb[p]). The mutual is
+  // extracted even when a self term is not positive (k is 0 then). Same
+  // validation and stop behavior as mutual_batch.
+  std::vector<double> coupling_batch(std::span<const PlacedModel> models,
+                                     std::span<const IndexPair> pairs) const;
 
   // Full coupling matrix, row-major n x n: diagonal entries are effective
-  // self inductances via one self_inductance_batch, off-diagonals mutual
-  // inductances via one mutual_batch over the upper triangle (mirrored;
-  // mutual() is symmetric bit-for-bit by canonicalization). Each model is
-  // digested once for both batches.
+  // self inductances via one self batch, off-diagonals mutual inductances
+  // via one mutual_batch over the upper triangle (mirrored; mutual() is
+  // symmetric bit-for-bit by canonicalization). Each model is digested once
+  // for both batches.
   // With KernelOptions::cluster on, admitted well-separated cluster pairs
   // are served by aggregated dipole moments within the documented theta
   // error bound (cluster_tree.hpp); everything else stays pair-exact.
   std::vector<Henry> mutual_matrix(std::span<const PlacedModel> models) const;
 
   // Convenience: k with model A at the origin (rotation rot_a_deg) and model
-  // B at center distance d along +x (rotation rot_b_deg).
+  // B at center distance d along +x (rotation rot_b_deg). The sweeps below
+  // extract all their points in one coupling_batch; each entry equals
+  // coupling_at at its pose, bit for bit.
   double coupling_at(const ComponentFieldModel& a, const ComponentFieldModel& b,
                      Millimeters center_distance, double rot_a_deg = 0.0,
                      double rot_b_deg = 0.0) const;
@@ -182,7 +197,7 @@ class CouplingExtractor {
 
   // min_distance_for_coupling for every pair, all brackets moved forward
   // together: each level extracts every open pair's next probe (d_lo first,
-  // then d_hi for pairs still open, then midpoints) in one mutual_batch, so
+  // then d_hi for pairs still open, then midpoints) in one coupling_batch, so
   // every pair's quadrature rows share the lanes. The evaluations and
   // decisions are exactly those of one search per pair, so each result
   // carries the same bits. Throws std::invalid_argument for a null model, a
@@ -198,8 +213,8 @@ class CouplingExtractor {
   ExtractionCacheStats cache_stats() const;
 
  private:
-  // A pair reduced to its canonical relative frame: everything mutual() and
-  // mutual_batch() need to probe the cache and, on a miss, compute.
+  // A pair reduced to its canonical relative frame: everything the mutual
+  // batch needs to probe the cache and, on a miss, compute.
   struct CanonicalPair {
     MutualCacheKey key;
     const PlacedModel* first;
@@ -208,22 +223,31 @@ class CouplingExtractor {
     double rel_rot;
     double stray;
   };
-  // self_inductance_batch and mutual_batch with the models' digests
-  // (model_digest) supplied, for callers that extract the same models over
-  // and over. `digest[i]` belongs to `models[i]`.
+  // The batches with the models' digests (model_digest) supplied, for
+  // callers that extract the same models over and over. `digest[i]` belongs
+  // to `models[i]`; inputs are not validated.
+  // The self batch: out[t] is the effective self inductance of
+  // models[lookups[t]].model (poses are ignored). Lookups probe the cache in
+  // order and count hits and misses exactly as one self_inductance call per
+  // lookup would (a key an earlier lookup of the batch computes counts as a
+  // hit, without a tier probe; a forced cache-fault miss counts as a miss
+  // every time). Every missed model is computed once, all their quadrature
+  // rows in one flat parallel region (path_inductance_sampled_many).
   std::vector<Henry> self_inductance_batch_digested(
       std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
       std::span<const std::size_t> lookups) const;
-  std::vector<Henry> mutual_batch_digested(
-      std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
-      std::span<const std::pair<std::size_t, std::size_t>> pairs) const;
+  std::vector<Henry> mutual_batch_digested(std::span<const PlacedModel> models,
+                                           std::span<const std::uint64_t> digest,
+                                           std::span<const IndexPair> pairs) const;
+  std::vector<double> coupling_batch_digested(std::span<const PlacedModel> models,
+                                              std::span<const std::uint64_t> digest,
+                                              std::span<const IndexPair> pairs) const;
   // `da` and `db` are the models' digests (model_digest).
   CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b,
                              std::uint64_t da, std::uint64_t db) const;
-  // A canonical first side for compute_mutual_air: `m` at the origin. It
-  // depends on the model alone, so a batch prepares it once per model.
+  // A miss's canonical first side: `m` at the origin. It depends on the
+  // model alone, so a batch prepares it once per model.
   PreparedPath prepare_first(const ComponentFieldModel& m) const;
-  double compute_mutual_air(const CanonicalPair& c, const PreparedPath& first) const;
   // Self-tier cache key: model digest mixed with the quadrature options (the
   // quadrature changes computed self inductance, and the cache may be shared
   // across differently-configured extractors).

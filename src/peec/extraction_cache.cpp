@@ -66,24 +66,12 @@ void ExtractionCache::store_self(std::uint64_t key, double value) {
   }
 }
 
-std::optional<double> ExtractionCache::probe_mutual_local(
-    const MutualCacheKey& key) const {
-  {
-    core::SharedReaderLock lock(mutual_mu_);
-    if (const auto it = mutual_cache_.find(key); it != mutual_cache_.end()) {
-      mutual_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  mutual_misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
-}
-
 std::optional<double> ExtractionCache::lookup_mutual(const MutualCacheKey& key) const {
-  for (const ExtractionCache* c = this; c != nullptr; c = c->parent_.get()) {
-    if (const std::optional<double> v = c->probe_mutual_local(key)) return v;
-  }
-  return std::nullopt;
+  double value = 0.0;
+  char found = 0;
+  lookup_mutual_batch({&key, 1}, {&value, 1}, {&found, 1});
+  if (!found) return std::nullopt;
+  return value;
 }
 
 void ExtractionCache::lookup_mutual_batch(std::span<const MutualCacheKey> keys,
@@ -128,14 +116,7 @@ void ExtractionCache::store_mutual_locked(const MutualCacheKey& key, double valu
 }
 
 void ExtractionCache::store_mutual(const MutualCacheKey& key, double value) {
-  {
-    core::SharedMutexLock lock(mutual_mu_);
-    store_mutual_locked(key, value);
-  }
-  if (ExtractionCache* r = root(); r != this) {
-    core::SharedMutexLock lock(r->mutual_mu_);
-    r->store_mutual_locked(key, value);
-  }
+  store_mutual_batch({&key, 1}, {&value, 1});
 }
 
 void ExtractionCache::store_mutual_batch(std::span<const MutualCacheKey> keys,

@@ -94,24 +94,24 @@ class ExtractionCache {
   void store_self(std::uint64_t key, double value);
 
   // --- mutual tier -------------------------------------------------------
-  std::optional<double> lookup_mutual(const MutualCacheKey& key) const;
   // Batched probe under one shared lock per tier: out[i]/found[i] filled for
-  // every key served; unserved slots are left untouched. Counts like
-  // lookup_mutual, one probe per key.
+  // every key not already marked found that a tier serves; other slots are
+  // left untouched. Counts like lookup_self, one probe per key per tier.
   void lookup_mutual_batch(std::span<const MutualCacheKey> keys,
                            std::span<double> out, std::span<char> found) const;
-  void store_mutual(const MutualCacheKey& key, double value);
   // Bulk store under one unique lock per tier (this tier + the root).
   void store_mutual_batch(std::span<const MutualCacheKey> keys,
                           std::span<const double> values);
+  // One-key calls of the two batch forms.
+  std::optional<double> lookup_mutual(const MutualCacheKey& key) const;
+  void store_mutual(const MutualCacheKey& key, double value);
 
   CacheTierStats stats() const;
 
  private:
-  // Probe only this tier's own maps (one shared-lock round), counting the
-  // outcome on this tier.
+  // Probe only this tier's own self map (one shared-lock round), counting
+  // the outcome on this tier.
   std::optional<double> probe_self_local(std::uint64_t key) const;
-  std::optional<double> probe_mutual_local(const MutualCacheKey& key) const;
   // Requires mutual_mu_ held exclusively; evict-oldest-half at capacity.
   void store_mutual_locked(const MutualCacheKey& key, double value)
       EMI_REQUIRES(mutual_mu_);

@@ -1,6 +1,5 @@
 #include "src/peec/ground_plane.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "src/peec/partial_inductance.hpp"
@@ -25,32 +24,20 @@ SegmentPath with_ground_plane(const SegmentPath& path, double plane_z) {
 }
 
 Henry GroundedCouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
-  // Note: unlike the free-space extractor this is not cached; grounded
-  // extraction is used for rule studies, not inner loops.
+  // Not cached, unlike the free-space extractor: grounded extraction serves
+  // rule studies, not inner loops.
+  // The energy belongs to the real conductor only, so L = L_rr + L_ri: the
+  // real path's loop inductance plus its mutual with the image. The full
+  // double sum over real + image would also add the image/image term.
+  // with_ground_plane rejects a conductor below the plane; its second half
+  // is the image path.
   const SegmentPath mirrored = with_ground_plane(m.local_path, plane_z_);
-  // The image current's flux linkage with the real conductor is captured by
-  // the cross terms of the doubled path; halve nothing - path_inductance of
-  // real+image with +/- weights already gives the loop-above-plane L, but
-  // the energy belongs to the real half only, so take the real/real plus
-  // real/image terms: L = L_rr + L_ri. Using the full double sum would also
-  // add the image/image self energy. Compute explicitly:
-  const auto& real = m.local_path.segments;
-  double l = 0.0;
-  for (std::size_t i = 0; i < real.size(); ++i) {
-    l += real[i].weight * real[i].weight * peec::self_inductance(real[i]);
-    for (std::size_t j = i + 1; j < real.size(); ++j) {
-      l += 2.0 * real[i].weight * real[j].weight *
-           mutual_neumann(real[i], real[j], opt_);
-    }
-  }
-  for (const Segment& r : real) {
-    for (const Segment& s : real) {
-      const Segment img{mirror_point(s.a, plane_z_), mirror_point(s.b, plane_z_),
-                        s.radius, -s.weight};
-      l += r.weight * img.weight * mutual_neumann(r, img, opt_);
-    }
-  }
-  return Henry{m.mu_eff * l};
+  SegmentPath image;
+  image.segments.assign(mirrored.segments.begin() +
+                            static_cast<std::ptrdiff_t>(m.local_path.segments.size()),
+                        mirrored.segments.end());
+  return Henry{m.mu_eff * (path_inductance(m.local_path, opt_) +
+                           path_mutual(m.local_path, image, opt_))};
 }
 
 Henry GroundedCouplingExtractor::mutual(const PlacedModel& a,
@@ -67,10 +54,9 @@ Henry GroundedCouplingExtractor::mutual(const PlacedModel& a,
 
 double GroundedCouplingExtractor::coupling_factor(const PlacedModel& a,
                                                   const PlacedModel& b) const {
-  const Henry la = self_inductance(*a.model);
-  const Henry lb = self_inductance(*b.model);
-  if (la.raw() <= 0.0 || lb.raw() <= 0.0) return 0.0;
-  return mutual(a, b) / units::sqrt(la * lb);
+  // The mutual first: it rejects a null model before a self term reads it.
+  const Henry m = mutual(a, b);
+  return coupling_ratio(m, self_inductance(*a.model), self_inductance(*b.model));
 }
 
 double GroundedCouplingExtractor::coupling_at(const ComponentFieldModel& a,

@@ -1,9 +1,9 @@
 // Battery for hierarchical far-field clustering (cluster_tree.hpp): tree
 // invariants, equivalence of single-segment clusters with the per-pair
 // far-field formula, bitwise equality with the exact kernel whenever
-// clustering is off (or admits nothing), determinism across schedules, and
-// the 500-seed fuzz sweep asserting the documented theta error bound
-// against the order-8 exact kernel.
+// clustering admits nothing, determinism across schedules, and the 500-seed
+// fuzz sweep asserting the documented theta error bound against the order-8
+// exact kernel.
 #include "src/peec/cluster_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -146,14 +146,22 @@ TEST(ClusterTree, SingleSegmentClustersReduceToFarFieldFormula) {
   EXPECT_LE(std::fabs(got.value - ref), got.error_bound);
 }
 
-TEST(ClusterTree, DisabledIsPathMutualBitwise) {
+// The clustered entry point serves clustering only: with it off, both
+// overloads refuse, as they do for theta < 2. The exact kernel is
+// path_mutual.
+TEST(ClusterTree, DisabledThrows) {
   const ComponentFieldModel ma = bobbin_coil("A");
   const ComponentFieldModel mb = x_capacitor("B");
   const SegmentPath pa = ma.path_at({});
   const SegmentPath pb = mb.path_at(Pose{{35.0, -6.0, 0.0}, 40.0});
+  KernelOptions off = clustered(4.0);
+  off.cluster = false;
   for (const QuadratureOptions q : {QuadratureOptions{4, 2}, kRefQuad}) {
-    EXPECT_EQ(path_mutual_clustered(pa, pb, q, KernelOptions{}),
-              path_mutual(pa, pb, q));
+    EXPECT_THROW(path_mutual_clustered_stats(pa, pb, q, KernelOptions{}),
+                 std::invalid_argument);
+    EXPECT_THROW(path_mutual_clustered_stats(pa, pb, q, off), std::invalid_argument);
+    EXPECT_THROW(path_mutual_clustered_stats(prepare_path(pa, q), pb, q, off),
+                 std::invalid_argument);
   }
 }
 
@@ -175,7 +183,7 @@ TEST(ClusterTree, ThetaBelowTwoThrows) {
   SegmentPath p1, p2;
   p1.segments = {Segment{{0, 0, 0}, {5, 0, 0}}};
   p2.segments = {Segment{{30, 0, 0}, {35, 0, 0}}};
-  EXPECT_THROW(path_mutual_clustered(p1, p2, {}, clustered(1.5)),
+  EXPECT_THROW(path_mutual_clustered_stats(p1, p2, {}, clustered(1.5)),
                std::invalid_argument);
 }
 
@@ -231,8 +239,8 @@ TEST(ClusterTree, CountersTallyClusterTraffic) {
 }
 
 // The satellite fuzz battery: 500 randomized chain-pair layouts, clustered
-// value vs order-8 exact, |error| within the accumulated documented bound;
-// and with clustering off the same geometry returns the exact bits.
+// value vs order-8 exact, |error| within the accumulated documented bound,
+// and the exact bits where nothing is admitted.
 TEST(ClusterTree, FuzzErrorBoundAcross500Seeds) {
   std::uint64_t admitted_layouts = 0;
   for (std::uint64_t seed = 0; seed < 500; ++seed) {
@@ -258,8 +266,6 @@ TEST(ClusterTree, FuzzErrorBoundAcross500Seeds) {
       EXPECT_EQ(got.value, ref) << "seed=" << seed;
       EXPECT_EQ(got.error_bound, 0.0);
     }
-    EXPECT_EQ(path_mutual_clustered(p1, p2, kRefQuad, KernelOptions{}), ref)
-        << "seed=" << seed;
   }
   // The sweep must actually exercise admission, not just the fallback.
   EXPECT_GT(admitted_layouts, 100u);

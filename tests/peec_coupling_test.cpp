@@ -6,10 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "src/peec/component_model.hpp"
+#include "src/peec/ground_plane.hpp"
 
 namespace emi::peec {
 namespace {
@@ -245,10 +247,24 @@ TEST(ComponentModels, TwoCoilsOfDifferentSizeCouple) {
 
 TEST(CouplingExtractor, NullModelThrows) {
   CouplingExtractor ex;
+  const GroundedCouplingExtractor grounded(0.0);
   const PlacedModel bad{nullptr, {}};
   const ComponentFieldModel m = x_capacitor("C");
   const PlacedModel ok{&m, {}};
   EXPECT_THROW(ex.mutual(bad, ok).raw(), std::invalid_argument);
+  // coupling_factor rejects it before reading a self term, on either side.
+  EXPECT_THROW((void)ex.coupling_factor(bad, ok), std::invalid_argument);
+  EXPECT_THROW((void)ex.coupling_factor(ok, bad), std::invalid_argument);
+  EXPECT_THROW((void)grounded.coupling_factor(bad, ok), std::invalid_argument);
+  EXPECT_THROW((void)grounded.coupling_factor(ok, bad), std::invalid_argument);
+  const std::vector<PlacedModel> models = {ok, bad};
+  const std::vector<IndexPair> with_null = {{0, 1}};
+  EXPECT_THROW((void)ex.coupling_batch(models, with_null), std::invalid_argument);
+  const std::vector<IndexPair> out_of_range = {{0, 2}};
+  EXPECT_THROW((void)ex.coupling_batch(models, out_of_range), std::invalid_argument);
+  // Nothing was extracted on the way to any of the throws.
+  const ExtractionCacheStats st = ex.cache_stats();
+  EXPECT_EQ(st.self_hits + st.self_misses + st.mutual_hits + st.mutual_misses, 0u);
 }
 
 }  // namespace

@@ -6,14 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
 #include "src/core/thread_pool.hpp"
 #include "src/peec/component_model.hpp"
@@ -268,11 +271,13 @@ TEST_F(MutualCacheTest, MutualMatrixSymmetricWithSelfDiagonal) {
   }
 }
 
-// self_inductance_batch against one self_inductance call per lookup on a
-// fresh extractor: the same bits, the same self hits and misses and the same
-// cache fault draws, with models looked up more than once (the same object
-// and a copy sharing its digest), at 1, 2 and 4 lanes, with no fault armed
-// and with every cache lookup forced to miss.
+// coupling_batch's self terms against one self_inductance call per lookup
+// on a fresh extractor: the same bits, the same self hits and misses and the
+// same cache fault draws, with models looked up more than once (the same
+// object and a copy sharing its digest), at 1, 2 and 4 lanes, with no fault
+// armed and with every cache lookup forced to miss. The batch looks up both
+// self terms of each pair in pair order, so the per-call reference is
+// self(a), self(b) and mutual(a, b) per pair, and each k is their ratio.
 TEST(SelfBatch, MatchesPerCallLookupsBitwiseWithSameCounts) {
   struct Disarm {
     ~Disarm() {
@@ -285,9 +290,19 @@ TEST(SelfBatch, MatchesPerCallLookupsBitwiseWithSameCounts) {
   const ComponentFieldModel cap = x_capacitor("C");
   const ComponentFieldModel trace = trace_model("T", {0.0, 0.0, 0.0}, {20.0, 0.0, 0.0});
   const ComponentFieldModel choke = cm_choke("CM");
-  const std::vector<PlacedModel> models = {
-      {&coil, {}}, {&cap, {}}, {&coil_copy, {{5.0, 0.0, 0.0}, 30.0}}, {&trace, {}}, {&choke, {}}};
-  const std::vector<std::size_t> lookups = {0, 1, 2, 0, 3, 1, 4, 4, 2};
+  const std::vector<PlacedModel> models = {{&coil, {}},
+                                           {&cap, {{30.0, 0.0, 0.0}, 0.0}},
+                                           {&coil_copy, {{5.0, 40.0, 0.0}, 30.0}},
+                                           {&trace, {{-40.0, 10.0, 0.0}, 0.0}},
+                                           {&choke, {{0.0, -45.0, 0.0}, 0.0}}};
+  // Self lookups 0, 1, 2, 0, 3, 1, 4, 2, 4, 3.
+  const std::vector<IndexPair> pairs = {{0, 1}, {2, 0}, {3, 1}, {4, 2}, {4, 3}};
+  std::vector<std::size_t> lookups;
+  for (const auto& [a, b] : pairs) {
+    lookups.push_back(a);
+    lookups.push_back(b);
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   auto& inj = core::FaultInjector::instance();
   for (const bool armed : {false, true}) {
     for (const std::size_t lanes : {1u, 2u, 4u}) {
@@ -295,40 +310,121 @@ TEST(SelfBatch, MatchesPerCallLookupsBitwiseWithSameCounts) {
       if (armed) inj.configure(core::FaultSite::kCache, 1.0, 5);
       const CouplingExtractor seq;
       std::vector<Henry> want;
-      for (const std::size_t i : lookups) want.push_back(seq.self_inductance(*models[i].model));
+      std::vector<double> want_k;
+      for (const auto& [a, b] : pairs) {
+        const Henry la = seq.self_inductance(*models[a].model);
+        const Henry lb = seq.self_inductance(*models[b].model);
+        want.push_back(la);
+        want.push_back(lb);
+        want_k.push_back(coupling_ratio(seq.mutual(models[a], models[b]), la, lb));
+      }
       const std::uint64_t fired_seq = inj.fired(core::FaultSite::kCache);
       if (armed) inj.configure(core::FaultSite::kCache, 1.0, 5);  // resets the count
       const CouplingExtractor batch;
-      const std::vector<Henry> got = batch.self_inductance_batch(models, lookups);
+      const std::vector<double> got = batch.coupling_batch(models, pairs);
       EXPECT_EQ(inj.fired(core::FaultSite::kCache), fired_seq);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t t = 0; t < want.size(); ++t) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].raw()),
-                  std::bit_cast<std::uint64_t>(want[t].raw()))
-            << "lookup " << t << " lanes " << lanes << " armed " << armed;
+      ASSERT_EQ(got.size(), want_k.size());
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        EXPECT_EQ(bits(got[p]), bits(want_k[p]))
+            << "pair " << p << " lanes " << lanes << " armed " << armed;
       }
       const ExtractionCacheStats cs = seq.cache_stats();
       const ExtractionCacheStats cb = batch.cache_stats();
       EXPECT_EQ(cb.self_hits, cs.self_hits);
       EXPECT_EQ(cb.self_misses, cs.self_misses);
+      EXPECT_EQ(cb.mutual_hits, cs.mutual_hits);
+      EXPECT_EQ(cb.mutual_misses, cs.mutual_misses);
       // Four distinct digests (the coil and its copy share one).
       EXPECT_EQ(cs.self_misses, armed ? lookups.size() : 4u);
       if (armed) {
-        EXPECT_EQ(fired_seq, lookups.size());
+        // One draw per self lookup and one per mutual key.
+        EXPECT_EQ(fired_seq, lookups.size() + pairs.size());
         inj.disarm();
       }
-      // A second batch on the warm extractor is all hits.
-      const std::vector<Henry> warm = batch.self_inductance_batch(models, lookups);
+      // A second batch on the warm extractor is all hits, and every self
+      // term the first one stored carries the per-call bits.
+      const std::vector<double> warm = batch.coupling_batch(models, pairs);
       EXPECT_EQ(batch.cache_stats().self_hits, cb.self_hits + lookups.size());
-      for (std::size_t t = 0; t < want.size(); ++t) EXPECT_EQ(warm[t].raw(), want[t].raw());
+      for (std::size_t p = 0; p < warm.size(); ++p) EXPECT_EQ(bits(warm[p]), bits(want_k[p]));
+      for (std::size_t t = 0; t < lookups.size(); ++t) {
+        EXPECT_EQ(bits(batch.self_inductance(*models[lookups[t]].model).raw()),
+                  bits(want[t].raw()))
+            << "lookup " << t << " lanes " << lanes << " armed " << armed;
+      }
     }
   }
   const CouplingExtractor ex;
-  const std::vector<std::size_t> out_of_range = {5};
-  EXPECT_THROW(ex.self_inductance_batch(models, out_of_range), std::invalid_argument);
-  const std::vector<PlacedModel> with_null = {{nullptr, {}}};
-  const std::vector<std::size_t> first = {0};
-  EXPECT_THROW(ex.self_inductance_batch(with_null, first), std::invalid_argument);
+  const std::vector<IndexPair> out_of_range = {{0, 5}};
+  EXPECT_THROW((void)ex.coupling_batch(models, out_of_range), std::invalid_argument);
+  const std::vector<PlacedModel> with_null = {{&coil, {}}, {nullptr, {}}};
+  const std::vector<IndexPair> first = {{0, 1}};
+  EXPECT_THROW((void)ex.coupling_batch(with_null, first), std::invalid_argument);
+}
+
+// A mutual batch stopped while its rows run returns 0 for every miss it did
+// not finish and the cached value for a hit, never a torn partial sum, and
+// stores nothing torn: a rerun on the same cache gives a cold extractor's
+// bits. The token is raised from a watcher thread once the batch has run
+// part of its rows (24 coil pairs of 3,600 segment pairs each), at 1 and 4
+// lanes.
+TEST(MutualBatchStop, UnfinishedMissesReturnTheZeroSentinel) {
+  const ComponentFieldModel coil_a = bobbin_coil("L1");
+  const ComponentFieldModel coil_b = bobbin_coil("L2");
+  std::vector<PlacedModel> models = {{&coil_a, {}}};
+  std::vector<IndexPair> pairs;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const double x = 30.0 + 4.0 * static_cast<double>(i);
+    models.push_back({&coil_b, {{x, 12.0, 0.0}, 15.0 * static_cast<double>(i)}});
+    pairs.emplace_back(0, models.size() - 1);
+  }
+  const auto bits = [](Henry h) { return std::bit_cast<std::uint64_t>(h.raw()); };
+  const std::vector<Henry> cold = CouplingExtractor().mutual_batch(models, pairs);
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const std::size_t lanes : {1u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const auto cache = std::make_shared<ExtractionCache>();
+    const CouplingExtractor shared({}, {}, cache);
+    (void)shared.mutual(models[0], models[1]);  // pair 0 becomes a hit
+
+    core::CancelToken token;
+    const std::uint64_t start = kernel_stats().exact_pairs;
+    std::atomic<bool> done{false};
+    std::thread watcher([&] {
+      while (!done.load()) {
+        if (kernel_stats().exact_pairs - start >= 1500) {
+          token.request_cancel();
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::vector<Henry> got;
+    bool stopped = false;
+    {
+      core::CancelScope scope(core::Deadline::unlimited(), &token);
+      got = shared.mutual_batch(models, pairs);
+      stopped = scope.should_stop();
+    }
+    done.store(true);
+    watcher.join();
+    ASSERT_TRUE(stopped) << "lanes " << lanes;
+    ASSERT_EQ(got.size(), pairs.size());
+    EXPECT_EQ(bits(got[0]), bits(cold[0])) << "the hit, lanes " << lanes;
+    // The exact misses finish together or not at all.
+    std::size_t zeros = 0;
+    for (std::size_t p = 1; p < pairs.size(); ++p) {
+      EXPECT_TRUE(got[p].raw() == 0.0 || bits(got[p]) == bits(cold[p]))
+          << "pair " << p << " lanes " << lanes << ": neither the sentinel nor the value";
+      if (got[p].raw() == 0.0) ++zeros;
+    }
+    EXPECT_TRUE(zeros == 0 || zeros == pairs.size() - 1) << "lanes " << lanes;
+
+    const std::vector<Henry> rerun = shared.mutual_batch(models, pairs);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_EQ(bits(rerun[p]), bits(cold[p])) << "rerun pair " << p << " lanes " << lanes;
+    }
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
 }
 
 }  // namespace

@@ -21,13 +21,14 @@
 #       the same tree would collide.
 #
 #   tools/check.sh peec [build-dir]       default build dir: build
-#       Builds, then runs the `peec` and `large` labels (kernel, cluster
-#       tree, extraction cache and screening pins, the large-scenario
-#       battery) and BM_ScreeningMatrix - large_board's clustered
-#       extraction at 1/2/4/8 lanes - so its work counters (exact pairs,
-#       cluster pairs, skipped pairs, pool batches) land in the log. The
-#       benchmark is skipped (with a notice) when the bench binary was not
-#       built.
+#       Builds, then runs the `peec`, `large` and `perf` labels (kernel,
+#       cluster tree, extraction cache tiers and the extractors sharing
+#       them, coupling-factor and rule pins, the large-scenario battery, the
+#       kernel perf gate and the flow work-counter pins) and
+#       BM_ScreeningMatrix - large_board's clustered extraction at 1/2/4/8
+#       lanes - so its work counters (exact pairs, cluster pairs, skipped
+#       pairs, pool batches) land in the log. The benchmark is skipped (with
+#       a notice) when the bench binary was not built.
 #
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
@@ -94,8 +95,8 @@ case "$label" in
   peec)
     build_dir="${2:-"${repo_root}/build"}"
     configure_and_build /dev/stdout
-    echo "check peec: running 'peec|large' ctest labels"
-    ctest --test-dir "$build_dir" -L 'peec|large' --output-on-failure
+    echo "check peec: running 'peec|large|perf' ctest labels"
+    ctest --test-dir "$build_dir" -L 'peec|large|perf' --output-on-failure
     bench="${build_dir}/bench/bench_peec_scaling"
     if [[ -x "$bench" ]]; then
       echo "check peec: screening extraction (BM_ScreeningMatrix)"
