@@ -1,12 +1,15 @@
 // Performance: PEEC extraction primitives. Scaling of the Neumann double
 // sum with model complexity, self-inductance caching, field-map rendering,
 // a full AC emission sweep, and the pair-kernel microbenchmarks (legacy
-// nested quadrature vs the sampled SoA kernel, serial and parallel, plus
+// nested quadrature vs the sampled SoA kernel, serial and parallel, the
+// row kernel's cost per sample evaluation in each of its three uses, plus
 // batched extraction vs per-call extraction). Run the binary for numbers
-// (`bench_perf_peec --benchmark_filter=KernelPair`); the gated end-to-end
-// record of extraction cost is emibench's flow_buck and large_board.
+// (`bench_perf_peec --benchmark_filter='KernelPair|KernelRow'`); the gated
+// end-to-end record of extraction cost is emibench's flow_buck and
+// large_board.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "src/emi/emission.hpp"
 #include "src/flow/buck_converter.hpp"
 #include "src/peec/biot_savart.hpp"
+#include "src/peec/cluster_tree.hpp"
 #include "src/peec/component_model.hpp"
 #include "src/peec/coupling.hpp"
 #include "src/peec/sampled_path.hpp"
@@ -97,6 +101,57 @@ void BM_KernelPair_SampledParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelPair_SampledParallel)->Unit(benchmark::kMicrosecond);
+
+// The exact row kernel serially at the default quadrature (order 6 x 2) on
+// the 60 x 60 coil pair: the mutual rows of path_mutual_sampled, the self
+// rows of one coil's path_inductance, and the exact remainder rows of a
+// clustered extraction the root gate does not admit (that one also samples
+// the second side, builds its tree and traverses). "ns_per_exact_eval" is
+// the wall time over the kernel_stats() sample-evaluation delta.
+template <typename Fn>
+void run_kernel_rows(benchmark::State& state, const Fn& fn) {
+  core::ScopedSerialFallback serial;
+  const peec::KernelStats before = peec::kernel_stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  const peec::KernelStats after = peec::kernel_stats();
+  const double evals = static_cast<double>(after.sample_evals - before.sample_evals);
+  const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+  state.counters["ns_per_exact_eval"] = evals > 0.0 ? ns / evals : 0.0;
+  state.counters["evals"] = evals / static_cast<double>(state.iterations());
+}
+
+void BM_KernelRow_Mutual(benchmark::State& state) {
+  const KernelBenchFixture& f = kernel_fixture();
+  const peec::SampledPath sa = peec::sample_path(f.pa);
+  const peec::SampledPath sb = peec::sample_path(f.pb);
+  run_kernel_rows(state, [&] { benchmark::DoNotOptimize(peec::path_mutual_sampled(sa, sb)); });
+}
+BENCHMARK(BM_KernelRow_Mutual)->Unit(benchmark::kMicrosecond);
+
+void BM_KernelRow_Self(benchmark::State& state) {
+  const KernelBenchFixture& f = kernel_fixture();
+  const peec::SampledPath sa = peec::sample_path(f.pa);
+  const peec::SampledPath* paths[] = {&sa};
+  double out = 0.0;
+  run_kernel_rows(state, [&] {
+    peec::path_inductance_sampled_many(paths, {&out, 1});
+    benchmark::DoNotOptimize(out);
+  });
+}
+BENCHMARK(BM_KernelRow_Self)->Unit(benchmark::kMicrosecond);
+
+void BM_KernelRow_Remainder(benchmark::State& state) {
+  const KernelBenchFixture& f = kernel_fixture();
+  peec::KernelOptions kopt;
+  kopt.cluster = true;
+  const peec::PreparedPath pa = peec::prepare_path(f.pa, {}, kopt);
+  run_kernel_rows(state, [&] {
+    benchmark::DoNotOptimize(peec::path_mutual_clustered_stats(pa, f.pb, {}, kopt).value);
+  });
+}
+BENCHMARK(BM_KernelRow_Remainder)->Unit(benchmark::kMicrosecond);
 
 // Batched extraction of every model pair of the buck converter vs the same
 // work as N^2 individual mutual() calls. Fresh extractor per iteration so

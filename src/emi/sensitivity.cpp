@@ -236,19 +236,36 @@ std::vector<GeometricCoupling> rank_geometric_coupling(
   // extractor's kernel options opt into clustering.
   const std::vector<units::Henry> m = extractor.mutual_matrix(models);
 
-  std::vector<GeometricCoupling> out;
-  out.reserve(n * (n - 1) / 2);
+  // Order: |k| descending, then name a, then name b. A name's rank (how
+  // many names sort below it) stands in for the name, so the sort compares
+  // integers in the same total order; entries that tie carry equal k and
+  // names, so the output matches a sort on the strings.
+  std::vector<std::size_t> rank(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (names[j] < names[i]) ++rank[i];
+    }
+  }
+  struct Entry {
+    double k_abs;
+    std::size_t rank_a, rank_b, i, j;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double k = peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]);
-      out.push_back({names[i], names[j], std::fabs(k)});
+      entries.push_back({std::fabs(k), rank[i], rank[j], i, j});
     }
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
     if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
-    if (a.inductor_a != b.inductor_a) return a.inductor_a < b.inductor_a;
-    return a.inductor_b < b.inductor_b;
+    if (a.rank_a != b.rank_a) return a.rank_a < b.rank_a;
+    return a.rank_b < b.rank_b;
   });
+  std::vector<GeometricCoupling> out;
+  out.reserve(entries.size());
+  for (const Entry& e : entries) out.push_back({names[e.i], names[e.j], e.k_abs});
   return out;
 }
 

@@ -305,20 +305,14 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
     Traversal tr{a, b, ta, tb, theta, coeff, covered, {}};
     tr.visit(0, 0);
     out = tr.out;
-    // Exact remainder in the reference fold order (i ascending with a
-    // per-row accumulator, j ascending): when nothing was admitted this
-    // reproduces path_mutual_sampled bit for bit. Its pairs are counted
-    // locally and published once.
+    // Exact remainder on the row kernel, in the reference fold order (i
+    // ascending, each row's uncovered j ascending): when nothing was
+    // admitted this reproduces path_mutual_sampled bit for bit. One scratch
+    // serves every row; the pairs are counted locally and published once.
+    RowScratch scratch;
     detail::PairTally tally;
     for (std::size_t i = 0; i < n1; ++i) {
-      double row = 0.0;
-      const double wi = a.wgt[i];
-      const unsigned char* cov = covered.data() + i * n2;
-      for (std::size_t j = 0; j < n2; ++j) {
-        if (cov[j]) continue;
-        row += wi * b.wgt[j] * sampled_mutual_exact(a, i, b, j, tally);
-      }
-      near += row;
+      near += sampled_mutual_row(a, i, b, covered.data() + i * n2, scratch, tally);
     }
     tally.publish();
   }

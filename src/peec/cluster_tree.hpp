@@ -11,7 +11,7 @@
 //   R >= theta * (radius_a + radius_b)
 // holds, replacing count_a * count_b exact pair integrals with one
 // moment-moment contraction  mu0/(4pi) * (m_a . m_b) / R.  Non-admitted
-// pairs recurse and eventually fall back to the exact sampled kernel, so
+// pairs recurse and eventually fall back to the exact row kernel, so
 // accuracy degrades only where the documented bound says it may:
 //
 //   |error per admitted interaction| <= mu0/(4pi) * L_a * L_b / R * C(theta)
@@ -110,8 +110,9 @@ PreparedPath prepare_path(const SegmentPath& path, const QuadratureOptions& opt 
 
 // Mutual inductance between two paths with hierarchical clustering:
 // admitted cluster pairs are served by aggregated moments and everything
-// else by the exact sampled kernel in reference fold order. Throws
-// std::invalid_argument with kopt.cluster off and for cluster_theta < 2.
+// else by sampled_mutual_row over the uncovered pairs, in reference fold
+// order. Throws std::invalid_argument with kopt.cluster off and for
+// cluster_theta < 2.
 ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},

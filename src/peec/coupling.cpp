@@ -31,12 +31,12 @@ inline std::uint64_t fnv1a(std::uint64_t h, double v) {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
 // The cache fault site's draw for a mutual key: an injected miss recomputes
-// instead of returning the memoized value. The key hash reads all 72 key
+// instead of returning the memoized value. The fault hash reads all 72 key
 // bytes, so it is only taken while some fault site is armed.
 bool forced_mutual_miss(const MutualCacheKey& key) {
   return core::fault::armed() &&
          core::fault::should_fire(core::FaultSite::kCache,
-                                  core::fault::mix(1, MutualCacheKeyHash{}(key)));
+                                  core::fault::mix(1, mutual_key_fault_hash(key)));
 }
 
 // The digest of every model `pairs` references, once per model; the others

@@ -1,5 +1,7 @@
 #include "src/peec/extraction_cache.hpp"
 
+#include <array>
+
 namespace emi::peec {
 
 namespace {
@@ -14,20 +16,27 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
+std::array<std::uint64_t, 9> key_fields(const MutualCacheKey& k) {
+  return {k.digest_lo, k.digest_hi, k.tx, k.ty, k.tz, k.rot, k.quad, k.kern, k.kern_cluster};
+}
+
 }  // namespace
 
 std::size_t MutualCacheKeyHash::operator()(const MutualCacheKey& k) const {
+  // One multiply-xorshift round per field; the shift folds the high bits,
+  // where the pose fields' doubles differ, into the low ones.
   std::uint64_t h = kFnvOffset;
-  h = fnv1a(h, k.digest_lo);
-  h = fnv1a(h, k.digest_hi);
-  h = fnv1a(h, k.tx);
-  h = fnv1a(h, k.ty);
-  h = fnv1a(h, k.tz);
-  h = fnv1a(h, k.rot);
-  h = fnv1a(h, k.quad);
-  h = fnv1a(h, k.kern);
-  h = fnv1a(h, k.kern_cluster);
+  for (const std::uint64_t v : key_fields(k)) {
+    h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
+  }
   return static_cast<std::size_t>(h);
+}
+
+std::uint64_t mutual_key_fault_hash(const MutualCacheKey& k) {
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t v : key_fields(k)) h = fnv1a(h, v);
+  return h;
 }
 
 ExtractionCache* ExtractionCache::root() {

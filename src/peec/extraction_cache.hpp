@@ -52,9 +52,16 @@ struct MutualCacheKey {
   bool operator==(const MutualCacheKey&) const = default;
 };
 
+// The maps' hash: a word-wise mix of the nine fields. Nothing iterates the
+// maps (eviction follows insertion order), so no result depends on it.
 struct MutualCacheKeyHash {
   std::size_t operator()(const MutualCacheKey& k) const;
 };
+
+// Byte-wise FNV-1a over the nine fields in declaration order: the `cache`
+// fault site's key for a mutual lookup, kept byte-wise so injected-miss
+// patterns match older builds.
+std::uint64_t mutual_key_fault_hash(const MutualCacheKey& k);
 
 // Monotone per-tier service counters: `hits` = lookups served from this
 // tier's own map, `misses` = lookups that probed this tier and fell through

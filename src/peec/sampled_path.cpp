@@ -20,24 +20,18 @@
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define EMI_KERNEL_CLONES __attribute__((target_clones("default", "avx2", "avx512f")))
+#define EMI_KERNEL_CLONES_ON true
 #else
 #define EMI_KERNEL_CLONES
+#define EMI_KERNEL_CLONES_ON false
 #endif
 
 namespace emi::peec {
 
-namespace {
-
-// Scratch for the per-pair distance/accumulation passes: covers order 8 x
-// 8 subdivisions on the stack; anything larger falls back to the heap.
-constexpr std::size_t kStackSamples = 64;
-
-}  // namespace
-
 SegmentAxis segment_axis(const Segment& s) {
   const double l = s.length();
-  // Zero-length segments get a zero direction; every pair kernel
-  // early-outs on l <= 0 before reading their samples.
+  // Zero-length segments get a zero direction; the row kernel skips their
+  // pairs (l <= 0) before reading their samples.
   return {l, l > 0.0 ? s.direction() : Vec3{0.0, 0.0, 0.0}, s.midpoint()};
 }
 
@@ -94,129 +88,45 @@ SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
   return out;
 }
 
-double sampled_mutual_exact(const SampledPath& A, std::size_t i,
-                            const SampledPath& B, std::size_t j) {
-  detail::PairTally tally;
-  const double m = sampled_mutual_exact(A, i, B, j, tally);
-  tally.publish();
-  return m;
-}
-
-EMI_KERNEL_CLONES
-double sampled_mutual_exact(const SampledPath& A, std::size_t i,
-                            const SampledPath& B, std::size_t j,
-                            detail::PairTally& tally) {
-  const double l1 = A.len[i];
-  const double l2 = B.len[j];
-  if (l1 <= 0.0 || l2 <= 0.0) return 0.0;
-  const double dot = A.dx[i] * B.dx[j] + A.dy[i] * B.dy[j] + A.dz[i] * B.dz[j];
-  // Orthogonal current elements do not couple; skip the integral entirely.
-  if (std::fabs(dot) < 1e-12) return 0.0;
-  const double guard = std::max(1e-6, std::sqrt(A.rad[i] * B.rad[j]));
-
-  const std::size_t ns1 = A.samples_per_segment();
-  const std::size_t ns2 = B.samples_per_segment();
-  const double* apx = A.px.data() + i * ns1;
-  const double* apy = A.py.data() + i * ns1;
-  const double* apz = A.pz.data() + i * ns1;
-  const double* awt = A.wt.data() + i * ns1;
-  const double* bpx = B.px.data() + j * ns2;
-  const double* bpy = B.py.data() + j * ns2;
-  const double* bpz = B.pz.data() + j * ns2;
-  const double* bwt = B.wt.data() + j * ns2;
-  const double* ahalf = A.half.data() + i * A.n_sub;
-  const double* bhalf = B.half.data() + j * B.n_sub;
-
-  double stack[2 * kStackSamples];
-  std::vector<double> heap;
-  double* tmp = stack;
-  double* acc = stack + kStackSamples;
-  if (ns2 > kStackSamples) {
-    heap.resize(ns2 + B.n_sub);
-    tmp = heap.data();
-    acc = heap.data() + ns2;
-  }
-
-  double integral_mm = 0.0;  // integral of dl1.dl2/|r| with lengths in mm
-  std::size_t ia = 0;
-  for (std::size_t si = 0; si < A.n_sub; ++si) {
-    for (std::size_t sj = 0; sj < B.n_sub; ++sj) acc[sj] = 0.0;
-    for (std::size_t a = 0; a < A.order; ++a, ++ia) {
-      const double x = apx[ia];
-      const double y = apy[ia];
-      const double z = apz[ia];
-      // Distance pass: elementwise over segment j's whole sample block. No
-      // loop-carried dependence, and sqrt/div/max are correctly rounded
-      // elementwise ops, so the compiler may vectorize this freely without
-      // changing a bit of the result.
-      for (std::size_t b = 0; b < ns2; ++b) {
-        const double ddx = x - bpx[b];
-        const double ddy = y - bpy[b];
-        const double ddz = z - bpz[b];
-        tmp[b] = 1.0 / std::max(std::sqrt(ddx * ddx + ddy * ddy + ddz * ddz), guard);
-      }
-      // Accumulation pass: the legacy kernel's association exactly - inner
-      // weighted sum per subinterval, times its jacobian, times the outer
-      // node weight.
-      const double wa = awt[ia];
-      for (std::size_t sj = 0; sj < B.n_sub; ++sj) {
-        const double* w = bwt + sj * B.order;
-        const double* t = tmp + sj * B.order;
-        double s2 = 0.0;
-        for (std::size_t b = 0; b < B.order; ++b) s2 += w[b] * t[b];
-        acc[sj] += wa * (s2 * bhalf[sj]);
-      }
-    }
-    const double h1 = ahalf[si];
-    for (std::size_t sj = 0; sj < B.n_sub; ++sj) integral_mm += acc[sj] * h1;
-  }
-  ++tally.exact_pairs;
-  tally.sample_evals += static_cast<std::uint64_t>(ns1) * ns2;
-  return kMu0 / (4.0 * geom::kPi) * dot * integral_mm * kMmToM;
-}
-
 namespace {
 
-// How each segment pair of a row is served.
-enum : unsigned char { kPairSkip = 0, kPairExact = 1 };
-
-// Mutual inductance of segment i of A against all of B, returned as the
-// row sum  sum_j wgt_i * wgt_j * M(i, j)  with j ascending - the exact
-// fold order of the serial reference loop.
-//
-// The payoff over per-pair kernel calls is the distance pass: one outer
-// sample is differenced against B's *entire* contiguous sample block in a
-// single flat loop (trip count n2 * samples_per_segment instead of
-// samples_per_segment), so the divider/sqrt unit runs at throughput instead
-// of round-trip latency. Every arithmetic step is elementwise-identical to
-// sampled_mutual_exact - same guard, same accumulation association per
-// (subinterval, sample) - so each pair's value carries the same bits.
-//
-// `buf` holds (2 * n2 * ns2 + n2 * n_sub + n2) doubles, `cls` n2 bytes;
-// both are caller scratch so parallel rows never share. The row's pairs are
-// counted into `rc`, which the caller publishes once per row.
+// The row kernel (see sampled_path.hpp): M(i, j) of segment i of A against
+// the w segments j = j0 .. j0 + w - 1 of B, written to m[j - j0]; column c
+// is segment j0 + c. Blocking only reorders which independent per-pair
+// accumulators are updated when; each pair keeps mutual_neumann's operation
+// sequence - same guard, same association per (subinterval, sample) - and
+// so its bits. `buf` holds w * (2 * ns2 + B.n_sub) doubles and `runs`
+// w + 1 entries, both caller scratch. Nothing here allocates or throws: an
+// exception that leaves a target_clones function terminates the process.
 //
 // The body is a template over B's quadrature shape: the dispatcher below
 // instantiates it with integral_constant order/subdivision counts for the
-// common shapes, which turns the accumulation pass into straight-line code
-// (the four-term weighted sums fully unroll), and with the runtime values as
-// a generic fallback. Same expressions either way, so same bits.
+// common shapes, which turns the accumulation pass into straight-line code,
+// and with the runtime values as a generic fallback. Same expressions either
+// way, so same bits.
+constexpr std::size_t kBlockSegs = 16;
+
 template <typename Ord2T, typename Sub2T>
-__attribute__((always_inline)) inline double sampled_mutual_row_body(
-    const SampledPath& A, std::size_t i, const SampledPath& B, double* buf,
-    unsigned char* cls, detail::PairTally& rc, Ord2T ord2_t, Sub2T nsub2_t) {
-  const std::size_t n2 = B.segment_count();
+__attribute__((always_inline)) inline void pair_row_body(
+    const SampledPath& A, std::size_t i, const SampledPath& B, std::size_t j0,
+    std::size_t w, const unsigned char* covered, double* m_out, double* buf,
+    std::size_t* runs, detail::PairTally& rc, Ord2T ord2_t, Sub2T nsub2_t) {
   const std::size_t ns1 = A.samples_per_segment();
-  const std::size_t ns2 = static_cast<std::size_t>(ord2_t) * nsub2_t;
-  const std::size_t nsB = n2 * ns2;
+  const std::size_t ord2 = ord2_t;
+  const std::size_t nsub2 = nsub2_t;
+  const std::size_t ns2 = ord2 * nsub2;
   // The scratch blocks are caller-owned and distinct from every path array,
   // so restrict lets the compiler keep loop invariants in registers across
   // the stores.
-  const std::size_t nsub2 = nsub2_t;
-  double* __restrict__ tmp = buf;      // w[b]/r row, one slot per B sample
-  double* __restrict__ guard = tmp + nsB;  // per-sample radius guard
-  double* __restrict__ acc = guard + nsB;  // per (j, sj) inner accumulator
-  double* __restrict__ integ = acc + n2 * nsub2;  // per-pair integral (mm)
+  double* __restrict__ m = m_out;              // per-pair integral, then value
+  double* __restrict__ tmp = buf;              // w[b]/r, one slot per sample
+  double* __restrict__ guard = tmp + w * ns2;  // per-sample radius guard
+  double* __restrict__ acc = guard + w * ns2;  // per (column, sj) accumulator
+  const double* __restrict__ bpx = B.px.data() + j0 * ns2;
+  const double* __restrict__ bpy = B.py.data() + j0 * ns2;
+  const double* __restrict__ bpz = B.pz.data() + j0 * ns2;
+  const double* __restrict__ bwt = B.wt.data() + j0 * ns2;
+  const double* __restrict__ bhalf = B.half.data() + j0 * nsub2;
 
   const double l1 = A.len[i];
   const double adx = A.dx[i];
@@ -224,139 +134,179 @@ __attribute__((always_inline)) inline double sampled_mutual_row_body(
   const double adz = A.dz[i];
   const double rad1 = A.rad[i];
 
-  // Classify every pair of the row up front: exact pairs get their guard
-  // block and zeroed accumulators, the rest are skipped.
-  std::size_t jlo = n2;  // first/last exact pair: the distance pass only
-  std::size_t jhi = 0;   // needs to cover their sample range
-  for (std::size_t j = 0; j < n2; ++j) {
+  // Classification; runs[2r], runs[2r + 1] bound run r's columns.
+  std::size_t nruns = 0;
+  bool open = false;
+  for (std::size_t c = 0; c < w; ++c) {
+    const std::size_t j = j0 + c;
+    m[c] = 0.0;
     const double dot = adx * B.dx[j] + ady * B.dy[j] + adz * B.dz[j];
-    if (l1 <= 0.0 || B.len[j] <= 0.0 || std::fabs(dot) < 1e-12) {
-      cls[j] = kPairSkip;
+    if ((covered != nullptr && covered[c]) || l1 <= 0.0 || B.len[j] <= 0.0 ||
+        std::fabs(dot) < 1e-12) {
+      if (open) runs[2 * nruns++ + 1] = c;
+      open = false;
       continue;
     }
+    if (!open) runs[2 * nruns] = c;
+    open = true;
     const double g = std::max(1e-6, std::sqrt(rad1 * B.rad[j]));
-    cls[j] = kPairExact;
     ++rc.exact_pairs;
     rc.sample_evals += static_cast<std::uint64_t>(ns1) * ns2;
-    for (std::size_t b = 0; b < ns2; ++b) guard[j * ns2 + b] = g;
-    integ[j] = 0.0;
-    jlo = std::min(jlo, j);
-    jhi = j;
+    for (std::size_t b = 0; b < ns2; ++b) guard[c * ns2 + b] = g;
   }
+  if (open) runs[2 * nruns++ + 1] = w;
 
-  if (jlo <= jhi) {
-    const double* __restrict__ bpx = B.px.data();
-    const double* __restrict__ bpy = B.py.data();
-    const double* __restrict__ bpz = B.pz.data();
-    const double* __restrict__ bwt = B.wt.data();
-    const double* __restrict__ bhalf = B.half.data();
-    const std::size_t ord2 = ord2_t;
-    const std::size_t ia0 = i * ns1;
-    // Process B in chunks of segments small enough that a chunk's sample
-    // arrays stay L1-resident across every outer sample of segment i,
-    // instead of streaming all of B once per outer sample. Chunking only
-    // reorders WHICH independent per-pair accumulators are updated when;
-    // each pair's own operation sequence - (si, a) order, per-subinterval
-    // fold - is untouched, so the bits are too.
-    constexpr std::size_t kChunkSegs = 16;
-    for (std::size_t jc = jlo; jc <= jhi; jc += kChunkSegs) {
-      const std::size_t jend = std::min(jhi + 1, jc + kChunkSegs);
-      const std::size_t blo = jc * ns2;
-      const std::size_t bhi = jend * ns2;
-      for (std::size_t si = 0; si < A.n_sub; ++si) {
-        for (std::size_t k = jc * nsub2; k < jend * nsub2; ++k) acc[k] = 0.0;
-        for (std::size_t a = 0; a < A.order; ++a) {
-          const std::size_t ia = ia0 + si * A.order + a;
-          const double x = A.px[ia];
-          const double y = A.py[ia];
-          const double z = A.pz[ia];
-          // Distance pass across the chunk's samples, folding in the inner
-          // node weight (the first multiply of the legacy kernel's weighted
-          // sum). No loop-carried dependence and only correctly-rounded
-          // elementwise ops, so the compiler vectorizes freely without
-          // changing bits.
-          for (std::size_t b = blo; b < bhi; ++b) {
+  const double* __restrict__ apx = A.px.data() + i * ns1;
+  const double* __restrict__ apy = A.py.data() + i * ns1;
+  const double* __restrict__ apz = A.pz.data() + i * ns1;
+  const double* __restrict__ awt = A.wt.data() + i * ns1;
+  const double* __restrict__ ahalf = A.half.data() + i * A.n_sub;
+  // Block [cb, cb + kBlockSegs) holds the parts lo[q] .. hi[q] of the runs
+  // that meet it; run r is the first that ends inside or after it.
+  std::size_t r = 0;
+  std::size_t cb = nruns > 0 ? runs[0] : 0;
+  while (r < nruns) {
+    const std::size_t ce = cb + kBlockSegs;
+    std::size_t lo[kBlockSegs];
+    std::size_t hi[kBlockSegs];
+    std::size_t nq = 0;
+    for (std::size_t q = r; q < nruns && runs[2 * q] < ce; ++q, ++nq) {
+      lo[nq] = std::max(runs[2 * q], cb);
+      hi[nq] = std::min(runs[2 * q + 1], ce);
+    }
+    for (std::size_t si = 0; si < A.n_sub; ++si) {
+      for (std::size_t q = 0; q < nq; ++q) {
+        for (std::size_t k = lo[q] * nsub2; k < hi[q] * nsub2; ++k) acc[k] = 0.0;
+      }
+      for (std::size_t a = 0; a < A.order; ++a) {
+        const std::size_t ia = si * A.order + a;
+        const double x = apx[ia];
+        const double y = apy[ia];
+        const double z = apz[ia];
+        // Distance pass over the block's exact samples, folding in the inner
+        // node weight: correctly-rounded elementwise ops only, so the
+        // compiler vectorizes freely without changing bits.
+        for (std::size_t q = 0; q < nq; ++q) {
+          for (std::size_t b = lo[q] * ns2; b < hi[q] * ns2; ++b) {
             const double ddx = x - bpx[b];
             const double ddy = y - bpy[b];
             const double ddz = z - bpz[b];
             tmp[b] = bwt[b] *
-                     (1.0 / std::max(std::sqrt(ddx * ddx + ddy * ddy + ddz * ddz),
-                                     guard[b]));
+                     (1.0 / std::max(std::sqrt(ddx * ddx + ddy * ddy + ddz * ddz), guard[b]));
           }
-          // Accumulation pass: the legacy kernel's association per pair -
-          // inner weighted sum per subinterval, times its jacobian, times
-          // the outer node weight.
-          const double wa = A.wt[ia];
-          for (std::size_t j = jc; j < jend; ++j) {
-            if (cls[j] != kPairExact) continue;
+        }
+        // Accumulation pass: mutual_neumann's association per pair - inner
+        // weighted sum per subinterval, times its jacobian, times the outer
+        // node weight.
+        const double wa = awt[ia];
+        for (std::size_t q = 0; q < nq; ++q) {
+          for (std::size_t c = lo[q]; c < hi[q]; ++c) {
             for (std::size_t sj = 0; sj < nsub2; ++sj) {
-              const double* __restrict__ t = tmp + j * ns2 + sj * ord2;
+              const double* __restrict__ t = tmp + c * ns2 + sj * ord2;
               double s2 = 0.0;
               for (std::size_t b = 0; b < ord2; ++b) s2 += t[b];
-              acc[j * nsub2 + sj] += wa * (s2 * bhalf[j * nsub2 + sj]);
+              acc[c * nsub2 + sj] += wa * (s2 * bhalf[c * nsub2 + sj]);
             }
           }
         }
-        const double h1 = A.half[i * A.n_sub + si];
-        for (std::size_t j = jc; j < jend; ++j) {
-          if (cls[j] != kPairExact) continue;
-          for (std::size_t sj = 0; sj < nsub2; ++sj) {
-            integ[j] += acc[j * nsub2 + sj] * h1;
-          }
+      }
+      const double h1 = ahalf[si];
+      for (std::size_t q = 0; q < nq; ++q) {
+        for (std::size_t c = lo[q]; c < hi[q]; ++c) {
+          for (std::size_t sj = 0; sj < nsub2; ++sj) m[c] += acc[c * nsub2 + sj] * h1;
         }
       }
     }
+    while (r < nruns && runs[2 * r + 1] <= ce) ++r;
+    if (r < nruns) cb = std::max(ce, runs[2 * r]);
   }
 
-  // Row fold in ascending-j order, exactly like the serial reference loop.
-  double r = 0.0;
-  const double wi = A.wgt[i];
-  for (std::size_t j = 0; j < n2; ++j) {
-    double pair = 0.0;
-    if (cls[j] == kPairExact) {
+  // dl1.dl2 = dot * dt1 * dt2; the mm-valued integral (mm^2/mm = mm) to
+  // metres.
+  for (std::size_t q = 0; q < nruns; ++q) {
+    for (std::size_t c = runs[2 * q]; c < runs[2 * q + 1]; ++c) {
+      const std::size_t j = j0 + c;
       const double dot = adx * B.dx[j] + ady * B.dy[j] + adz * B.dz[j];
-      pair = kMu0 / (4.0 * geom::kPi) * dot * integ[j] * kMmToM;
+      m[c] = kMu0 / (4.0 * geom::kPi) * dot * m[c] * kMmToM;
     }
-    r += wi * B.wgt[j] * pair;
   }
-  return r;
 }
 
 // Concrete per-ISA-cloned entry points. target_clones does not apply to
 // templates, so each wrapper instantiates the body (always_inline) under its
 // own target; the shape constants then drive full unrolling per clone.
-#define EMI_ROW_ARGS                                                        \
-  const SampledPath &A, std::size_t i, const SampledPath &B, double *buf,   \
-      unsigned char *cls, detail::PairTally &rc
+#define EMI_ROW_ARGS                                                          \
+  const SampledPath &A, std::size_t i, const SampledPath &B, std::size_t j0, \
+      std::size_t w, const unsigned char *covered, double *m, double *buf,    \
+      std::size_t *runs, detail::PairTally &rc
+#define EMI_ROW_PASS A, i, B, j0, w, covered, m, buf, runs, rc
 EMI_KERNEL_CLONES
-double sampled_mutual_row_o4s2(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, buf, cls, rc,
-                                 std::integral_constant<std::size_t, 4>{},
-                                 std::integral_constant<std::size_t, 2>{});
+void pair_row_o4s2(EMI_ROW_ARGS) {
+  pair_row_body(EMI_ROW_PASS, std::integral_constant<std::size_t, 4>{},
+                std::integral_constant<std::size_t, 2>{});
 }
 EMI_KERNEL_CLONES
-double sampled_mutual_row_o6s2(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, buf, cls, rc,
-                                 std::integral_constant<std::size_t, 6>{},
-                                 std::integral_constant<std::size_t, 2>{});
+void pair_row_o6s2(EMI_ROW_ARGS) {
+  pair_row_body(EMI_ROW_PASS, std::integral_constant<std::size_t, 6>{},
+                std::integral_constant<std::size_t, 2>{});
 }
 EMI_KERNEL_CLONES
-double sampled_mutual_row_generic(EMI_ROW_ARGS) {
-  return sampled_mutual_row_body(A, i, B, buf, cls, rc, B.order, B.n_sub);
-}
+void pair_row_generic(EMI_ROW_ARGS) { pair_row_body(EMI_ROW_PASS, B.order, B.n_sub); }
 
-double sampled_mutual_row(EMI_ROW_ARGS) {
-  if (B.order == 4 && B.n_sub == 2) {
-    return sampled_mutual_row_o4s2(A, i, B, buf, cls, rc);
-  }
-  if (B.order == 6 && B.n_sub == 2) {
-    return sampled_mutual_row_o6s2(A, i, B, buf, cls, rc);
-  }
-  return sampled_mutual_row_generic(A, i, B, buf, cls, rc);
+// The row kernel on columns [j0, j1) through `s`, which grows here, outside
+// the clones, to fit. Returns the pair values, s.values[0 .. j1 - j0).
+const double* pair_row(const SampledPath& A, std::size_t i, const SampledPath& B,
+                       std::size_t j0, std::size_t j1, const unsigned char* covered,
+                       RowScratch& s, detail::PairTally& rc) {
+  const std::size_t w = j1 - j0;
+  const std::size_t need = w * (2 * B.samples_per_segment() + B.n_sub);
+  if (s.values.size() < w) s.values.resize(w);
+  if (s.buf.size() < need) s.buf.resize(need);
+  if (s.runs.size() < w + 1) s.runs.resize(w + 1);
+  void (*kernel)(EMI_ROW_ARGS) = pair_row_generic;
+  if (B.order == 4 && B.n_sub == 2) kernel = pair_row_o4s2;
+  if (B.order == 6 && B.n_sub == 2) kernel = pair_row_o6s2;
+  kernel(A, i, B, j0, w, covered, s.values.data(), s.buf.data(), s.runs.data(), rc);
+  return s.values.data();
 }
+#undef EMI_ROW_PASS
 #undef EMI_ROW_ARGS
 
 }  // namespace
+
+double sampled_mutual_exact(const SampledPath& A, std::size_t i,
+                            const SampledPath& B, std::size_t j) {
+  RowScratch s;
+  detail::PairTally tally;
+  const double m = *pair_row(A, i, B, j, j + 1, nullptr, s, tally);
+  tally.publish();
+  return m;
+}
+
+double sampled_mutual_row(const SampledPath& A, std::size_t i, const SampledPath& B,
+                          const unsigned char* covered, RowScratch& scratch,
+                          detail::PairTally& tally) {
+  const std::size_t n2 = B.segment_count();
+  const double* m = pair_row(A, i, B, 0, n2, covered, scratch, tally);
+  // Ascending j, exactly the serial reference loop.
+  double r = 0.0;
+  const double wi = A.wgt[i];
+  for (std::size_t j = 0; j < n2; ++j) {
+    if (covered != nullptr && covered[j]) continue;
+    r += wi * B.wgt[j] * m[j];
+  }
+  return r;
+}
+
+double sampled_self_row(const SampledPath& P, std::size_t i, RowScratch& scratch,
+                        detail::PairTally& tally) {
+  const double wi = P.wgt[i];
+  double v = wi * wi * self_inductance_wire(P.len[i], P.rad[i]);
+  const std::size_t n = P.segment_count();
+  const double* m = pair_row(P, i, P, i + 1, n, nullptr, scratch, tally);
+  for (std::size_t j = i + 1; j < n; ++j) v += 2.0 * wi * P.wgt[j] * m[j - i - 1];
+  return v;
+}
 
 double path_mutual_sampled(const SampledPath& A, const SampledPath& B) {
   const SampledPath* a = &A;
@@ -429,11 +379,8 @@ void path_mutual_sampled_many(std::span<const SampledPath* const> a,
   }
   run_rows(rows_of, seg_pairs, out,
            [&](std::size_t p, std::size_t i, detail::PairTally& tally) {
-             const std::size_t n2 = b[p]->segment_count();
-             std::vector<double> buf(2 * n2 * b[p]->samples_per_segment() +
-                                     n2 * b[p]->n_sub + n2);
-             std::vector<unsigned char> cls(n2);
-             return sampled_mutual_row(*a[p], i, *b[p], buf.data(), cls.data(), tally);
+             RowScratch scratch;
+             return sampled_mutual_row(*a[p], i, *b[p], nullptr, scratch, tally);
            });
 }
 
@@ -452,23 +399,11 @@ void path_inductance_sampled_many(std::span<const SampledPath* const> paths,
   }
   run_rows(rows_of, seg_pairs, out,
            [&](std::size_t p, std::size_t i, detail::PairTally& tally) {
-             const SampledPath& sp = *paths[p];
-             const double wi = sp.wgt[i];
-             double v = wi * wi * self_inductance_wire(sp.len[i], sp.rad[i]);
-             for (std::size_t j = i + 1; j < sp.segment_count(); ++j) {
-               v += 2.0 * wi * sp.wgt[j] * sampled_mutual_exact(sp, i, sp, j, tally);
-             }
-             return v;
+             RowScratch scratch;
+             return sampled_self_row(*paths[p], i, scratch, tally);
            });
 }
 
-bool kernel_clones_enabled() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-  return true;
-#else
-  return false;
-#endif
-}
+bool kernel_clones_enabled() { return EMI_KERNEL_CLONES_ON; }
 
 }  // namespace emi::peec

@@ -1,15 +1,18 @@
-// Precomputed quadrature sampling of segment paths - the fast form of the
-// PEEC mutual-inductance kernel.
+// Precomputed quadrature sampling of segment paths and the one exact PEEC
+// segment-pair kernel that runs over it.
 //
 // sample_path() resolves the Gauss-Legendre rule once per SegmentPath and
-// stores, structure-of-arrays, everything the Neumann pair kernel needs:
+// stores, structure-of-arrays, everything the Neumann pair integral needs:
 // sample positions, raw node weights, per-subinterval jacobians and the
-// per-segment direction/length/radius/current-weight. The pair kernel is
-// then a flat double loop over contiguous arrays - no gauss_rule switch, no
-// nested lambdas, no per-call validation - whose inner distance pass the
-// compiler can vectorize. The arithmetic is the exact sequence of operations
-// mutual_neumann() performs, only with the operands precomputed, so for a
-// given geometry sampled_mutual_exact() returns the same bits.
+// per-segment direction/length/radius/current-weight. The row kernel then
+// evaluates segment i of one path against a column range of another: it
+// skips orthogonal, zero-length and covered pairs, and runs its distance
+// pass over the runs of exact pairs only, one outer sample against up to 16
+// segments' samples at a time, so the divider runs at throughput. Each
+// pair's arithmetic is the sequence mutual_neumann() performs, with the
+// operands precomputed, so every pair value carries its bits. Every exact
+// pair in `src` goes through that kernel: the row folds below, the batches
+// built on them and the clustered remainder (cluster_tree.hpp).
 #pragma once
 
 #include <cstddef>
@@ -60,23 +63,41 @@ struct SegmentAxis {
 SegmentAxis segment_axis(const Segment& s);
 
 // Neumann mutual partial inductance of segment i of `a` against segment j of
-// `b`. Bit-identical to mutual_neumann(a_segment, b_segment, opt) for paths
-// sampled with the same options.
+// `b`: the row kernel's one-pair call. Bit-identical to
+// mutual_neumann(a_segment, b_segment, opt) for paths sampled with the same
+// options; the pair is counted into kernel_stats().
 double sampled_mutual_exact(const SampledPath& a, std::size_t i,
                             const SampledPath& b, std::size_t j);
-// Same value; the pair is counted into `tally` instead of kernel_stats(),
-// for callers that publish once per call or per row.
-double sampled_mutual_exact(const SampledPath& a, std::size_t i,
-                            const SampledPath& b, std::size_t j,
-                            detail::PairTally& tally);
 
-// Mutual inductance between two sampled paths: the weighted double sum over
-// all segment pairs, evaluated by a row kernel that batches one row of A
-// against B's whole contiguous sample block (skip classification first, then
-// an L1-blocked distance pass at divider throughput). Row totals are folded
-// serially in row order, so the returned bits match the serial double loop -
-// and the legacy row-parallel path_mutual - at any thread count. This is the
-// one-pair call of path_mutual_sampled_many.
+// Caller-owned scratch of the row folds below. A loop over rows reuses one,
+// which grows to the widest row it has served and then stops allocating;
+// rows that run at the same time each need their own.
+struct RowScratch {
+  std::vector<double> values;     // M(i, j) of the current row
+  std::vector<double> buf;        // distance, guard and accumulator blocks
+  std::vector<std::size_t> runs;  // [begin, end) column runs of exact pairs
+};
+
+// Row i of the mutual double sum of `a` against `b`:
+//   sum_j w_i * w_j * M(i, j), j ascending,
+// over every j, or only over the j with covered[j] == 0 when `covered`
+// (b.segment_count() flags) is given: the exact remainder of a clustered
+// extraction. The row's exact pairs are counted into `tally`.
+double sampled_mutual_row(const SampledPath& a, std::size_t i, const SampledPath& b,
+                          const unsigned char* covered, RowScratch& scratch,
+                          detail::PairTally& tally);
+
+// Row i of the self double sum of path `p`:
+//   w_i^2 * L_self(segment i) + sum_{j > i} 2 * w_i * w_j * M(i, j),
+// j ascending. A zero-length segment i throws like self_inductance_wire
+// before any pair is evaluated.
+double sampled_self_row(const SampledPath& p, std::size_t i, RowScratch& scratch,
+                        detail::PairTally& tally);
+
+// Mutual inductance between two sampled paths: the rows of
+// sampled_mutual_row folded serially in row order, so the returned bits
+// match the serial double loop - and the legacy row-parallel path_mutual -
+// at any thread count. This is the one-pair call of path_mutual_sampled_many.
 double path_mutual_sampled(const SampledPath& a, const SampledPath& b);
 
 // out[p] = path_mutual_sampled(*a[p], *b[p]) for every p, bit for bit, with
@@ -92,9 +113,8 @@ void path_mutual_sampled_many(std::span<const SampledPath* const> a,
                               std::span<double> out);
 
 // out[p] = path_inductance of the path sampled as *paths[p], for every p,
-// bit for bit, with the same kernel_stats() tallies. Row i of a path is
-//   w_i^2 * L_self(segment i) + sum_{j > i} 2 * w_i * w_j * M_ij;
-// every row of every path runs in one flat parallel region (serially when
+// bit for bit, with the same kernel_stats() tallies. Every sampled_self_row
+// of every path runs in one flat parallel region (serially when
 // the batch holds fewer than kParallelPairThreshold segment pairs in total),
 // then each path folds its rows serially in row order - the association the
 // row-parallel sum gives at grain 1. Each row publishes its tallies once.

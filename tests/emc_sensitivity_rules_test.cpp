@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "src/emi/rules.hpp"
 #include "src/emi/sensitivity.hpp"
 #include "src/peec/component_model.hpp"
+#include "src/peec/coupling.hpp"
 
 namespace emi::emc {
 namespace {
@@ -167,6 +171,57 @@ TEST(GeometricCoupling, ValidatesAndHandlesDegenerateInput) {
   const std::vector<std::string> wrong = {"A", "B"};
   EXPECT_THROW((void)rank_geometric_coupling(ex, one, wrong),
                std::invalid_argument);
+}
+
+
+// The ranking's integer-key sort against the order of a sort on the names
+// themselves (|k| descending, then name a, then name b): far-apart X
+// capacitors under the clustered kernel tie at k = 0, two names repeat, and
+// the names' order differs from their indices'. Entry by entry, names and
+// k bits match.
+TEST(GeometricCoupling, IntegerKeySortMatchesTheNameOrder) {
+  std::vector<peec::ComponentFieldModel> caps;
+  for (int c = 0; c < 7; ++c) caps.push_back(peec::x_capacitor("C" + std::to_string(c)));
+  const std::vector<peec::PlacedModel> models = {
+      {&caps[0], {{0.0, 0.0, 0.0}, 0.0}},     {&caps[1], {{18.0, 0.0, 0.0}, 0.0}},
+      {&caps[2], {{400.0, 0.0, 0.0}, 0.0}},   {&caps[3], {{0.0, 400.0, 0.0}, 90.0}},
+      {&caps[4], {{400.0, 400.0, 0.0}, 0.0}}, {&caps[5], {{-400.0, 0.0, 0.0}, 30.0}},
+      {&caps[6], {{9.0, 20.0, 0.0}, 0.0}},
+  };
+  const std::vector<std::string> names = {"Z9", "B2", "L_C1", "B2", "A", "Z9", "M"};
+  peec::KernelOptions kopt;
+  kopt.cluster = true;
+  const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
+  const std::vector<GeometricCoupling> ranked = rank_geometric_coupling(ex, models, names);
+
+  const peec::CouplingExtractor ref_ex(peec::QuadratureOptions{}, kopt);
+  const std::vector<units::Henry> m = ref_ex.mutual_matrix(models);
+  const std::size_t n = models.size();
+  std::vector<GeometricCoupling> want;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      want.push_back({names[i], names[j],
+                      std::fabs(peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]))});
+    }
+  }
+  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
+    if (a.inductor_a != b.inductor_a) return a.inductor_a < b.inductor_a;
+    return a.inductor_b < b.inductor_b;
+  });
+  std::size_t zeros = 0;
+  for (const GeometricCoupling& g : want) {
+    if (g.k_abs == 0.0) ++zeros;
+  }
+  ASSERT_GE(zeros, 4u);  // ties at 0 reach the name keys
+  ASSERT_EQ(ranked.size(), want.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(ranked[e].inductor_a, want[e].inductor_a) << "entry " << e;
+    EXPECT_EQ(ranked[e].inductor_b, want[e].inductor_b) << "entry " << e;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ranked[e].k_abs),
+              std::bit_cast<std::uint64_t>(want[e].k_abs))
+        << "entry " << e;
+  }
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/thread_pool.hpp"
+#include "src/flow/scenario_large.hpp"
 #include "src/numeric/rng.hpp"
 #include "src/peec/component_model.hpp"
 #include "src/peec/coupling.hpp"
@@ -381,6 +383,57 @@ TEST(ClusterTree, RootGateBoundaryPairs) {
       } else {
         EXPECT_GT(got.cluster_pairs, 1u);
       }
+    }
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
+}
+
+
+// Two pairs of the 16-stage grid (seed 1) that the root gate does not
+// admit, so their value comes from the traversal plus the exact remainder:
+// a stage's X capacitor against its own coil (nothing admitted, every pair
+// exact) and two coils of neighbouring stages (admitted clusters and a
+// partly covered remainder). Value, bound and counters were recorded before
+// the remainder moved onto the row kernel; they hold at 1, 2 and 4 lanes.
+TEST(ClusterTree, RemainderPairsOfTheSixteenStageGrid) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 16;
+  opt.seed = 1;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  const KernelOptions k = clustered(4.0);
+  struct Case {
+    const char* a;
+    const char* b;
+    std::uint64_t value_bits, bound_bits, cluster_pairs, cluster_skipped, exact_pairs,
+        sample_evals;
+  };
+  const Case cases[] = {
+      {"CX3", "LF3", 0x3e4d83e691c8b752ull, 0x0ull, 0u, 0u, 240u, 34560u},
+      {"LF1", "LF2", 0xbe6e9de65a829ea4ull, 0x3ecf5ced3d22504full, 65u, 1540u, 1736u, 249984u},
+  };
+  const auto path_of = [&](const char* name) {
+    for (std::size_t m = 0; m < s.names.size(); ++m) {
+      if (s.names[m] == name) return s.placed[m].model->path_at(s.placed[m].pose);
+    }
+    ADD_FAILURE() << "no model " << name;
+    return SegmentPath{};
+  };
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const Case& c : cases) {
+    const SegmentPath pa = path_of(c.a);
+    const SegmentPath pb = path_of(c.b);
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      core::ThreadPool::set_global_thread_count(lanes);
+      const KernelStats before = kernel_stats();
+      const ClusteredMutual got = path_mutual_clustered_stats(pa, pb, QuadratureOptions{}, k);
+      const KernelStats after = kernel_stats();
+      const std::string at = std::string(c.a) + "-" + c.b + " lanes " + std::to_string(lanes);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value), c.value_bits) << at;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.error_bound), c.bound_bits) << at;
+      EXPECT_EQ(got.cluster_pairs, c.cluster_pairs) << at;
+      EXPECT_EQ(got.cluster_skipped, c.cluster_skipped) << at;
+      EXPECT_EQ(after.exact_pairs - before.exact_pairs, c.exact_pairs) << at;
+      EXPECT_EQ(after.sample_evals - before.sample_evals, c.sample_evals) << at;
     }
   }
   core::ThreadPool::set_global_thread_count(lanes0);

@@ -20,6 +20,7 @@
 #include "src/core/fault_injection.hpp"
 #include "src/core/thread_pool.hpp"
 #include "src/peec/component_model.hpp"
+#include "src/peec/extraction_cache.hpp"
 #include "src/peec/partial_inductance.hpp"
 
 namespace emi::peec {
@@ -425,6 +426,32 @@ TEST(MutualBatchStop, UnfinishedMissesReturnTheZeroSentinel) {
     }
   }
   core::ThreadPool::set_global_thread_count(lanes0);
+}
+
+
+// The cache fault site keys its draws on the byte-wise FNV-1a of a mutual
+// key. Both values were recorded when that hash was also the maps' hash, so
+// injected-miss patterns stay where they were. The maps' word-wise hash
+// sees every field: flipping a field's top bit moves it.
+TEST(MutualKeyHash, FaultKeyKeepsItsBitsAndMapHashSeesEveryField) {
+  const MutualCacheKey a{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const MutualCacheKey b{0x9e3779b97f4a7c15ull, 0xc2b2ae3d27d4eb4full, 0x4044000000000000ull,
+                         0xc010000000000000ull, 0, 0x4039000000000000ull, (6ull << 32) | 2,
+                         4, 0x165667b19e3779f9ull};
+  EXPECT_EQ(mutual_key_fault_hash(a), 0x60b3e1fa9c9c0ca4ull);
+  EXPECT_EQ(mutual_key_fault_hash(b), 0x7ef4fd9db50114beull);
+  std::uint64_t MutualCacheKey::*const fields[] = {
+      &MutualCacheKey::digest_lo, &MutualCacheKey::digest_hi, &MutualCacheKey::tx,
+      &MutualCacheKey::ty,        &MutualCacheKey::tz,        &MutualCacheKey::rot,
+      &MutualCacheKey::quad,      &MutualCacheKey::kern,      &MutualCacheKey::kern_cluster};
+  for (const MutualCacheKey& key : {a, b}) {
+    for (std::uint64_t MutualCacheKey::*f : fields) {
+      MutualCacheKey moved = key;
+      moved.*f ^= 1ull << 63;
+      EXPECT_NE(MutualCacheKeyHash{}(moved), MutualCacheKeyHash{}(key));
+      EXPECT_NE(mutual_key_fault_hash(moved), mutual_key_fault_hash(key));
+    }
+  }
 }
 
 }  // namespace

@@ -9,10 +9,13 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "src/core/parallel.hpp"
 #include "src/core/thread_pool.hpp"
+#include "src/numeric/rng.hpp"
 #include "src/peec/component_model.hpp"
 #include "src/peec/partial_inductance.hpp"
 
@@ -304,13 +307,185 @@ TEST(SampledKernel, SelfBatchMatchesPathInductanceBitwiseAndTallies) {
 
   SegmentPath with_zero = zigzag(16);
   with_zero.segments.push_back(make_segment({2, 2, 1}, {2, 2, 1}));
-  EXPECT_THROW(path_inductance(with_zero, q), std::invalid_argument);
   const SampledPath zero_sampled = sample_path(with_zero, q);
   const std::vector<const SampledPath*> with_zero_batch = {&sampled[0], &zero_sampled};
-  std::vector<double> out(2);
-  EXPECT_THROW(path_inductance_sampled_many(with_zero_batch, out), std::invalid_argument);
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    EXPECT_THROW(path_inductance(with_zero, q), std::invalid_argument) << "lanes " << lanes;
+    std::vector<double> out(2);
+    EXPECT_THROW(path_inductance_sampled_many(with_zero_batch, out), std::invalid_argument)
+        << "lanes " << lanes;
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
   std::vector<double> short_out(1);
   EXPECT_THROW(path_inductance_sampled_many(all, short_out), std::invalid_argument);
+}
+
+// `p` moved by `d`.
+SegmentPath shifted(SegmentPath p, const Vec3& d) {
+  for (Segment& seg : p.segments) {
+    seg.a = seg.a + d;
+    seg.b = seg.b + d;
+  }
+  return p;
+}
+
+// A closed path along x, y, z and oblique directions with a zero-length
+// segment: every row mixes exact pairs with orthogonal and zero-length ones.
+SegmentPath mixed_path() {
+  const Vec3 pts[] = {{0, 0, 0}, {6, 0, 0},  {6, 5, 0},  {6, 5, 0},  {6, 5, 4},
+                      {1, 7, 4}, {1, 7, 1},  {-3, 7, 1}, {-3, 2, 2}, {0, 0, 0}};
+  SegmentPath p;
+  for (std::size_t k = 0; k + 1 < std::size(pts); ++k) {
+    p.segments.push_back(make_segment(pts[k], pts[k + 1], 0.2 + 0.05 * static_cast<double>(k % 3),
+                                      (k % 2 == 0) ? 1.0 : -0.75));
+  }
+  return p;
+}
+
+// The legacy kernel's value and tallied sample evaluations (0 for a skipped
+// pair) for every segment pair of `a` x `b`, row-major.
+struct PairRef {
+  std::vector<double> m;
+  std::vector<std::uint64_t> evals;
+};
+PairRef legacy_pairs(const SegmentPath& a, const SegmentPath& b, const QuadratureOptions& q) {
+  PairRef r;
+  for (const Segment& sa : a.segments) {
+    for (const Segment& sb : b.segments) {
+      const KernelStats before = kernel_stats();
+      r.m.push_back(mutual_neumann(sa, sb, q));
+      r.evals.push_back(kernel_stats().sample_evals - before.sample_evals);
+    }
+  }
+  return r;
+}
+
+// One row's result: value bits (or a throw) and its tally.
+struct RowOut {
+  double value = 0.0;
+  bool threw = false;
+  std::uint64_t exact_pairs = 0;
+  std::uint64_t sample_evals = 0;
+};
+
+void expect_rows(const std::vector<RowOut>& got, const std::vector<RowOut>& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].threw, want[i].threw) << what << " row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+              std::bit_cast<std::uint64_t>(want[i].value))
+        << what << " row " << i;
+    EXPECT_EQ(got[i].exact_pairs, want[i].exact_pairs) << what << " row " << i;
+    EXPECT_EQ(got[i].sample_evals, want[i].sample_evals) << what << " row " << i;
+  }
+}
+
+// Each row form against a fold of per-pair mutual_neumann values in the
+// reference order, bit for bit and with the same tallies: the self row
+// (j > i) and sampled_mutual_row with none (the mutual row), all and a
+// random half (a clustered remainder's row) of its pairs covered. Four
+// geometries (coil, X capacitor, zig-zag chain, a path with orthogonal and
+// zero-length segments) at four quadrature shapes, including 8 x 9 (72
+// samples per segment), with the rows run in parallel at 1, 2 and 4 lanes,
+// each with its own scratch.
+TEST(SampledKernel, RowFormsMatchPerPairFoldsBitwiseAndTallies) {
+  struct Geometry {
+    const char* name;
+    SegmentPath a, b;
+  };
+  const Geometry geometries[] = {
+      {"coil", bobbin_coil("A").path_at({}), bobbin_coil("B").path_at(Pose{{30.0, 4.0, 0.0}, 25.0})},
+      {"xcap", x_capacitor("C").path_at({}), x_capacitor("D").path_at(Pose{{12.0, -6.0, 0.0}, 35.0})},
+      {"zigzag", zigzag(16), shifted(zigzag(11), {1.5, 6.0, 1.0})},
+      {"mixed", mixed_path(), shifted(mixed_path(), {2.0, 9.0, -1.0})},
+  };
+  const QuadratureOptions shapes[] = {{4, 2}, {6, 2}, {3, 3}, {8, 9}};
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const Geometry& g : geometries) {
+    const std::size_t n1 = g.a.segments.size();
+    const std::size_t n2 = g.b.segments.size();
+    // Coverage masks of the remainder rows: none, all, a random half.
+    std::vector<unsigned char> all(n1 * n2, 1);
+    std::vector<unsigned char> half(n1 * n2, 0);
+    num::Rng rng(11);
+    for (unsigned char& c : half) c = rng.uniform() < 0.5 ? 1 : 0;
+    const std::pair<const char*, const unsigned char*> masks[] = {
+        {"none", nullptr}, {"all", all.data()}, {"half", half.data()}};
+    for (const QuadratureOptions& q : shapes) {
+      const std::string tag = std::string(g.name) + " order " + std::to_string(q.order) +
+                              " x " + std::to_string(q.subdivisions);
+      const PairRef ab = legacy_pairs(g.a, g.b, q);
+      const PairRef aa = legacy_pairs(g.a, g.a, q);
+      const auto& sa = g.a.segments;
+      const auto& sb = g.b.segments;
+      std::vector<std::vector<RowOut>> want_rem;
+      for (const auto& [mask_name, mask] : masks) {
+        std::vector<RowOut> rows(n1);
+        for (std::size_t i = 0; i < n1; ++i) {
+          for (std::size_t j = 0; j < n2; ++j) {
+            if (mask != nullptr && mask[i * n2 + j]) continue;
+            rows[i].value += sa[i].weight * sb[j].weight * ab.m[i * n2 + j];
+            if (ab.evals[i * n2 + j] != 0) ++rows[i].exact_pairs;
+            rows[i].sample_evals += ab.evals[i * n2 + j];
+          }
+        }
+        want_rem.push_back(std::move(rows));
+      }
+      std::vector<RowOut> want_self(n1);
+      for (std::size_t i = 0; i < n1; ++i) {
+        const double wi = sa[i].weight;
+        try {
+          want_self[i].value = wi * wi * self_inductance(sa[i]);
+        } catch (const std::invalid_argument&) {
+          want_self[i] = RowOut{0.0, true, 0, 0};
+          continue;
+        }
+        for (std::size_t j = i + 1; j < n1; ++j) {
+          want_self[i].value += 2.0 * wi * sa[j].weight * aa.m[i * n1 + j];
+          if (aa.evals[i * n1 + j] != 0) ++want_self[i].exact_pairs;
+          want_self[i].sample_evals += aa.evals[i * n1 + j];
+        }
+      }
+
+      const SampledPath pa = sample_path(g.a, q);
+      const SampledPath pb = sample_path(g.b, q);
+      // Runs `row` for every row of `pa` in parallel; a throw is recorded.
+      const auto run = [&](const auto& row) {
+        std::vector<RowOut> out(n1);
+        core::parallel_for(0, n1, [&](std::size_t i) {
+          RowScratch scratch;
+          detail::PairTally tally;
+          try {
+            out[i].value = row(i, scratch, tally);
+          } catch (const std::invalid_argument&) {
+            out[i].threw = true;
+          }
+          out[i].exact_pairs = tally.exact_pairs;
+          out[i].sample_evals = tally.sample_evals;
+        });
+        return out;
+      };
+      for (const std::size_t lanes : {1u, 2u, 4u}) {
+        core::ThreadPool::set_global_thread_count(lanes);
+        const std::string at = tag + " lanes " + std::to_string(lanes);
+        for (std::size_t k = 0; k < std::size(masks); ++k) {
+          const unsigned char* mask = masks[k].second;
+          expect_rows(run([&](std::size_t i, RowScratch& s, detail::PairTally& t) {
+                        return sampled_mutual_row(pa, i, pb, mask ? mask + i * n2 : nullptr, s,
+                                                  t);
+                      }),
+                      want_rem[k], at + " covered " + masks[k].first);
+        }
+        expect_rows(run([&](std::size_t i, RowScratch& s, detail::PairTally& t) {
+                      return sampled_self_row(pa, i, s, t);
+                    }),
+                    want_self, at + " self");
+      }
+    }
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
 }
 
 }  // namespace

@@ -24,11 +24,13 @@
 #       Builds, then runs the `peec`, `large` and `perf` labels (kernel,
 #       cluster tree, extraction cache tiers and the extractors sharing
 #       them, coupling-factor and rule pins, the large-scenario battery, the
-#       kernel perf gate and the flow work-counter pins) and
+#       kernel perf gate and the flow work-counter pins),
 #       BM_ScreeningMatrix - large_board's clustered extraction at 1/2/4/8
 #       lanes - so its work counters (exact pairs, cluster pairs, skipped
-#       pairs, pool batches) land in the log. The benchmark is skipped (with
-#       a notice) when the bench binary was not built.
+#       pairs, pool batches) land in the log, and the serial BM_KernelRow_*
+#       trio - the row kernel's ns per exact sample evaluation in mutual
+#       rows, self rows and a clustered remainder. A benchmark is skipped
+#       (with a notice) when its bench binary was not built.
 #
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
@@ -101,6 +103,13 @@ case "$label" in
     if [[ -x "$bench" ]]; then
       echo "check peec: screening extraction (BM_ScreeningMatrix)"
       "$bench" --benchmark_filter=ScreeningMatrix --benchmark_min_time=0.5
+    else
+      echo "check peec: SKIP benchmark (${bench} not built)"
+    fi
+    bench="${build_dir}/bench/bench_perf_peec"
+    if [[ -x "$bench" ]]; then
+      echo "check peec: row kernel per-eval cost (BM_KernelRow_*)"
+      "$bench" --benchmark_filter=KernelRow --benchmark_min_time=0.5
     else
       echo "check peec: SKIP benchmark (${bench} not built)"
     fi
