@@ -10,12 +10,23 @@
 //           are what a long-running daemon delivers.
 // The cold/warm ratio is the amortization the session/shared cache split
 // buys (the reduced-order reuse motivation, PAPERS.md).
+//
+// BM_ServeSocketRoundTrip puts the warm service behind a SocketServer and
+// times SUBMIT -> RESULT over the Unix socket, the way `emiplace submit`
+// and `emiplace result` see it: that includes how soon the serve loop
+// answers a parked RESULT once its job lands, which the in-process
+// benchmarks (Service::wait) cannot see.
 #include <benchmark/benchmark.h>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -24,6 +35,7 @@
 #include <vector>
 
 #include "src/svc/job.hpp"
+#include "src/svc/server.hpp"
 #include "src/svc/service.hpp"
 
 namespace {
@@ -140,7 +152,7 @@ void BM_ServeOverload(benchmark::State& state) {
             sheds.fetch_add(1, std::memory_order_relaxed);
             if (++retries > 1000) break;
             // Ride the service's own load estimate, like `submit --retry`.
-            const std::uint64_t hint = svc.health().retry_after_ms;
+            const std::int64_t hint = svc.health().retry_after_ms;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(hint > 0 ? hint : 1));
             id = svc.submit(spec_for(s));
@@ -184,6 +196,114 @@ void BM_ServeOverload(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeOverload)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One protocol connection: a request line out, its reply line back.
+class WireClient {
+ public:
+  explicit WireClient(const std::string& path) {
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    // The server binds in serve(); retry until it listens.
+    for (int i = 0; i < 400; ++i) {
+      if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ::close(fd_);
+    fd_ = -1;
+  }
+  ~WireClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  WireClient(const WireClient&) = delete;
+  WireClient& operator=(const WireClient&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  // The reply line, or "" when the connection failed.
+  std::string roundtrip(const std::string& line) {
+    const std::string req = line + "\n";
+    if (::send(fd_, req.data(), req.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(req.size())) {
+      return std::string();
+    }
+    // One request in flight per connection: the reply is all there is.
+    std::string reply;
+    char buf[512];
+    while (reply.empty() || reply.back() != '\n') {
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
+      if (n <= 0) return std::string();
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+    reply.pop_back();
+    return reply;
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+// Socket round trip: a warm 2-executor service behind a SocketServer; per
+// iteration each of `clients` threads runs SUBMIT -> RESULT once over its
+// own connection. Counter: p50_ms over every round trip of the run.
+void BM_ServeSocketRoundTrip(benchmark::State& state) {
+  const int clients = static_cast<int>(state.range(0));
+  const std::string dir = bench_dir("socket");
+  // sockaddr_un caps the path near 107 bytes: keep it short.
+  const std::string sock = "/tmp/bench_serve_" + std::to_string(::getpid()) + ".sock";
+  svc::Service svc({dir, 2, 4096});
+  run_round(state, svc, 2);  // warm the global cache tier outside the timing
+  svc::SocketServer server(svc, sock);
+  std::thread serving([&server] { (void)server.serve(); });
+
+  std::vector<std::unique_ptr<WireClient>> conns;
+  for (int c = 0; c < clients; ++c) {
+    conns.push_back(std::make_unique<WireClient>(sock));
+    if (!conns.back()->connected()) state.SkipWithError("cannot connect");
+  }
+  std::vector<std::vector<double>> round_ms(static_cast<std::size_t>(clients));
+  std::atomic<bool> ok{true};
+  for (auto _ : state) {
+    if (!ok) break;
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(clients));
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        WireClient& conn = *conns[static_cast<std::size_t>(c)];
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::string sub = conn.roundtrip("SUBMIT topology=buck points=" +
+                                               std::to_string(kSweepPoints) +
+                                               " client=bench-" + std::to_string(c));
+        if (sub.rfind("OK id=", 0) != 0) {
+          ok = false;
+          return;
+        }
+        const std::string res = conn.roundtrip("RESULT job=" + sub.substr(6));
+        if (res.find(" state=done ") == std::string::npos) {
+          ok = false;
+          return;
+        }
+        round_ms[static_cast<std::size_t>(c)].push_back(
+            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+                .count());
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  if (!ok) state.SkipWithError("round trip failed");
+  server.stop();
+  serving.join();
+
+  std::vector<double> all;
+  for (const std::vector<double>& v : round_ms) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  state.counters["p50_ms"] = all.empty() ? 0.0 : all[(all.size() - 1) / 2];
+  state.SetItemsProcessed(static_cast<std::int64_t>(all.size()));
+}
+BENCHMARK(BM_ServeSocketRoundTrip)
+    ->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -190,15 +190,24 @@ void check_grid(const char* who, const std::vector<double>& freqs_hz,
   }
 }
 
+// ac_stamp_pattern of the circuit with inductance matrix `lmat`.
+std::vector<std::pair<std::size_t, std::size_t>> stamp_pattern(
+    const Circuit& c, const InductanceMatrix& lmat, const AcOptions& opt) {
+  StampPattern pattern;
+  std::vector<Complex> rhs(c.unknown_count());
+  assemble_point(c, lmat, 1.0, 1.0, opt, pattern, rhs);
+  return std::move(pattern.entries);
+}
+
 // ac_band_ordering of the circuit with inductance matrix `lmat`.
 std::shared_ptr<const num::BandOrdering> band_ordering(const Circuit& c,
                                                        const InductanceMatrix& lmat,
                                                        const AcOptions& opt) {
-  StampPattern pattern;
-  std::vector<Complex> rhs(c.unknown_count());
-  assemble_point(c, lmat, 1.0, 1.0, opt, pattern, rhs);
+  const std::vector<std::pair<std::size_t, std::size_t>> pattern =
+      stamp_pattern(c, lmat, opt);
+  if (num::band_cannot_pay(c.unknown_count(), pattern)) return nullptr;
   auto ord = std::make_shared<const num::BandOrdering>(
-      num::rcm_ordering(c.unknown_count(), pattern.entries));
+      num::rcm_ordering(c.unknown_count(), pattern));
   if (!num::band_pays(*ord)) return nullptr;
   return ord;
 }
@@ -208,6 +217,11 @@ std::shared_ptr<const num::BandOrdering> band_ordering(const Circuit& c,
 std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
                                                           const AcOptions& opt) {
   return band_ordering(c, c.inductance_matrix(), opt);
+}
+
+std::vector<std::pair<std::size_t, std::size_t>> ac_stamp_pattern(const Circuit& c,
+                                                                  const AcOptions& opt) {
+  return stamp_pattern(c, c.inductance_matrix(), opt);
 }
 
 Complex AcSolution::voltage(const std::string& node, std::size_t fi) const {

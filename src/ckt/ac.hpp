@@ -165,14 +165,21 @@ CouplingProbeSweep ac_coupling_probe_sweep(
 // The solver selection of ac_solve_checked and the probe entry points (for
 // ac_coupling_probe_sweep, of the circuit and of each probe).
 // Each call orders the circuit's MNA stamp pattern once by reverse
-// Cuthill-McKee; the pattern depends on the elements, not the frequency.
-// When the ordered band is narrow (num::band_pays) every point is stamped
-// straight into band storage and factored by num::BandLu, and this returns
-// that ordering; otherwise points are stamped into a dense matrix and
-// factored by num::Lu, and this returns null. Long filter ladders take the
-// band path; the converters' small systems stay dense.
+// Cuthill-McKee (the pattern depends on the elements, not the frequency),
+// unless one of its rows already proves that no order can pay
+// (num::band_cannot_pay). When the ordered band is narrow (num::band_pays)
+// every point is stamped straight into band storage and factored by
+// num::BandLu, and this returns that ordering; otherwise points are stamped
+// into a dense matrix and factored by num::Lu, and this returns null. Long
+// filter ladders take the band path; the converters' small systems stay
+// dense, decided by the shortcut.
 std::shared_ptr<const num::BandOrdering> ac_band_ordering(const Circuit& c,
                                                           const AcOptions& opt = {});
+
+// The (row, col) entries a point's MNA stamps write, in stamp order and with
+// repeats: the pattern ac_band_ordering decides on.
+std::vector<std::pair<std::size_t, std::size_t>> ac_stamp_pattern(
+    const Circuit& c, const AcOptions& opt = {});
 
 // Unit-typed sweep entry point: a grid of units::Hertz cannot be confused
 // with one of rad/s (use units::cycles() to come back from angular

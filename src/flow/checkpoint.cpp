@@ -1,7 +1,10 @@
 #include "src/flow/checkpoint.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <climits>
+#include <concepts>
 #include <sstream>
 #include <vector>
 
@@ -27,12 +30,48 @@ constexpr std::string_view kStage = "flow.checkpoint";
 
 using io::double_bits;
 
-void put_spectrum(std::ostream& out, const char* tag,
-                  const emc::EmissionSpectrum& s) {
-  out << "spectrum " << tag << ' ' << s.freqs_hz.size() << '\n';
+// ---- rendering -------------------------------------------------------------
+//
+// A checkpoint is appended into one string: integers in decimal
+// through std::to_chars, hex64 fields through io::append_hex64 - the bytes
+// an ostream, io::hex64 and io::double_bits print, without a string or a
+// stream per number.
+
+struct Hex64 {  // 16 lowercase hex digits, like io::hex64
+  std::uint64_t v;
+};
+struct Hex {  // lowercase hex digits, no padding, like std::hex
+  std::uint64_t v;
+};
+Hex64 bits(double v) { return {std::bit_cast<std::uint64_t>(v)}; }
+
+void put(std::string& out, std::string_view s) { out.append(s); }
+
+template <std::integral T>
+void put(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void put(std::string& out, Hex h) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, h.v, 16).ptr);
+}
+
+void put(std::string& out, Hex64 h) { io::append_hex64(out, h.v); }
+
+// One record line: the parts separated by single spaces, then '\n'.
+template <typename First, typename... Rest>
+void put_line(std::string& out, const First& first, const Rest&... rest) {
+  put(out, first);
+  ((out += ' ', put(out, rest)), ...);
+  out += '\n';
+}
+
+void put_spectrum(std::string& out, const char* tag, const emc::EmissionSpectrum& s) {
+  put_line(out, "spectrum", tag, s.freqs_hz.size());
   for (std::size_t i = 0; i < s.freqs_hz.size(); ++i) {
-    out << "pt " << double_bits(s.freqs_hz[i]) << ' ' << double_bits(s.level_dbuv[i])
-        << '\n';
+    put_line(out, "pt", bits(s.freqs_hz[i]), bits(s.level_dbuv[i]));
   }
 }
 
@@ -146,64 +185,63 @@ namespace {
 // The result sections of the checkpoint ("complete" through "diags"), shared
 // by serialize_checkpoint and result_fingerprint so the fingerprint is taken
 // over exactly the bytes a checkpoint would persist.
-void put_result_body(std::ostream& out, const FlowResult& r) {
-  out << "complete " << (r.complete ? 1 : 0) << '\n';
-  out << "saved " << r.field_solves_saved << '\n';
+void put_result_body(std::string& out, const FlowResult& r) {
+  put_line(out, "complete", r.complete ? 1 : 0);
+  put_line(out, "saved", r.field_solves_saved);
 
-  out << "ranking " << r.ranking.size() << '\n';
+  put_line(out, "ranking", r.ranking.size());
   for (const emc::CouplingSensitivity& s : r.ranking) {
-    out << "rank " << s.inductor_a << ' ' << s.inductor_b << ' '
-        << double_bits(s.max_delta_db) << ' ' << double_bits(s.mean_delta_db) << '\n';
+    put_line(out, "rank", s.inductor_a, s.inductor_b, bits(s.max_delta_db),
+             bits(s.mean_delta_db));
   }
-  out << "pairs " << r.simulated_pairs.size() << '\n';
-  for (const auto& [a, b] : r.simulated_pairs) out << "pair " << a << ' ' << b << '\n';
+  put_line(out, "pairs", r.simulated_pairs.size());
+  for (const auto& [a, b] : r.simulated_pairs) put_line(out, "pair", a, b);
 
   put_spectrum(out, "initial", r.initial_prediction);
   put_spectrum(out, "initial_nc", r.initial_no_coupling);
   put_spectrum(out, "improved", r.improved_prediction);
 
-  out << "rules " << r.rules.size() << '\n';
+  put_line(out, "rules", r.rules.size());
   for (const emc::MinDistanceRule& rule : r.rules) {
-    out << "rule " << rule.comp_a << ' ' << rule.comp_b << ' ' << double_bits(rule.pemd.raw())
-        << ' ' << double_bits(rule.k_threshold) << '\n';
+    put_line(out, "rule", rule.comp_a, rule.comp_b, bits(rule.pemd.raw()),
+             bits(rule.k_threshold));
   }
 
-  out << "layout " << r.improved_layout.placements.size() << '\n';
+  put_line(out, "layout", r.improved_layout.placements.size());
   for (const place::Placement& p : r.improved_layout.placements) {
-    out << "pl " << double_bits(p.position.x) << ' ' << double_bits(p.position.y) << ' '
-        << double_bits(p.rot_deg) << ' ' << p.board << ' ' << (p.placed ? 1 : 0) << '\n';
+    put_line(out, "pl", bits(p.position.x), bits(p.position.y), bits(p.rot_deg), p.board,
+             p.placed ? 1 : 0);
   }
   const place::PlaceStats& st = r.place_stats;
-  out << "stats " << st.placed << ' ' << st.failed << ' ' << st.candidates_evaluated
-      << ' ' << double_bits(st.rotation_emd_before_mm) << ' '
-      << double_bits(st.rotation_emd_after_mm) << ' ' << st.cut_nets << '\n';
-  out << "sfails " << st.failed_components.size() << '\n';
-  for (const std::string& name : st.failed_components) out << "sfail " << name << '\n';
+  put_line(out, "stats", st.placed, st.failed, st.candidates_evaluated,
+           bits(st.rotation_emd_before_mm), bits(st.rotation_emd_after_mm), st.cut_nets);
+  put_line(out, "sfails", st.failed_components.size());
+  for (const std::string& name : st.failed_components) put_line(out, "sfail", name);
 
-  out << "diags " << r.diagnostics.size() << '\n';
+  put_line(out, "diags", r.diagnostics.size());
   for (const StageDiagnostic& d : r.diagnostics) {
-    out << "diag " << d.attempts << ' ' << (d.recovered ? 1 : 0) << ' '
-        << static_cast<unsigned>(d.status.code()) << ' ' << d.stage << ' '
-        << (d.status.stage().empty() ? "-" : d.status.stage()) << ' '
-        << io::one_line(d.status.message()) << '\n';
+    const std::string& stage = d.status.stage();
+    put_line(out, "diag", d.attempts, d.recovered ? 1 : 0,
+             static_cast<unsigned>(d.status.code()), d.stage,
+             stage.empty() ? std::string_view("-") : std::string_view(stage),
+             io::one_line(d.status.message()));
   }
 }
 
 }  // namespace
 
 std::string serialize_checkpoint(const FlowCheckpoint& ck) {
-  std::ostringstream out;
-  out << kCheckpointMagic << ' ' << io::hex64(ck.context_digest) << '\n';
-  out << "stages " << std::hex << ck.stages_done << ' ' << ck.stages_ok << std::dec
-      << '\n';
+  std::string out;
+  put_line(out, kCheckpointMagic, Hex64{ck.context_digest});
+  put_line(out, "stages", Hex{ck.stages_done}, Hex{ck.stages_ok});
   put_result_body(out, ck.result);
-  return io::seal(std::move(out).str());
+  return io::seal(std::move(out));
 }
 
 std::uint64_t result_fingerprint(const FlowResult& r) {
-  std::ostringstream out;
+  std::string out;
   put_result_body(out, r);
-  return core::fault::fnv64(out.str());
+  return core::fault::fnv64(out);
 }
 
 core::Result<FlowCheckpoint> parse_checkpoint(const std::string& text) {
@@ -363,7 +401,9 @@ core::Status save_checkpoint_file(const std::string& path, const FlowCheckpoint&
   // atomic) commit - the on-disk file then looks exactly like a crash inside
   // a non-atomic writer. The load-side checksum must reject it; the write
   // side reports success, as a genuinely crashed process would.
-  if (core::fault::should_fire(core::FaultSite::kCkpt, core::fault::fnv64(content))) {
+  // The content hash is the fault key: taken only while a site is armed.
+  if (core::fault::armed() &&
+      core::fault::should_fire(core::FaultSite::kCkpt, core::fault::fnv64(content))) {
     content.resize(content.size() / 2);
   }
   io::AtomicFileWriter w(path);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -49,9 +48,16 @@ std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
 }
 
 std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
+  std::string out;
+  append_hex64(out, v);
+  return out;
+}
+
+void append_hex64(std::string& out, std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[16];
+  for (std::size_t i = sizeof buf; i-- > 0; v >>= 4) buf[i] = kDigits[v & 0xf];
+  out.append(buf, sizeof buf);
 }
 
 std::string double_bits(double v) { return hex64(std::bit_cast<std::uint64_t>(v)); }

@@ -41,6 +41,7 @@ std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
 
 std::string hex64(std::uint64_t v);       // 16 lowercase hex digits
 std::string double_bits(double v);        // hex64 of the IEEE-754 bits
+void append_hex64(std::string& out, std::uint64_t v);  // hex64(v) onto `out`
 // '\n' and '\r' become spaces, so free text can never break a line format.
 std::string one_line(std::string s);
 

@@ -34,6 +34,33 @@ std::vector<std::size_t> last_level(const Graph& g, std::size_t root, std::size_
 
 }  // namespace
 
+bool band_cannot_pay(std::size_t n,
+                     std::span<const std::pair<std::size_t, std::size_t>> entries) {
+  // Group the columns by row (a counting sort), then count each row's
+  // distinct off-diagonal ones: seen[c] == r once column c counted for row r.
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const auto& [r, c] : entries) ++start[r + 1];
+  // A row's entry count bounds its distinct columns: most patterns that can
+  // pay (long ladders) stop here.
+  if (4 * (*std::max_element(start.begin(), start.end()) + 1) < n) return false;
+  for (std::size_t r = 0; r < n; ++r) start[r + 1] += start[r];
+  std::vector<std::size_t> cols(entries.size());
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (const auto& [r, c] : entries) cols[fill[r]++] = c;
+  std::vector<std::size_t> seen(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t d = 0;
+    for (std::size_t k = start[r]; k < start[r + 1]; ++k) {
+      const std::size_t c = cols[k];
+      if (c == r || seen[c] == r) continue;
+      seen[c] = r;
+      ++d;
+    }
+    if (4 * (d + 1) >= n) return true;
+  }
+  return false;
+}
+
 BandOrdering rcm_ordering(std::size_t n,
                           std::span<const std::pair<std::size_t, std::size_t>> entries) {
   Graph g(n);

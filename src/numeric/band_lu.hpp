@@ -63,6 +63,13 @@ BandOrdering rcm_ordering(std::size_t n,
 // microseconds and a switch would only change result bits.
 inline bool band_pays(const BandOrdering& b) { return b.storage_rows() * 4 < b.size(); }
 
+// True when no symmetric order of the n x n pattern can make band storage
+// pay, so rcm_ordering need not run: some row has d distinct off-diagonal
+// columns with 4 (d + 1) >= n. Under any order that row's columns sit at d
+// distinct positions off its own, so kl + ku >= d and storage_rows() >= d + 1.
+bool band_cannot_pay(std::size_t n,
+                     std::span<const std::pair<std::size_t, std::size_t>> entries);
+
 template <typename T>
 class BandLu;
 

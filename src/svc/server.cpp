@@ -27,6 +27,13 @@ std::string err_reply(core::ErrorCode code, const std::string& msg) {
   return err_reply(core::Status(code, "svc.server", msg));
 }
 
+// Reads every byte waiting on the non-blocking pipe `fd`.
+void drain_fd(int fd) {
+  char buf[64];
+  while (::read(fd, buf, sizeof buf) > 0) {
+  }
+}
+
 // job=N field shared by STATUS / RESULT / CANCEL.
 bool parse_job_id(const std::vector<std::string>& tokens, std::uint64_t& id,
                   std::string& err) {
@@ -209,7 +216,10 @@ SocketServer::SocketServer(Service& svc, std::string socket_path)
 
 SocketServer::~SocketServer() { ::unlink(socket_path_.c_str()); }
 
-void SocketServer::stop() { stop_.store(true, std::memory_order_relaxed); }
+void SocketServer::stop() {
+  stop_.store(true);
+  wake_.signal();
+}
 
 core::Status SocketServer::serve() {
   sockaddr_un addr{};
@@ -237,6 +247,7 @@ core::Status SocketServer::serve() {
     io::LineFramer framer;
     std::uint64_t wait_job = 0;  // nonzero: parked on RESULT
     bool waiting = false;
+    bool dead = false;  // closed at the end of this pass
   };
   std::map<int, Conn> conns;
   bool shutdown = false;
@@ -253,76 +264,102 @@ core::Status SocketServer::serve() {
     return true;
   };
 
-  while (!shutdown && !stop_.load(std::memory_order_relaxed)) {
+  // Answer the complete lines `c` holds until one parks it on RESULT: no
+  // further commands from it until that reply goes out.
+  const auto serve_lines = [&](int fd, Conn& c) {
+    while (!c.waiting) {
+      const std::optional<std::string> line = c.framer.next_line();
+      if (!line) return;
+      const CommandOutcome outcome = handle_command(svc_, *line);
+      if (outcome.deferred) {
+        c.waiting = true;
+        c.wait_job = outcome.wait_job;
+        return;
+      }
+      if (!send_line(fd, outcome.reply)) {
+        c.dead = true;
+        return;
+      }
+      if (outcome.shutdown) {
+        shutdown = true;
+        return;
+      }
+      if (outcome.drain) draining = true;
+    }
+  };
+
+  // Slots 0-2 of the poll set; the connections follow.
+  constexpr std::size_t kFixedFds = 3;
+  while (!shutdown && !stop_.load()) {
     std::vector<pollfd> fds;
     fds.push_back({listen_fd, POLLIN, 0});
+    fds.push_back({wake_.read_fd(), POLLIN, 0});
+    fds.push_back({svc_.terminal_fd(), POLLIN, 0});
     for (const auto& [fd, c] : conns) {
       fds.push_back({fd, static_cast<short>(c.waiting ? 0 : POLLIN), 0});
     }
-    // Short tick so parked RESULT waiters and stop() are serviced promptly;
-    // job execution itself happens on the service's executor threads.
-    const int rc = ::poll(fds.data(), fds.size(), 20);
-    if (rc < 0 && errno != EINTR) break;
+    // No timeout: everything the loop acts on arrives on a descriptor - a
+    // connection, a client's bytes, stop() and every job transition that
+    // can answer a parked RESULT or end a drain.
+    if (::poll(fds.data(), fds.size(), -1) < 0 && errno != EINTR) break;
+    // Empty both pipes before the waiter scan below reads job state: a
+    // transition after this point leaves a byte behind for the next poll.
+    for (std::size_t i = 1; i < kFixedFds; ++i) {
+      if (fds[i].revents & POLLIN) drain_fd(fds[i].fd);
+    }
 
     if (fds[0].revents & POLLIN) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd >= 0) conns[fd];  // default-construct a fresh framer
     }
 
-    std::vector<int> dead;
-    for (std::size_t i = 1; i < fds.size(); ++i) {
+    for (std::size_t i = kFixedFds; i < fds.size(); ++i) {
       if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       const int fd = fds[i].fd;
       Conn& c = conns[fd];
       char buf[4096];
       const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
       if (n <= 0) {
-        dead.push_back(fd);
+        c.dead = true;
         continue;
       }
       if (!c.framer.feed({buf, static_cast<std::size_t>(n)}).ok()) {
         send_line(fd, err_reply(core::ErrorCode::kInvalidArgument,
                                 "line too long"));
-        dead.push_back(fd);
+        c.dead = true;
         continue;
       }
-      while (const std::optional<std::string> line = c.framer.next_line()) {
-        const CommandOutcome outcome = handle_command(svc_, *line);
-        if (outcome.deferred) {
-          c.waiting = true;
-          c.wait_job = outcome.wait_job;
-          break;  // no further commands until the reply goes out
-        }
-        if (!send_line(fd, outcome.reply)) {
-          dead.push_back(fd);
-          break;
-        }
-        if (outcome.shutdown) {
-          shutdown = true;
-          break;
-        }
-        if (outcome.drain) draining = true;
-      }
+      serve_lines(fd, c);
     }
 
-    // Answer parked RESULT waiters whose job reached a terminal state.
+    // Answer parked RESULT waiters whose job reached a terminal state, then
+    // the lines their clients sent behind the RESULT.
     for (auto& [fd, c] : conns) {
-      if (!c.waiting) continue;
+      if (!c.waiting || c.dead) continue;
       const core::Result<JobRecord> rec = svc_.status(c.wait_job);
       if (rec.ok() && !job_state_terminal(rec.value().state)) continue;
       c.waiting = false;
       const std::string reply =
           rec.ok() ? format_job_reply(rec.value()) : err_reply(rec.status());
-      if (!send_line(fd, reply)) dead.push_back(fd);
+      if (send_line(fd, reply)) {
+        serve_lines(fd, c);
+      } else {
+        c.dead = true;
+      }
     }
 
-    for (const int fd : dead) {
-      ::close(fd);
-      conns.erase(fd);
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!it->second.dead) {
+        ++it;
+        continue;
+      }
+      ::close(it->first);
+      it = conns.erase(it);
     }
 
     // Draining: keep answering STATUS/HEALTH/RESULT until the last
-    // in-flight job lands, then leave the loop like a SHUTDOWN.
+    // in-flight job lands (its transition wakes the poll above), then leave
+    // the loop like a SHUTDOWN.
     if (draining && svc_.drain_complete()) shutdown = true;
   }
 

@@ -24,6 +24,13 @@
 // on a waiter list and answered when the job reaches a terminal state;
 // execution itself happens on the service's executor threads.
 //
+// The loop is event-driven: poll() has no timeout. Besides the listen
+// socket and the connections it watches two self-pipes - the service's
+// terminal_fd(), written on every job transition that can answer a parked
+// RESULT or end a drain, and the server's own, written by stop() - so a
+// RESULT is answered the moment its job lands, and an idle server does no
+// work at all.
+//
 // SHUTDOWN DRAIN stops admissions immediately (further SUBMITs get
 // code=failed_precondition) but keeps the loop serving STATUS/HEALTH/STATS
 // until every in-flight job lands; queued jobs stay durable on disk for the
@@ -31,6 +38,7 @@
 // job's current (possibly non-terminal) record instead of a silent close.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -60,7 +68,8 @@ std::string format_job_reply(const JobRecord& rec);
 class SocketServer {
  public:
   // Binds lazily in serve(); `socket_path` must fit sockaddr_un (~107
-  // bytes) - keep serve sockets in short paths (/tmp).
+  // bytes) - keep serve sockets in short paths (/tmp). Throws
+  // std::runtime_error when the wake-up pipe cannot be created.
   SocketServer(Service& svc, std::string socket_path);
   ~SocketServer();
 
@@ -72,8 +81,10 @@ class SocketServer {
   // on exit.
   [[nodiscard]] core::Status serve();
 
-  // Ask a serve() running on another thread to exit after its current poll
-  // tick.
+  // Ask a serve() running on another thread to exit: sets the flag and
+  // wakes the poll loop through the server's self-pipe. Async-signal-safe
+  // (an atomic store and one write(2)), so a SIGINT/SIGTERM handler may
+  // call it.
   void stop();
 
   const std::string& socket_path() const { return socket_path_; }
@@ -82,6 +93,7 @@ class SocketServer {
   Service& svc_;
   std::string socket_path_;
   std::atomic<bool> stop_{false};
+  SelfPipe wake_;  // stop()'s wake-up
 };
 
 }  // namespace emi::svc

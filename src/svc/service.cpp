@@ -1,7 +1,12 @@
 #include "src/svc/service.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -58,6 +63,28 @@ std::int64_t now_ms() {
 
 }  // namespace
 
+SelfPipe::SelfPipe() {
+  if (::pipe(fds_) != 0) {
+    throw std::runtime_error(std::string("svc: cannot create a self-pipe: ") +
+                             std::strerror(errno));
+  }
+  // A fresh pipe has no other status flags to keep.
+  for (const int fd : fds_) {
+    ::fcntl(fd, F_SETFL, O_NONBLOCK);
+    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  }
+}
+
+SelfPipe::~SelfPipe() {
+  for (const int fd : fds_) ::close(fd);
+}
+
+void SelfPipe::signal() const {
+  const char byte = 1;
+  // EAGAIN means the pipe is full, hence already readable: no wake is lost.
+  [[maybe_unused]] const ssize_t n = ::write(fds_[1], &byte, 1);
+}
+
 Service::Service(ServiceOptions opt)
     : opt_(std::move(opt)), queue_(std::max<std::size_t>(opt_.queue_capacity, 1)) {
   if (opt_.state_dir.empty()) {
@@ -107,6 +134,11 @@ void Service::persist(Job& job) {
   const core::Status st =
       save_job_record(job_dir(job.rec.id) + "/job.state", job.rec);
   if (!st.ok()) job.rec.detail = st.to_string();
+}
+
+void Service::notify_terminal() {
+  terminal_cv_.notify_all();
+  terminal_pipe_.signal();
 }
 
 void Service::recover() {
@@ -230,7 +262,7 @@ core::Status Service::cancel(std::uint64_t id) {
     job->rec.state = JobState::kCancelled;
     job->rec.detail = "cancelled before start";
     persist(*job);
-    terminal_cv_.notify_all();
+    notify_terminal();
     return core::Status();
   }
   // Running (or stalled): raise the token; the executor finalizes the
@@ -460,6 +492,9 @@ void Service::run_job(Job& job) {
          core::Status(core::ErrorCode::kInternal, "svc.job", e.what()), 1, false});
   }
   }
+  // A pure function of `res`, so it is taken before the lock: SUBMIT acks
+  // and the server's waiter scan do not queue behind it.
+  const std::uint64_t fingerprint = flow::result_fingerprint(res);
 
   core::MutexLock lock(mu_);
   if (crash_simmed) {
@@ -467,7 +502,7 @@ void Service::run_job(Job& job) {
     // `running` - exactly the state a real kill would leave - but unblock
     // wait()ers in this process.
     job.crash_simmed = true;
-    terminal_cv_.notify_all();
+    notify_terminal();
     return;
   }
   if (job.rec.state == JobState::kStalled && !job.user_cancelled) {
@@ -490,7 +525,7 @@ void Service::run_job(Job& job) {
                        " attempts (lease expired each time)";
       persist(job);
     }
-    terminal_cv_.notify_all();
+    notify_terminal();
     return;
   }
   // Sweep economics of this terminal run, folded into the service-wide
@@ -503,7 +538,7 @@ void Service::run_job(Job& job) {
   sweep_escalations_ += res.profile.count("sweep.escalations");
   sweep_max_residual_db_ =
       std::max(sweep_max_residual_db_, res.profile.gauge("sweep.max_residual_db"));
-  job.rec.fingerprint = flow::result_fingerprint(res);
+  job.rec.fingerprint = fingerprint;
   job.rec.complete = res.complete;
   if (job.cancel.cancel_requested()) {
     job.rec.state = JobState::kCancelled;
@@ -520,7 +555,7 @@ void Service::run_job(Job& job) {
   if (job.rec.state != JobState::kCancelled) {
     admission_.record_job_ms(static_cast<double>(now_ms() - t0));
   }
-  terminal_cv_.notify_all();
+  notify_terminal();
 }
 
 }  // namespace emi::svc

@@ -43,6 +43,11 @@
 // is the protocol-visible variant (SHUTDOWN DRAIN): admissions stop,
 // executors finish only the jobs already started, and drain_complete()
 // reports when the last in-flight job landed.
+//
+// Wake-ups. Every transition wait() is notified of - a terminal state, a
+// crash-sim halt, a stall requeue - also writes one byte to a self-pipe
+// whose read end is terminal_fd(), so a poll() loop (svc/server.hpp) learns
+// of a finished job the moment it lands instead of on a timer.
 #pragma once
 
 #include <condition_variable>
@@ -62,6 +67,27 @@
 #include "src/svc/session.hpp"
 
 namespace emi::svc {
+
+// A POSIX self-pipe, both ends non-blocking and close-on-exec, used as a
+// wake-up signal for a poll() loop. signal() writes one byte: write(2) is
+// async-signal-safe, and a full pipe (EAGAIN) is already readable, so it
+// never blocks and never loses a wake. The loop polls read_fd() and empties
+// it before it looks at the state the bytes announce; a signal() after
+// that leaves a byte behind and wakes the next poll.
+class SelfPipe {
+ public:
+  SelfPipe();  // throws std::runtime_error when pipe(2) fails
+  ~SelfPipe();
+
+  SelfPipe(const SelfPipe&) = delete;
+  SelfPipe& operator=(const SelfPipe&) = delete;
+
+  int read_fd() const { return fds_[0]; }
+  void signal() const;
+
+ private:
+  int fds_[2] = {-1, -1};
+};
 
 struct ServiceOptions {
   std::string state_dir;           // required; created if absent
@@ -120,7 +146,7 @@ class Service {
  public:
   // Scans `opt.state_dir` and recovers jobs before any executor starts, so
   // recovered jobs run before newly submitted ones. Throws std::runtime_error
-  // only if the state directory cannot be created.
+  // only if the state directory or the wake-up pipe cannot be created.
   explicit Service(ServiceOptions opt);
   ~Service();
 
@@ -154,6 +180,12 @@ class Service {
   void begin_drain();
   bool drain_complete() const;
   bool draining() const;
+
+  // Read end of the wake-up pipe: readable after every transition wait()
+  // is notified of. One poll loop owns it and empties it before it reads
+  // job state. With no reader the pipe fills up and stays readable;
+  // nothing blocks.
+  int terminal_fd() const { return terminal_pipe_.read_fd(); }
 
   const std::string& state_dir() const { return opt_.state_dir; }
   std::string job_dir(std::uint64_t id) const;
@@ -189,6 +221,9 @@ class Service {
   // Persist the record to the job's state file; failures become the job's
   // detail but never tear the file (atomic writer).
   void persist(Job& job) EMI_REQUIRES(mu_);
+  // Wakes wait()ers and terminal_fd()'s reader after a terminal transition,
+  // a crash-sim halt or a stall requeue.
+  void notify_terminal() EMI_REQUIRES(mu_);
   void recover() EMI_REQUIRES(mu_);  // ctor-only, before any executor starts
   Job* find(std::uint64_t id) EMI_REQUIRES(mu_);
   const Job* find(std::uint64_t id) const EMI_REQUIRES(mu_);
@@ -199,7 +234,8 @@ class Service {
   AdmissionController admission_;  // own lock, always acquired after mu_
 
   mutable core::Mutex mu_;                // guards jobs_, next_id_, counters
-  std::condition_variable terminal_cv_;   // signalled on any terminal transition
+  std::condition_variable terminal_cv_;   // see notify_terminal()
+  SelfPipe terminal_pipe_;                // see notify_terminal()
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_ EMI_GUARDED_BY(mu_);
   std::uint64_t next_id_ EMI_GUARDED_BY(mu_) = 1;
   std::uint64_t submitted_ EMI_GUARDED_BY(mu_) = 0;

@@ -479,5 +479,44 @@ TEST(AcBandSelection, ConvertersStayDenseLaddersGoBanded) {
   }
 }
 
+// The solver choice skips the RCM ordering where num::band_cannot_pay
+// proves no band pays. On the converters, the 16- and 64-stage ladders and
+// coupling probes of each, the choice equals the one RCM makes: the
+// converters and their probes take the shortcut, the ladders order.
+TEST(AcBandSelection, CannotPayShortcutKeepsTheRcmDecision) {
+  const auto expect_rcm_decision = [](const Circuit& c, bool shortcut,
+                                      const std::string& what) {
+    const std::vector<std::pair<std::size_t, std::size_t>> e = ac_stamp_pattern(c);
+    const std::size_t n = c.unknown_count();
+    const bool rcm_pays = num::band_pays(num::rcm_ordering(n, e));
+    EXPECT_EQ(num::band_cannot_pay(n, e), shortcut) << what;
+    EXPECT_EQ(ac_band_ordering(c) != nullptr, rcm_pays) << what;
+    EXPECT_EQ(rcm_pays, !shortcut) << what;
+  };
+  const auto with_probes = [&](const Circuit& c, bool shortcut, const std::string& name,
+                               std::size_t max_probes) {
+    expect_rcm_decision(c, shortcut, name);
+    const auto& inds = c.inductors();
+    std::size_t probes = 0;
+    for (std::size_t a = 0; a < inds.size() && probes < max_probes; ++a) {
+      for (std::size_t b = a + 1; b < inds.size() && probes < max_probes; ++b, ++probes) {
+        Circuit probe = c;
+        probe.set_coupling(inds[a].name, inds[b].name, 0.05);
+        expect_rcm_decision(probe, shortcut, name + " probe " + inds[a].name + "-" +
+                                                 inds[b].name);
+      }
+    }
+    EXPECT_GT(probes, 0u) << name;
+  };
+  with_probes(flow::make_buck_converter().circuit, true, "buck", 1000);
+  with_probes(flow::make_boost_converter().circuit, true, "boost", 1000);
+  for (const std::size_t stages : {16u, 64u}) {
+    flow::LargeScenarioOptions o;
+    o.n_stages = stages;
+    with_probes(flow::make_large_scenario_circuit(o).circuit, false,
+                std::to_string(stages) + "-stage ladder", 40);
+  }
+}
+
 }  // namespace
 }  // namespace emi::ckt

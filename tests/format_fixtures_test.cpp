@@ -96,6 +96,54 @@ TEST(FormatFixtures, FaultCheckpointKeepsMultiWordDiagnostics) {
   EXPECT_EQ(flow::serialize_checkpoint(ck), bytes_of(path));
 }
 
+// The record shapes no shipped fixture holds, each re-serialized byte for
+// byte: a negative board index, a diagnostic whose status names no stage
+// ('-') and one with an empty message, hex stage masks with a letter digit,
+// negative zero, and a count past 32 bits.
+TEST(FormatFixtures, NegativeBoardAndUnnamedStageReserializeByteForByte) {
+  const std::string text = io::seal(
+      "EMICKPT 1 00000000deadbeef\n"
+      "stages 1f b\n"
+      "complete 0\n"
+      "saved 3\n"
+      "ranking 1\n"
+      "rank L1 L2 3ff0000000000000 bff0000000000000\n"
+      "pairs 1\n"
+      "pair L1 L2\n"
+      "spectrum initial 1\n"
+      "pt 4102c9e000000000 0000000000000000\n"
+      "spectrum initial_nc 0\n"
+      "spectrum improved 0\n"
+      "rules 1\n"
+      "rule L1 C3 4034000000000000 3f847ae147ae147b\n"
+      "layout 2\n"
+      "pl 4024000000000000 c024000000000000 4056800000000000 -1 0\n"
+      "pl 0000000000000000 8000000000000000 0000000000000000 12 1\n"
+      "stats 1 1 12345678901 0000000000000000 8000000000000000 2\n"
+      "sfails 1\n"
+      "sfail C3\n"
+      "diags 2\n"
+      "diag 2 1 5 flow.placement - no legal position for C3\n"
+      "diag 1 0 0 flow.sensitivity - \n");
+  const core::Result<flow::FlowCheckpoint> loaded = flow::parse_checkpoint(text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  const flow::FlowCheckpoint& ck = loaded.value();
+  EXPECT_EQ(ck.stages_done, 0x1fu);
+  EXPECT_EQ(ck.stages_ok, 0xbu);
+  const flow::FlowResult& r = ck.result;
+  ASSERT_EQ(r.improved_layout.placements.size(), 2u);
+  EXPECT_EQ(r.improved_layout.placements[0].board, -1);
+  EXPECT_EQ(r.place_stats.candidates_evaluated, 12345678901u);
+  ASSERT_EQ(r.diagnostics.size(), 2u);
+  EXPECT_TRUE(r.diagnostics[0].status.stage().empty());
+  EXPECT_EQ(r.diagnostics[0].status.message(), "no legal position for C3");
+  EXPECT_TRUE(r.diagnostics[1].status.message().empty());
+  // Recorded with the stream-based renderer of an earlier release.
+  EXPECT_EQ(flow::result_fingerprint(r), 0xd3216d5a54de7500ull);
+
+  EXPECT_EQ(flow::serialize_checkpoint(ck), text);
+}
+
 TEST(FormatFixtures, CompleteCheckpointResumesUnderItsOptions) {
   // Resume rewrites its checkpoint, so it runs on a copy.
   const std::string ckpt = std::string(::testing::TempDir()) + "fixture_resume.ckpt";

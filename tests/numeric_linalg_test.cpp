@@ -455,6 +455,58 @@ TEST(RcmOrdering, OrdersEveryComponent) {
   EXPECT_EQ(o.ku, 1u);
 }
 
+// band_cannot_pay counts a row's distinct off-diagonal columns: repeats and
+// the diagonal do not count, and 4 (d + 1) >= n is the bound.
+TEST(BandCannotPay, CountsDistinctOffDiagonalColumnsAgainstTheBound) {
+  using Entries = std::vector<std::pair<std::size_t, std::size_t>>;
+  // Row 0 has d = 2 distinct columns (1 twice, the diagonal, 2).
+  const Entries e = {{0, 0}, {0, 1}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {3, 3}};
+  EXPECT_TRUE(band_cannot_pay(12, e));   // 4 * 3 = 12 >= 12
+  EXPECT_FALSE(band_cannot_pay(13, e));  // 12 < 13
+  EXPECT_FALSE(band_cannot_pay(8, Entries{{0, 0}, {1, 1}, {5, 5}}));
+  Entries star;
+  for (std::size_t j = 1; j < 40; ++j) star.emplace_back(0, j);
+  EXPECT_TRUE(band_cannot_pay(40, star));
+}
+
+// Whenever band_cannot_pay holds, the RCM band does not pay either, so a
+// caller that skips the ordering keeps its decision. Plain hidden bands of
+// every size (interior rows have 5 distinct columns: the shortcut holds up
+// to n = 24, the band pays from about n = 41), then random extra entries,
+// some piled on one row, cover all three outcomes: shortcut, band pays,
+// dense without the shortcut.
+TEST(BandCannotPay, NeverOverridesTheRcmDecisionOnRandomPatterns) {
+  int shortcut = 0;
+  int pays = 0;
+  int dense = 0;
+  const auto check = [&](std::size_t n,
+                         const std::vector<std::pair<std::size_t, std::size_t>>& e) {
+    const bool rcm_pays = band_pays(rcm_ordering(n, e));
+    if (band_cannot_pay(n, e)) {
+      EXPECT_FALSE(rcm_pays) << "n = " << n << ", " << e.size() << " entries";
+      ++shortcut;
+    } else {
+      ++(rcm_pays ? pays : dense);
+    }
+  };
+  for (std::size_t n = 2; n <= 120; ++n) check(n, hidden_band(n, n).entries);
+  Rng rng(29);
+  for (std::uint64_t trial = 0; trial < 1500; ++trial) {
+    const std::size_t n = 2 + rng.below(90);
+    std::vector<std::pair<std::size_t, std::size_t>> e = hidden_band(n, trial).entries;
+    const std::size_t extra = rng.below(n / 2 + 1);
+    const std::size_t row = rng.below(n);
+    for (std::size_t k = 0; k < extra; ++k) {
+      const std::size_t c = rng.below(n);
+      e.emplace_back(rng.below(2) == 0 ? row : rng.below(n), c);
+    }
+    check(n, e);
+  }
+  EXPECT_GT(shortcut, 0);
+  EXPECT_GT(pays, 0);
+  EXPECT_GT(dense, 0);
+}
+
 class BandSolve : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BandSolve, MatchesDenseUnderAHiddenPermutation) {

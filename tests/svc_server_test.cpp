@@ -1,10 +1,13 @@
 // The serve protocol layer: handle_command as a pure function of (service
 // state, line) - every verb, every malformed-field rejection, the deferred
-// RESULT contract - plus one end-to-end pass over a real Unix socket
-// (connect, SUBMIT, blocking RESULT, STATS, SHUTDOWN) driving the poll loop.
+// RESULT contract - plus end-to-end passes over a real Unix socket
+// (connect, SUBMIT, blocking RESULT, STATS, SHUTDOWN) driving the poll loop,
+// and the loop's wake-ups: it has no timeout, so a missed wake would hang;
+// every wait here is bounded so that shows up as a failure instead.
 #include "src/svc/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -14,10 +17,12 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/fault_injection.hpp"
 #include "src/svc/service.hpp"
 
 namespace emi::svc {
@@ -186,10 +191,13 @@ TEST(HandleCommand, SubmitPoisonField) {
 
 // --- socket end to end ------------------------------------------------------
 
+// A client whose replies arrive within a minute or read as "<closed>".
 class Client {
  public:
   explicit Client(const std::string& path) {
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const timeval timeout{60, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
@@ -245,6 +253,122 @@ class Client {
   bool connected_ = false;
   std::string buf_;
 };
+
+// serve() on its own thread. returns_within() bounds the wait for it to
+// return; a serve() still running at destruction is stopped first.
+class Serving {
+ public:
+  explicit Serving(SocketServer& server)
+      : server_(server),
+        done_(std::async(std::launch::async, [&server] { return server.serve(); })) {}
+  ~Serving() {
+    if (!done_.valid()) return;
+    server_.stop();
+    Client poke(server_.socket_path());  // wakes the loop if stop() did not
+    (void)done_.get();
+  }
+
+  bool returns_within(std::chrono::seconds limit) {
+    if (done_.wait_for(limit) != std::future_status::ready) return false;
+    EXPECT_TRUE(done_.get().ok());
+    return true;
+  }
+
+ private:
+  SocketServer& server_;
+  std::future<core::Status> done_;
+};
+
+std::string sock_path(const char* tag) {
+  // Keep the socket path short: sockaddr_un caps it around 107 bytes.
+  return "/tmp/emiplace_" + std::string(tag) + "_" + std::to_string(::getpid()) +
+         ".sock";
+}
+
+// Jobs submitted under it spin until cancelled (the wedge fault site). It
+// cancels job 1 on exit, so a failing test still lets the service join.
+struct WedgedJobs {
+  explicit WedgedJobs(Service& svc) : svc_(svc) {
+    EXPECT_TRUE(core::FaultInjector::instance().configure_from_spec("wedge:1:1"));
+  }
+  ~WedgedJobs() {
+    (void)svc_.cancel(1);
+    core::FaultInjector::instance().disarm();
+  }
+  Service& svc_;
+};
+
+void wait_until_running(const Service& svc, std::uint64_t id) {
+  while (svc.status(id).value().state == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// stop() from another thread wakes a loop idling in poll(), with a client
+// connected and silent.
+TEST(SocketServer, StopWakesAnIdleLoop) {
+  const std::string sock = sock_path("stop");
+  Service svc({fresh_dir("srv_stop"), 1, 8});
+  SocketServer server(svc, sock);
+  Serving serving(server);
+  Client c(sock);
+  ASSERT_TRUE(c.connected());
+  EXPECT_EQ(c.roundtrip("PING"), "OK pong");
+  server.stop();
+  EXPECT_TRUE(serving.returns_within(std::chrono::seconds(60)));
+  EXPECT_FALSE(std::filesystem::exists(sock));
+}
+
+// A RESULT parked on a running job is answered when the job lands, with no
+// other client traffic; the line sent behind it is answered next.
+TEST(SocketServer, ParkedResultAnsweredWhenItsJobLands) {
+  const std::string sock = sock_path("land");
+  Service svc({fresh_dir("srv_land"), 1, 8});
+  WedgedJobs wedge(svc);
+  SocketServer server(svc, sock);
+  Serving serving(server);
+  Client parked(sock);
+  Client other(sock);
+  ASSERT_TRUE(parked.connected());
+  ASSERT_TRUE(other.connected());
+  ASSERT_EQ(parked.roundtrip("SUBMIT topology=buck points=30"), "OK id=1");
+  wait_until_running(svc, 1);
+  ASSERT_TRUE(parked.send_line("RESULT job=1\nPING"));
+  // The RESULT was queued on its socket before the first PING was sent, so
+  // the loop has read it by the end of the pass that answers that PING;
+  // the second PING is read in a later pass. After its reply the RESULT is
+  // parked.
+  EXPECT_EQ(other.roundtrip("PING"), "OK pong");
+  EXPECT_EQ(other.roundtrip("PING"), "OK pong");
+
+  ASSERT_TRUE(svc.cancel(1).ok());  // in process: no socket traffic
+  const std::string res = parked.recv_line();
+  EXPECT_EQ(res.rfind("OK id=1 state=cancelled", 0), 0u) << res;
+  EXPECT_EQ(parked.recv_line(), "OK pong");
+  EXPECT_EQ(parked.roundtrip("SHUTDOWN"), "OK shutting_down");
+  EXPECT_TRUE(serving.returns_within(std::chrono::seconds(60)));
+}
+
+// SHUTDOWN DRAIN with a job in flight and every client silent: the job's
+// landing alone wakes the loop, which then exits.
+TEST(SocketServer, DrainExitsWhenTheLastJobLandsWithoutTraffic) {
+  const std::string sock = sock_path("drainw");
+  Service svc({fresh_dir("srv_drain_wake"), 1, 8});
+  WedgedJobs wedge(svc);
+  SocketServer server(svc, sock);
+  Serving serving(server);
+  Client c(sock);
+  ASSERT_TRUE(c.connected());
+  ASSERT_EQ(c.roundtrip("SUBMIT topology=buck points=30"), "OK id=1");
+  wait_until_running(svc, 1);
+  EXPECT_EQ(c.roundtrip("SHUTDOWN DRAIN"), "OK draining");
+  EXPECT_EQ(c.roundtrip("PING"), "OK pong");  // still serving: job 1 runs
+
+  ASSERT_TRUE(svc.cancel(1).ok());
+  EXPECT_TRUE(serving.returns_within(std::chrono::seconds(60)));
+  EXPECT_TRUE(svc.drain_complete());
+  EXPECT_EQ(svc.status(1).value().state, JobState::kCancelled);
+}
 
 TEST(SocketServer, EndToEndSubmitResultStatsShutdown) {
   const std::string dir = fresh_dir("srv_sock");

@@ -1,9 +1,13 @@
 // The job service end to end: lifecycle persistence, bit-identical results
 // across queue interleavings and sessions, cooperative cancel, crash-sim
 // halt + restart recovery (resume from the job's flow checkpoint), corrupt
-// checkpoint fallback, and a fault-injection soak asserting no job is ever
-// lost or left non-terminal.
+// checkpoint fallback, a fault-injection soak asserting no job is ever
+// lost or left non-terminal, and the terminal_fd() wake-up after every
+// transition wait() is notified of.
 #include "src/svc/service.hpp"
+
+#include <poll.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -532,6 +536,108 @@ TEST(SvcService, DrainFinishesInFlightKeepsBacklogDurable) {
     if (fp == 0) fp = rec.value().fingerprint;
     EXPECT_EQ(rec.value().fingerprint, fp);
   }
+}
+
+// --- terminal wake-ups -------------------------------------------------------
+//
+// Every transition wait() is notified of writes one byte to terminal_fd(),
+// in the same critical section: once wait() (or a synchronous cancel)
+// returns, the bytes are already there, so they can be counted at once.
+
+bool readable(int fd) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, 0) == 1 && (p.revents & POLLIN) != 0;
+}
+
+// Empties the pipe; how many bytes it held.
+std::size_t take_wakes(int fd) {
+  std::size_t n = 0;
+  char buf[64];
+  for (ssize_t got; (got = ::read(fd, buf, sizeof buf)) > 0;) {
+    n += static_cast<std::size_t>(got);
+  }
+  return n;
+}
+
+void wait_until_running(const Service& svc, std::uint64_t id) {
+  while (svc.status(id).value().state == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(SvcTerminalWake, DoneFailedAndCancelledWhileRunningWakeTheFd) {
+  Guards guards;
+  Service svc({fresh_dir("svc_wake_done"), 1, 8});
+  const int fd = svc.terminal_fd();
+  EXPECT_FALSE(readable(fd));
+
+  const auto done = svc.submit(quick_spec());
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(svc.wait(done.value()).value().state, JobState::kDone);
+  EXPECT_EQ(take_wakes(fd), 1u);
+  EXPECT_FALSE(readable(fd));
+
+  // Every stage attempt overruns its injected deadline: a partial result.
+  ASSERT_TRUE(core::FaultInjector::instance().configure_from_spec("deadline:1:7"));
+  const auto failed = svc.submit(quick_spec());
+  ASSERT_TRUE(failed.ok());
+  ASSERT_EQ(svc.wait(failed.value()).value().state, JobState::kFailed);
+  EXPECT_EQ(take_wakes(fd), 1u);
+
+  // A wedged executor spins until its CancelToken is raised.
+  ASSERT_TRUE(core::FaultInjector::instance().configure_from_spec("wedge:1:1"));
+  const auto wedged = svc.submit(quick_spec());
+  ASSERT_TRUE(wedged.ok());
+  wait_until_running(svc, wedged.value());
+  EXPECT_FALSE(readable(fd));
+  ASSERT_TRUE(svc.cancel(wedged.value()).ok());
+  ASSERT_EQ(svc.wait(wedged.value()).value().state, JobState::kCancelled);
+  EXPECT_EQ(take_wakes(fd), 1u);
+}
+
+TEST(SvcTerminalWake, QueuedCancelAndCrashSimHaltWakeTheFd) {
+  Guards guards;
+  {
+    ASSERT_TRUE(core::FaultInjector::instance().configure_from_spec("wedge:1:1"));
+    Service svc({fresh_dir("svc_wake_queued"), 1, 8});
+    const int fd = svc.terminal_fd();
+    const auto running = svc.submit(quick_spec());
+    const auto queued = svc.submit(quick_spec());
+    ASSERT_TRUE(running.ok());
+    ASSERT_TRUE(queued.ok());
+    wait_until_running(svc, running.value());
+    EXPECT_FALSE(readable(fd));
+    ASSERT_TRUE(svc.cancel(queued.value()).ok());  // synchronous: never ran
+    EXPECT_EQ(take_wakes(fd), 1u);
+    EXPECT_EQ(svc.status(queued.value()).value().state, JobState::kCancelled);
+    ASSERT_TRUE(svc.cancel(running.value()).ok());
+    ASSERT_EQ(svc.wait(running.value()).value().state, JobState::kCancelled);
+  }
+  core::FaultInjector::instance().disarm();
+
+  Service svc({fresh_dir("svc_wake_halt"), 1, 8});
+  JobSpec spec = quick_spec();
+  spec.stop_after_stage = "sensitivity";
+  const auto id = svc.submit(spec);
+  ASSERT_TRUE(id.ok());
+  // wait() returns on the halt with the record still `running`.
+  ASSERT_EQ(svc.wait(id.value()).value().state, JobState::kRunning);
+  EXPECT_EQ(take_wakes(svc.terminal_fd()), 1u);
+}
+
+// A lapsed lease requeues the job while attempts remain and fails it once
+// they are burned: two transitions, two bytes. wait() sleeps through the
+// requeue, so both are in the pipe when it returns.
+TEST(SvcTerminalWake, StallRequeueAndStallFailureWakeTheFd) {
+  Guards guards;
+  ASSERT_TRUE(core::FaultInjector::instance().configure_from_spec("wedge:1:1"));
+  Service svc({fresh_dir("svc_wake_stall"), 1, 8, /*lease_ms=*/60, /*max_attempts=*/2});
+  const auto id = svc.submit(quick_spec());
+  ASSERT_TRUE(id.ok());
+  const JobRecord rec = svc.wait(id.value()).value();
+  ASSERT_EQ(rec.state, JobState::kFailed);
+  EXPECT_EQ(rec.attempts, 2u);
+  EXPECT_EQ(take_wakes(svc.terminal_fd()), 2u);
 }
 
 // HEALTH snapshot basics: cold values, then live values after one job.

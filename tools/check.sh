@@ -15,10 +15,13 @@
 #       server/wire/codec batteries) followed by the `soak` label (daemon-
 #       level fault soak: kill -9 recovery, overload shed + polite retry,
 #       wedge watchdog, poison quarantine, graceful drain - with bit-identity
-#       checks against an unloaded reference). Not registered as a ctest: it
-#       wraps ctest itself, and the gtest state dirs under TempDir()
-#       (<build>/tests/tmp) are per build tree, so a nested concurrent run in
-#       the same tree would collide.
+#       checks against an unloaded reference), then BM_ServeSocketRoundTrip:
+#       SUBMIT -> RESULT over the Unix socket against a warm 2-executor
+#       service, 1 and 4 clients, p50 round trip in ms as a counter (skipped
+#       with a notice when bench_serve was not built). Not registered as a
+#       ctest: it wraps ctest itself, and the gtest state dirs under
+#       TempDir() (<build>/tests/tmp) are per build tree, so a nested
+#       concurrent run in the same tree would collide.
 #
 #   tools/check.sh peec [build-dir]       default build dir: build
 #       Builds, then runs the `peec`, `large` and `perf` labels (kernel,
@@ -121,6 +124,13 @@ case "$label" in
     ctest --test-dir "$build_dir" -L serve --output-on-failure
     echo "check serve: running 'soak' ctest label"
     ctest --test-dir "$build_dir" -L soak --output-on-failure
+    bench="${build_dir}/bench/bench_serve"
+    if [[ -x "$bench" ]]; then
+      echo "check serve: socket round trip (BM_ServeSocketRoundTrip)"
+      "$bench" --benchmark_filter=ServeSocketRoundTrip --benchmark_min_time=0.5
+    else
+      echo "check serve: SKIP benchmark (${bench} not built)"
+    fi
     ;;
   sweep)
     build_dir="${2:-"${repo_root}/build"}"
