@@ -140,7 +140,6 @@ void BM_SensitivityRankingAdaptive(benchmark::State& state) {
   emc::SensitivityOptions opt;
   opt.sweep.n_points = 60;
   opt.accel.adaptive = true;
-  opt.accel.surrogate = true;
   std::uint64_t full = 0, evals = 0;
   for (auto _ : state) {
     const emc::SensitivityReport rep = emc::rank_coupling_sensitivity_report(

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -171,23 +172,107 @@ core::Result<std::vector<Complex>> solve_conditioned(const Factor& lu,
   return lu.try_solve(b);
 }
 
-core::Result<std::vector<Complex>> solve_conditioned(const PointLu& lu,
-                                                     const std::vector<Complex>& b,
-                                                     const AcOptions& opt,
-                                                     const char* stage, double& cond) {
-  return std::visit(
-      [&](const auto& f) { return solve_conditioned(f, b, opt, stage, cond); }, lu);
+// One solved system's outcome at one frequency point.
+struct PointOutcome {
+  core::Status status;
+  double cond = 0.0;  // 0 when the factorization never completed
+};
+
+// A point's factor and its solution for the point's sources.
+struct SolvedPoint {
+  PointLu lu;
+  std::vector<Complex> x;
+};
+
+// Stamp, factor, condition-check and solve one point of the system with
+// inductance matrix `lmat` (factor_point, then solve_conditioned at
+// `stage`). A failure lands in `out` and comes back as nullopt.
+std::optional<SolvedPoint> solve_point(const Circuit& c, const InductanceMatrix& lmat,
+                                       double w, double scale, const AcOptions& opt,
+                                       const std::shared_ptr<const num::BandOrdering>& band,
+                                       const char* stage, PointOutcome& out) {
+  std::vector<Complex> rhs(c.unknown_count());
+  core::Result<PointLu> lu = factor_point(c, lmat, w, scale, opt, band, rhs);
+  if (!lu.ok()) {
+    out.status = lu.status();
+    return std::nullopt;
+  }
+  core::Result<std::vector<Complex>> x = std::visit(
+      [&](const auto& f) { return solve_conditioned(f, rhs, opt, stage, out.cond); },
+      lu.value());
+  if (!x.ok()) {
+    out.status = x.status();
+    return std::nullopt;
+  }
+  return SolvedPoint{std::move(lu).value(), std::move(x).value()};
 }
 
-// Entry checks shared by the sweep entry points; `who` prefixes the message.
-void check_grid(const char* who, const std::vector<double>& freqs_hz,
-                const AcOptions& opt) {
+// The per-point driver behind every entry point below; each keeps only its
+// per-point factor/solve work and its result shape. The driver checks the
+// grid up front, so the parallel region never throws off-thread: every
+// frequency finite and > 0, source_scale empty or one entry per point
+// (std::invalid_argument prefixed with `who`). It then calls
+// solve(fi, w, scale, out) for each point on the pool, `grain` points per
+// chunk, where `out` holds the point's `systems` outcomes, and ends with the
+// stop rule: a point that never ran because the calling thread's
+// CancelScope stopped (the thread-local scope is captured here; it does not
+// cross pool lanes) carries the scope's stop Status at `stage` in every
+// system. Returns each system's failed points in ascending index, so the
+// lists are the same at any thread count.
+template <typename Solve>
+std::vector<std::vector<AcPointFailure>> drive_points(const char* who, const char* stage,
+                                                      const std::vector<double>& freqs_hz,
+                                                      const AcOptions& opt,
+                                                      std::size_t systems,
+                                                      std::size_t grain,
+                                                      const Solve& solve) {
   if (!opt.source_scale.empty() && opt.source_scale.size() != freqs_hz.size()) {
     throw std::invalid_argument(std::string(who) + ": source_scale size mismatch");
   }
   for (const double f : freqs_hz) {
-    if (f <= 0.0) throw std::invalid_argument(std::string(who) + ": frequency must be > 0");
+    if (!(std::isfinite(f) && f > 0.0)) {
+      throw std::invalid_argument(std::string(who) + ": frequency must be finite and > 0");
+    }
   }
+  const std::size_t nf = freqs_hz.size();
+  std::vector<PointOutcome> outcomes(nf * systems);
+  std::vector<std::uint8_t> ran(nf, 0);
+  const core::CancelScope* cscope = core::CancelScope::current();
+  core::parallel_for(
+      0, nf,
+      [&](std::size_t fi) {
+        if (cscope != nullptr && cscope->should_stop()) return;
+        ran[fi] = 1;
+        const double w = 2.0 * std::numbers::pi * freqs_hz[fi];
+        const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
+        solve(fi, w, scale, std::span<PointOutcome>(&outcomes[fi * systems], systems));
+      },
+      grain);
+
+  const bool stopped = cscope != nullptr && cscope->should_stop();
+  std::vector<std::vector<AcPointFailure>> failures(systems);
+  for (std::size_t fi = 0; fi < nf; ++fi) {
+    for (std::size_t sys = 0; sys < systems; ++sys) {
+      PointOutcome& o = outcomes[fi * systems + sys];
+      if (stopped && !ran[fi]) o.status = cscope->stop_status(stage);
+      if (!o.status.ok()) failures[sys].push_back({fi, freqs_hz[fi], o.cond, o.status});
+    }
+  }
+  return failures;
+}
+
+// "<what> failed at K/N points; first at index I (F Hz): <its message>" at
+// `stage`, with the first failure's code; OK when there are none.
+core::Status failed_points_status(const char* stage, const char* what,
+                                  const std::vector<AcPointFailure>& failures,
+                                  std::size_t n_points) {
+  if (failures.empty()) return {};
+  const AcPointFailure& f = failures.front();
+  return {f.status.code(), stage,
+          std::string(what) + " failed at " + std::to_string(failures.size()) + "/" +
+              std::to_string(n_points) + " points; first at index " +
+              std::to_string(f.freq_index) + " (" + std::to_string(f.freq_hz) +
+              " Hz): " + f.status.message()};
 }
 
 // ac_stamp_pattern of the circuit with inductance matrix `lmat`.
@@ -245,86 +330,29 @@ std::vector<double> AcSolution::voltage_magnitude(const std::string& node) const
 CheckedAcSolution ac_solve_checked(const Circuit& c,
                                    const std::vector<double>& freqs_hz,
                                    const AcOptions& opt) {
-  // Validate up front so the parallel region below never throws off-thread.
-  check_grid("ac_solve", freqs_hz, opt);
   const std::size_t n_unknowns = c.unknown_count();
   const auto lmat = c.inductance_matrix();
   const std::shared_ptr<const num::BandOrdering> band = ac_band_ordering(c, opt);
 
-  // Frequency points are independent MNA solves; each one stamps its own
-  // matrix and writes its own solution and status slots, so the sweep
-  // parallelizes with bit-identical results (and failure lists) for any
-  // thread count.
+  // Each point stamps its own matrix and writes its own solution slot.
   std::vector<std::vector<Complex>> solutions(freqs_hz.size());
-  std::vector<core::Status> statuses(freqs_hz.size());
-  std::vector<double> conds(freqs_hz.size(), 0.0);
-
-  // Per-frequency-point cooperative stop: capture the submitting thread's
-  // scope once (thread-locals do not cross pool lanes) and record a stop
-  // Status in the point's own slot instead of throwing off-thread. The
-  // failure then surfaces as kDeadlineExceeded / kCancelled through the
-  // normal failure list, and the owning stage discards the sweep.
-  const core::CancelScope* cscope = core::CancelScope::current();
-  const auto solve_point = [&](std::size_t fi) {
-    if (cscope != nullptr && cscope->should_stop()) {
-      statuses[fi] = cscope->stop_status("ckt.ac");
-      solutions[fi].assign(n_unknowns, Complex{});
-      return;
-    }
-    const double f = freqs_hz[fi];
-    const double w = 2.0 * std::numbers::pi * f;
-    const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
-
-    std::vector<Complex> rhs(n_unknowns, {0.0, 0.0});
-    const core::Result<PointLu> lu = factor_point(c, lmat, w, scale, opt, band, rhs);
-    if (!lu.ok()) {
-      statuses[fi] = lu.status();
-      solutions[fi].assign(n_unknowns, Complex{});
-      return;
-    }
-    core::Result<std::vector<Complex>> x =
-        solve_conditioned(lu.value(), rhs, opt, "ckt.ac", conds[fi]);
-    if (!x.ok()) {
-      statuses[fi] = x.status();
-      solutions[fi].assign(n_unknowns, Complex{});
-      return;
-    }
-    solutions[fi] = std::move(x).value();
-  };
-  core::parallel_for(0, freqs_hz.size(), solve_point, /*grain=*/4);
-
-  // Chunks skipped by a stopped scope never ran solve_point at all: give
-  // those points zero phasors and the stop Status, so the sweep's shape
-  // invariants hold (every solution vector sized, every skipped point in the
-  // failure list) and the stop reason - not an indexing accident downstream -
-  // is what the owning stage observes.
-  if (cscope != nullptr && cscope->should_stop()) {
-    for (std::size_t fi = 0; fi < freqs_hz.size(); ++fi) {
-      if (solutions[fi].size() != n_unknowns) {
-        solutions[fi].assign(n_unknowns, Complex{});
-        if (statuses[fi].ok()) statuses[fi] = cscope->stop_status("ckt.ac");
-      }
-    }
+  std::vector<std::vector<AcPointFailure>> failures = drive_points(
+      "ac_solve", "ckt.ac", freqs_hz, opt, 1, /*grain=*/4,
+      [&](std::size_t fi, double w, double scale, std::span<PointOutcome> out) {
+        if (std::optional<SolvedPoint> p =
+                solve_point(c, lmat, w, scale, opt, band, "ckt.ac", out[0])) {
+          solutions[fi] = std::move(p->x);
+        }
+      });
+  for (const AcPointFailure& f : failures[0]) {
+    solutions[f.freq_index].assign(n_unknowns, Complex{});
   }
-
-  CheckedAcSolution out{AcSolution(c, freqs_hz, std::move(solutions)), {}};
-  for (std::size_t fi = 0; fi < freqs_hz.size(); ++fi) {
-    if (!statuses[fi].ok()) {
-      out.failures.push_back({fi, freqs_hz[fi], conds[fi], statuses[fi]});
-    }
-  }
-  return out;
+  return {AcSolution(c, freqs_hz, std::move(solutions)), std::move(failures[0])};
 }
 
 core::Status ac_sweep_status(const std::vector<AcPointFailure>& failures,
                              std::size_t n_points) {
-  if (failures.empty()) return {};
-  const AcPointFailure& f = failures.front();
-  return {f.status.code(), "ckt.ac",
-          "sweep failed at " + std::to_string(failures.size()) + "/" +
-              std::to_string(n_points) + " points; first at index " +
-              std::to_string(f.freq_index) + " (" + std::to_string(f.freq_hz) +
-              " Hz): " + f.status.message()};
+  return failed_points_status("ckt.ac", "sweep", failures, n_points);
 }
 
 CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
@@ -332,7 +360,6 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
                                            const std::vector<std::string>& inductors,
                                            const std::vector<double>& freqs_hz,
                                            const AcOptions& opt) {
-  check_grid("ac_coupling_probe_model", freqs_hz, opt);
   const auto meas = c.find_node(meas_node);
   if (!meas) {
     throw std::invalid_argument("ac_coupling_probe_model: unknown node " + meas_node);
@@ -355,63 +382,38 @@ CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
   m.i_branch.assign(nf, std::vector<Complex>(nl));
   m.col_meas.assign(nf, std::vector<Complex>(nl));
   m.col_branch.assign(nf, std::vector<std::vector<Complex>>(nl, std::vector<Complex>(nl)));
-  std::vector<core::Status> statuses(nf);
 
   // One factorization per frequency, reused for the baseline RHS and one
   // unit column per candidate inductor: nl+1 back-substitutions against a
   // single factor. Per-point slots keep the build thread-invariant.
-  const core::CancelScope* cscope = core::CancelScope::current();
-  const auto build_point = [&](std::size_t fi) {
-    if (cscope != nullptr && cscope->should_stop()) {
-      statuses[fi] = cscope->stop_status("ckt.coupling_model");
-      return;
-    }
-    const double w = 2.0 * std::numbers::pi * freqs_hz[fi];
-    const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
-    std::vector<Complex> rhs(n_unknowns, {0.0, 0.0});
-    const core::Result<PointLu> lu = factor_point(c, lmat, w, scale, opt, band, rhs);
-    if (!lu.ok()) {
-      statuses[fi] = lu.status();
-      return;
-    }
-    double cond = 0.0;
-    core::Result<std::vector<Complex>> x =
-        solve_conditioned(lu.value(), rhs, opt, "ckt.coupling_model", cond);
-    if (!x.ok()) {
-      statuses[fi] = x.status();
-      return;
-    }
-    m.v_meas[fi] = (*meas == kGround) ? Complex{}
-                                      : x.value()[static_cast<std::size_t>(*meas)];
-    for (std::size_t p = 0; p < nl; ++p) m.i_branch[fi][p] = x.value()[bidx[p]];
+  const std::vector<std::vector<AcPointFailure>> failures = drive_points(
+      "ac_coupling_probe_model", "ckt.coupling_model", freqs_hz, opt, 1, /*grain=*/4,
+      [&](std::size_t fi, double w, double scale, std::span<PointOutcome> out) {
+        const std::optional<SolvedPoint> sp =
+            solve_point(c, lmat, w, scale, opt, band, "ckt.coupling_model", out[0]);
+        if (!sp) return;
+        m.v_meas[fi] = (*meas == kGround) ? Complex{} : sp->x[static_cast<std::size_t>(*meas)];
+        for (std::size_t p = 0; p < nl; ++p) m.i_branch[fi][p] = sp->x[bidx[p]];
 
-    std::vector<Complex> e(n_unknowns, Complex{});
-    for (std::size_t p = 0; p < nl; ++p) {
-      e[bidx[p]] = Complex{1.0, 0.0};
-      core::Result<std::vector<Complex>> y = solve(lu.value(), e);
-      e[bidx[p]] = Complex{};
-      if (!y.ok()) {
-        statuses[fi] = y.status();
-        return;
-      }
-      m.col_meas[fi][p] = (*meas == kGround)
-                              ? Complex{}
-                              : y.value()[static_cast<std::size_t>(*meas)];
-      for (std::size_t q = 0; q < nl; ++q) {
-        m.col_branch[fi][p][q] = y.value()[bidx[q]];
-      }
-    }
-  };
-  core::parallel_for(0, nf, build_point, /*grain=*/4);
-
-  for (std::size_t fi = 0; fi < nf; ++fi) {
-    if (!statuses[fi].ok()) {
-      core::Status(statuses[fi].code(), "ckt.coupling_model",
-                   "model build failed at index " + std::to_string(fi) + " (" +
-                       std::to_string(freqs_hz[fi]) + " Hz): " + statuses[fi].message())
-          .raise();
-    }
-  }
+        std::vector<Complex> e(n_unknowns, Complex{});
+        for (std::size_t p = 0; p < nl; ++p) {
+          e[bidx[p]] = Complex{1.0, 0.0};
+          core::Result<std::vector<Complex>> y = solve(sp->lu, e);
+          e[bidx[p]] = Complex{};
+          if (!y.ok()) {
+            out[0].status = y.status();
+            return;
+          }
+          m.col_meas[fi][p] = (*meas == kGround)
+                                  ? Complex{}
+                                  : y.value()[static_cast<std::size_t>(*meas)];
+          for (std::size_t q = 0; q < nl; ++q) {
+            m.col_branch[fi][p][q] = y.value()[bidx[q]];
+          }
+        }
+      });
+  failed_points_status("ckt.coupling_model", "model build", failures[0], nf)
+      .throw_if_error();
   return m;
 }
 
@@ -419,7 +421,6 @@ CouplingProbeSweep ac_coupling_probe_sweep(
     const Circuit& c, const std::string& meas_node,
     const std::vector<std::pair<std::size_t, std::size_t>>& pairs, double probe_k,
     const std::vector<double>& freqs_hz, const AcOptions& opt) {
-  check_grid("ac_coupling_probe_sweep", freqs_hz, opt);
   const auto meas = c.find_node(meas_node);
   if (!meas) {
     throw std::invalid_argument("ac_coupling_probe_sweep: unknown node " + meas_node);
@@ -461,115 +462,83 @@ CouplingProbeSweep ac_coupling_probe_sweep(
   std::stable_sort(resume_order.begin(), resume_order.end(),
                    [&](std::size_t x, std::size_t y) { return probes[x].first < probes[y].first; });
 
-  // One slot per (system, point), system 0 the circuit and 1 + p probe p,
-  // each written only by its point: thread-count invariant.
-  struct Slot {
-    core::Status status;
-    double cond = 0.0;  // 0 when the factorization never completed
-    Complex v{};
-  };
-  std::vector<Slot> slots((1 + probes.size()) * nf);
-  const auto slot = [&](std::size_t sys, std::size_t fi) -> Slot& {
-    return slots[sys * nf + fi];
-  };
-  std::vector<std::uint8_t> visited(nf, 0);
+  // System 0 is the circuit and 1 + p probe p; each point writes only its
+  // own measurement and resume slots: thread-count invariant.
+  const std::size_t systems = 1 + probes.size();
+  std::vector<Complex> v(nf * systems);
   std::vector<std::uint32_t> resumed(nf, 0);
-  const auto measure = [&](Slot& s, const core::Result<std::vector<Complex>>& x) {
+  const auto measure = [&](PointOutcome& o, Complex& vm,
+                           const core::Result<std::vector<Complex>>& x) {
     if (!x.ok()) {
-      s.status = x.status();
+      o.status = x.status();
     } else if (*meas != kGround) {
-      s.v = x.value()[index(*meas)];
+      vm = x.value()[index(*meas)];
     }
   };
-  const auto solve_full = [&](Slot& s, const InductanceMatrix& l,
+  const auto solve_full = [&](PointOutcome& o, Complex& vm, const InductanceMatrix& l,
                               const std::shared_ptr<const num::BandOrdering>& ord,
                               double w, double scale) {
-    std::vector<Complex> rhs(n);
-    const core::Result<PointLu> lu = factor_point(c, l, w, scale, opt, ord, rhs);
-    if (!lu.ok()) {
-      s.status = lu.status();
-      return;
-    }
-    measure(s, solve_conditioned(lu.value(), rhs, opt, "ckt.ac", s.cond));
+    const std::optional<SolvedPoint> sp = solve_point(c, l, w, scale, opt, ord, "ckt.ac", o);
+    if (sp && *meas != kGround) vm = sp->x[index(*meas)];
   };
 
   const num::LuOptions lu_opt{opt.pivot_threshold};
-  const core::CancelScope* cscope = core::CancelScope::current();
-  const auto solve_point = [&](std::size_t fi) {
-    visited[fi] = 1;
-    if (cscope != nullptr && cscope->should_stop()) {
-      for (std::size_t sys = 0; sys <= probes.size(); ++sys) {
-        slot(sys, fi).status = cscope->stop_status("ckt.ac");
-      }
-      return;
-    }
-    const double w = 2.0 * std::numbers::pi * freqs_hz[fi];
-    const double scale = opt.source_scale.empty() ? 1.0 : opt.source_scale[fi];
-    if (band == nullptr) {
-      std::vector<Complex> rhs(n);
-      num::MatrixC a0(n, n);
-      assemble_point(c, lmat, w, scale, opt, a0, rhs);
-      core::Result<num::Lu<Complex>> base = num::Lu<Complex>::start(a0, lu_opt);
-      std::optional<num::Lu<Complex>> lu;
-      std::vector<Complex> col(n);
-      for (const std::size_t p : resume_order) {
-        const Probe& pr = probes[p];
-        const auto [a, b] = pairs[p];
-        Slot& s = slot(1 + p, fi);
-        // The steps before the first changed column are the circuit's, a
-        // failure among them included.
-        core::Status st = base.ok() ? base.value().advance(pr.first) : base.status();
-        if (!st.ok()) {
-          s.status = std::move(st);
-          continue;
+  std::vector<std::vector<AcPointFailure>> failures = drive_points(
+      "ac_coupling_probe_sweep", "ckt.ac", freqs_hz, opt, systems, /*grain=*/1,
+      [&](std::size_t fi, double w, double scale, std::span<PointOutcome> out) {
+        Complex* vp = &v[fi * systems];
+        if (band == nullptr) {
+          std::vector<Complex> rhs(n);
+          num::MatrixC a0(n, n);
+          assemble_point(c, lmat, w, scale, opt, a0, rhs);
+          core::Result<num::Lu<Complex>> base = num::Lu<Complex>::start(a0, lu_opt);
+          std::optional<num::Lu<Complex>> lu;
+          std::vector<Complex> col(n);
+          for (const std::size_t p : resume_order) {
+            const Probe& pr = probes[p];
+            const auto [a, b] = pairs[p];
+            PointOutcome& o = out[1 + p];
+            // The steps before the first changed column are the circuit's, a
+            // failure among them included.
+            core::Status st = base.ok() ? base.value().advance(pr.first) : base.status();
+            if (!st.ok()) {
+              o.status = std::move(st);
+              continue;
+            }
+            lu = base.value();
+            for (const auto& [row, column] : {std::pair{a, b}, std::pair{b, a}}) {
+              const std::size_t bc = c.inductor_branch(column);
+              for (std::size_t r = 0; r < n; ++r) col[r] = a0(r, bc);
+              col[c.inductor_branch(row)] = branch_coupling_entry(w, pr.lmat[row][column]);
+              lu->replace_column(bc, col);
+            }
+            if (st = lu->advance(n); !st.ok()) {
+              o.status = std::move(st);
+              continue;
+            }
+            measure(o, vp[1 + p], solve_conditioned(*lu, rhs, opt, "ckt.ac", o.cond));
+            if (o.status.ok()) ++resumed[fi];
+          }
+          if (core::Status st = base.ok() ? base.value().advance(n) : base.status();
+              !st.ok()) {
+            out[0].status = std::move(st);
+          } else {
+            measure(out[0], vp[0], solve_conditioned(base.value(), rhs, opt, "ckt.ac",
+                                                     out[0].cond));
+          }
+        } else {
+          solve_full(out[0], vp[0], lmat, band, w, scale);
         }
-        lu = base.value();
-        for (const auto& [row, column] : {std::pair{a, b}, std::pair{b, a}}) {
-          const std::size_t bc = c.inductor_branch(column);
-          for (std::size_t r = 0; r < n; ++r) col[r] = a0(r, bc);
-          col[c.inductor_branch(row)] = branch_coupling_entry(w, pr.lmat[row][column]);
-          lu->replace_column(bc, col);
+        for (const std::size_t p : full_order) {
+          solve_full(out[1 + p], vp[1 + p], probes[p].lmat, probes[p].band, w, scale);
         }
-        if (st = lu->advance(n); !st.ok()) {
-          s.status = std::move(st);
-          continue;
-        }
-        measure(s, solve_conditioned(*lu, rhs, opt, "ckt.ac", s.cond));
-        if (s.status.ok()) ++resumed[fi];
-      }
-      Slot& s = slot(0, fi);
-      if (core::Status st = base.ok() ? base.value().advance(n) : base.status(); !st.ok()) {
-        s.status = std::move(st);
-      } else {
-        measure(s, solve_conditioned(base.value(), rhs, opt, "ckt.ac", s.cond));
-      }
-    } else {
-      solve_full(slot(0, fi), lmat, band, w, scale);
-    }
-    for (const std::size_t p : full_order) {
-      solve_full(slot(1 + p, fi), probes[p].lmat, probes[p].band, w, scale);
-    }
-  };
-  core::parallel_for(0, nf, solve_point);
-
-  // Points a stopped scope skipped fail with the stop, as in ac_solve_checked.
-  if (cscope != nullptr && cscope->should_stop()) {
-    for (std::size_t fi = 0; fi < nf; ++fi) {
-      if (visited[fi]) continue;
-      for (std::size_t sys = 0; sys <= probes.size(); ++sys) {
-        slot(sys, fi).status = cscope->stop_status("ckt.ac");
-      }
-    }
-  }
+      });
 
   const auto collect = [&](std::size_t sys) {
     MeasuredSweep m;
     m.v_meas.resize(nf);
-    for (std::size_t fi = 0; fi < nf; ++fi) {
-      const Slot& s = slot(sys, fi);
-      m.v_meas[fi] = s.v;
-      if (!s.status.ok()) m.failures.push_back({fi, freqs_hz[fi], s.cond, s.status});
-    }
+    for (std::size_t fi = 0; fi < nf; ++fi) m.v_meas[fi] = v[fi * systems + sys];
+    m.failures = std::move(failures[sys]);
     return m;
   };
   CouplingProbeSweep out;
@@ -594,6 +563,10 @@ core::Result<std::vector<units::Hertz>> log_frequency_grid(units::Hertz f_lo,
     return core::Status(core::ErrorCode::kInvalidArgument, "ckt.grid",
                         "log grid start must be positive, got " +
                             std::to_string(f_lo.raw()) + " Hz");
+  }
+  if (!std::isfinite(f_hi.raw())) {
+    return core::Status(core::ErrorCode::kInvalidArgument, "ckt.grid",
+                        "log grid end must be finite, got " + std::to_string(f_hi.raw()));
   }
   if (f_hi.raw() == f_lo.raw()) {
     return core::Status(core::ErrorCode::kInvalidArgument, "ckt.grid",

@@ -95,8 +95,15 @@ struct CheckedAcSolution {
 // instead of unwinding the sweep (throwing from inside the parallel region
 // would terminate); value() raises them.
 //
-// Solver selection, here and in the probe entry points below: see
-// ac_band_ordering.
+// Shared by this and the probe entry points below:
+//   * a malformed grid throws std::invalid_argument before any point is
+//     solved: a frequency that is not finite and > 0, or a source_scale that
+//     is neither empty nor one entry per point;
+//   * under a stopped core::CancelScope of the calling thread, every point
+//     that had not run fails with the scope's stop Status
+//     (kDeadlineExceeded / kCancelled), so the owning stage sees the stop
+//     reason at every skipped point;
+//   * solver selection: see ac_band_ordering.
 CheckedAcSolution ac_solve_checked(const Circuit& c,
                                    const std::vector<double>& freqs_hz,
                                    const AcOptions& opt = {});
@@ -125,8 +132,10 @@ struct CouplingProbeModel {
 
 // Build the model at the given frequencies (typically a refined adaptive
 // grid). Throws std::invalid_argument on an unknown node/inductor or a
-// malformed grid, and raises the first per-point numeric failure.
-// Deterministic for any thread count.
+// malformed grid. Failed points, a stopped scope's included, raise at stage
+// ckt.coupling_model: "model build failed at K/N points; first at index I
+// (F Hz): <its message>" with the first failure's code. Deterministic for
+// any thread count.
 CouplingProbeModel ac_coupling_probe_model(const Circuit& c,
                                            const std::string& meas_node,
                                            const std::vector<std::string>& inductors,
@@ -199,8 +208,8 @@ CheckedAcSolution ac_solve_checked(const Circuit& c, const std::vector<Q>& freqs
 // Logarithmically spaced frequency grid [f_lo, f_hi], n >= 2 points.
 // Degenerate requests come back as line-item kInvalidArgument Statuses
 // instead of a silently unusable grid: fewer than 2 points, a non-positive
-// start, equal or inverted endpoints, and endpoints so close that rounding
-// produces duplicate adjacent frequencies.
+// start, a non-finite end, equal or inverted endpoints, and endpoints so
+// close that rounding produces duplicate adjacent frequencies.
 core::Result<std::vector<units::Hertz>> log_frequency_grid(units::Hertz f_lo,
                                                            units::Hertz f_hi,
                                                            std::size_t n);

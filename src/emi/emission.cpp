@@ -41,12 +41,13 @@ AdaptiveEmissionResult conducted_emission_adaptive(const ckt::Circuit& c,
                                                    const std::string& meas_node,
                                                    const TrapezoidSpectrum& source,
                                                    const EmissionSweepOptions& opt,
-                                                   const emi::sweep::SweepAccel& accel) {
+                                                   const emi::sweep::SweepAccel& accel,
+                                                   int degrade) {
   const std::vector<double> freqs =
       num::log_space(opt.f_min_hz, opt.f_max_hz, opt.n_points);
   auto sweep = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs,
                                              envelope_series(source, freqs), opt.ac,
-                                             accel);
+                                             accel, degrade);
   AdaptiveEmissionResult out;
   out.spectrum.freqs_hz = std::move(sweep.freqs_hz);
   out.spectrum.level_dbuv = std::move(sweep.level_dbuv[0]);

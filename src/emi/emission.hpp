@@ -54,14 +54,16 @@ struct AdaptiveEmissionResult {
   emi::sweep::SweepStats stats;
 };
 
-// conducted_emission through the adaptive refinement engine. With
-// accel.adaptive false this solves the whole grid (counters still filled),
-// producing the same levels as conducted_emission bit for bit.
+// conducted_emission through the adaptive refinement engine, admitting at
+// the tolerance of deadline-ladder level `degrade`. With accel.adaptive
+// false this solves the whole grid (counters still filled), producing the
+// same levels as conducted_emission bit for bit.
 AdaptiveEmissionResult conducted_emission_adaptive(const ckt::Circuit& c,
                                                    const std::string& meas_node,
                                                    const TrapezoidSpectrum& source,
                                                    const EmissionSweepOptions& opt,
-                                                   const emi::sweep::SweepAccel& accel);
+                                                   const emi::sweep::SweepAccel& accel,
+                                                   int degrade = 0);
 
 // Spectrum of a transient waveform at the measurement node, in dBuV.
 // Discards the first `settle_fraction` of the record (startup transient).

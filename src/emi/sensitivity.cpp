@@ -69,74 +69,63 @@ std::vector<CouplingSensitivity> exact_ranking(
   return out;
 }
 
-// The accelerated ranking: an adaptive baseline, then per pair either the
-// coupling model (with surrogate) or the pair's own adaptive sweep.
+// The adaptive ranking: an adaptive baseline, then every pair through the
+// coupling model, escalating to the pair's own adaptive sweep.
 std::vector<CouplingSensitivity> adaptive_ranking(
     const ckt::Circuit& c, const std::string& meas_node,
     const std::vector<std::string>& names,
     const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
     const std::vector<double>& freqs, const std::vector<double>& env,
-    const SensitivityOptions& opt, emi::sweep::SweepStats& stats) {
-  // One pair's own adaptive sweep: full admission-controlled accuracy at
-  // the refined-solve price, not the dense one.
-  const auto probe_sweep = [&](std::size_t i, std::size_t j,
-                               emi::sweep::SweepStats& pair_stats) {
-    ckt::Circuit probe = c;
-    probe.set_coupling(names[i], names[j], opt.probe_k);
-    auto a = emi::sweep::adaptive_ac_sweep(probe, {meas_node}, freqs, env, opt.sweep.ac,
-                                           opt.accel);
-    pair_stats.merge(a.stats);
-    return std::move(a.level_dbuv[0]);
-  };
+    const SensitivityOptions& opt, int degrade, emi::sweep::SweepStats& stats) {
+  // The coupling model never calls set_coupling, so check up front that it
+  // accepts every probe (no self pair, |probe_k| < 1), as the exact
+  // branch's probe sweep does. Its checks read only the names and k.
+  ckt::Circuit probed = c;
+  for (const auto& [i, j] : pairs) probed.set_coupling(names[i], names[j], opt.probe_k);
 
   // The refined grid the adaptive baseline settles on doubles as the
   // coupling model's frequency grid below: refinement already spent its
   // solves where the response has structure, and a probe coupling only
   // perturbs that structure slightly.
   auto base = emi::sweep::adaptive_ac_sweep(c, {meas_node}, freqs, env, opt.sweep.ac,
-                                            opt.accel);
+                                            opt.accel, degrade);
   stats.merge(base.stats);
   const std::vector<double> baseline = std::move(base.level_dbuv[0]);
+  if (pairs.empty()) return {};
   std::vector<std::size_t> refined;
   for (std::size_t fi = 0; fi < base.solved.size(); ++fi) {
     if (base.solved[fi]) refined.push_back(fi);
   }
 
-  // With surrogate on, the per-pair sweeps go through the reduced-order
-  // coupling model: ONE factorization pass over the refined grid (the
-  // baseline MNA system, factored once per refined frequency) serves every
-  // candidate pair via an exact rank-2 Sherman-Morrison update, so a pair's
-  // marginal cost is a handful of 2x2 solves plus the complex cubic fill.
-  // Pairs whose held-out fill residual exceeds the gate escalate to their
-  // own adaptive sweep.
-  const bool use_model = opt.accel.surrogate && names.size() >= 2;
-  ckt::CouplingProbeModel model;
-  std::vector<std::vector<double>> lmat;
-  if (use_model) {
-    // The model grid is the refined grid plus the midpoint of every refined
-    // gap: the probe couplings shift the response's structure slightly, so
-    // the probed fill needs a little more headroom than the baseline did.
-    // Halving the gaps costs one extra solve per gap ONCE (the model is
-    // shared by every pair) and cuts the cubic fill error by ~an order.
-    std::vector<std::size_t> mids;
-    for (std::size_t k = 1; k < refined.size(); ++k) {
-      if (refined[k] - refined[k - 1] >= 2) {
-        mids.push_back(refined[k - 1] + (refined[k] - refined[k - 1]) / 2);
-      }
+  // The per-pair sweeps go through the reduced-order coupling model: ONE
+  // factorization pass over the model grid (the baseline MNA system,
+  // factored once per model frequency) serves every candidate pair via an
+  // exact rank-2 Sherman-Morrison update, so a pair's marginal cost is a
+  // handful of 2x2 solves plus the complex cubic fill. The model grid is the
+  // refined grid plus the midpoint of every refined gap: the probe couplings
+  // shift the response's structure slightly, so the probed fill needs a
+  // little more headroom than the baseline did. Halving the gaps costs one
+  // extra solve per gap ONCE (the model is shared by every pair) and cuts
+  // the cubic fill error by ~an order.
+  std::vector<std::size_t> mids;
+  for (std::size_t k = 1; k < refined.size(); ++k) {
+    if (refined[k] - refined[k - 1] >= 2) {
+      mids.push_back(refined[k - 1] + (refined[k] - refined[k - 1]) / 2);
     }
-    refined.insert(refined.end(), mids.begin(), mids.end());
-    std::sort(refined.begin(), refined.end());
-    std::vector<double> model_f(refined.size()), model_env(refined.size());
-    for (std::size_t k = 0; k < refined.size(); ++k) {
-      model_f[k] = freqs[refined[k]];
-      model_env[k] = env[refined[k]];
-    }
-    ckt::AcOptions model_ac = opt.sweep.ac;
-    model_ac.source_scale = model_env;
-    model = ckt::ac_coupling_probe_model(c, meas_node, names, model_f, model_ac);
-    stats.full_solves += refined.size();
-    lmat = c.inductance_matrix();
   }
+  refined.insert(refined.end(), mids.begin(), mids.end());
+  std::sort(refined.begin(), refined.end());
+  std::vector<double> model_f(refined.size()), model_env(refined.size());
+  for (std::size_t k = 0; k < refined.size(); ++k) {
+    model_f[k] = freqs[refined[k]];
+    model_env[k] = env[refined[k]];
+  }
+  ckt::AcOptions model_ac = opt.sweep.ac;
+  model_ac.source_scale = model_env;
+  const ckt::CouplingProbeModel model =
+      ckt::ac_coupling_probe_model(c, meas_node, names, model_f, model_ac);
+  stats.full_solves += refined.size();
+  const std::vector<std::vector<double>> lmat = c.inductance_matrix();
 
   // The per-pair sweeps are independent. Results and sweep stats land in
   // index-addressed slots and are merged in pair-index order afterwards, so
@@ -145,21 +134,25 @@ std::vector<CouplingSensitivity> adaptive_ranking(
   std::vector<emi::sweep::SweepStats> pair_stats(pairs.size());
   core::parallel_for(0, pairs.size(), [&](std::size_t pi) {
     const auto& [i, j] = pairs[pi];
-    std::vector<double> probed;
-    if (use_model) {
-      // set_coupling REPLACES the pair's mutual with probe_k*sqrt(Li*Lj), so
-      // the model evaluates the DIFFERENCE against whatever mutual the pair
-      // already carries.
-      const std::size_t ci = c.inductor_index(names[i]);
-      const std::size_t cj = c.inductor_index(names[j]);
-      const double delta_m =
-          opt.probe_k * std::sqrt(lmat[ci][ci] * lmat[cj][cj]) - lmat[ci][cj];
-      probed = emi::sweep::coupling_model_pair_sweep(
-          model, refined, freqs, env, delta_m, i, j, opt.accel, &pair_stats[pi],
-          [&]() { return probe_sweep(i, j, pair_stats[pi]); });
-    } else {
-      probed = probe_sweep(i, j, pair_stats[pi]);
-    }
+    // set_coupling REPLACES the pair's mutual with probe_k*sqrt(Li*Lj), so
+    // the model evaluates the DIFFERENCE against whatever mutual the pair
+    // already carries.
+    const std::size_t ci = c.inductor_index(names[i]);
+    const std::size_t cj = c.inductor_index(names[j]);
+    const double delta_m =
+        opt.probe_k * std::sqrt(lmat[ci][ci] * lmat[cj][cj]) - lmat[ci][cj];
+    // Escalation: the pair's own adaptive sweep, full admission-controlled
+    // accuracy at the refined-solve price, not the dense one.
+    const auto own_sweep = [&]() {
+      ckt::Circuit probe = c;
+      probe.set_coupling(names[i], names[j], opt.probe_k);
+      auto a = emi::sweep::adaptive_ac_sweep(probe, {meas_node}, freqs, env, opt.sweep.ac,
+                                             opt.accel, degrade);
+      pair_stats[pi].merge(a.stats);
+      return std::move(a.level_dbuv[0]);
+    };
+    const std::vector<double> probed = emi::sweep::coupling_model_pair_sweep(
+        model, refined, freqs, env, delta_m, i, j, degrade, &pair_stats[pi], own_sweep);
     out[pi] = pair_delta(names[i], names[j], probed, baseline);
   });
   for (const auto& st : pair_stats) stats.merge(st);
@@ -176,13 +169,7 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
 
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
-    const SensitivityOptions& opt) {
-  // The coupling model's grid is the adaptive baseline's refined grid, so
-  // the per-pair engine has nothing to run on without adaptive refinement.
-  if (opt.accel.surrogate && !opt.accel.adaptive) {
-    throw std::invalid_argument(
-        "rank_coupling_sensitivity: accel.surrogate requires accel.adaptive");
-  }
+    const SensitivityOptions& opt, int degrade) {
   // Candidate inductors: explicit list or every inductor in the circuit.
   std::vector<std::string> names = opt.candidates;
   if (names.empty()) {
@@ -198,12 +185,10 @@ SensitivityReport rank_coupling_sensitivity_report(
   const std::vector<double> env = envelope_series(source, freqs);
 
   SensitivityReport rep;
-  std::vector<CouplingSensitivity> out;
-  if (!opt.accel.adaptive) {
-    out = exact_ranking(c, meas_node, names, pairs, freqs, env, opt, rep.stats);
-  } else {
-    out = adaptive_ranking(c, meas_node, names, pairs, freqs, env, opt, rep.stats);
-  }
+  std::vector<CouplingSensitivity> out =
+      opt.accel.adaptive
+          ? adaptive_ranking(c, meas_node, names, pairs, freqs, env, opt, degrade, rep.stats)
+          : exact_ranking(c, meas_node, names, pairs, freqs, env, opt, rep.stats);
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.max_delta_db > b.max_delta_db;
   });

@@ -28,10 +28,9 @@ struct SensitivityOptions {
   EmissionSweepOptions sweep{};
   // Optional subset of inductor names to consider (empty = all).
   std::vector<std::string> candidates;
-  // Opt-in sweep acceleration: adaptive frequency refinement for the dense
-  // sweeps, plus (with surrogate, which requires adaptive) the coupling
-  // model for the per-pair probe sweeps. Defaults off: every probe is then
-  // solved exactly on the full grid (ckt::ac_coupling_probe_sweep).
+  // The sweep switch: with accel.adaptive an adaptive baseline and the
+  // coupling model for the per-pair probe sweeps. Defaults off: every probe
+  // is then solved exactly on the full grid (ckt::ac_coupling_probe_sweep).
   emi::sweep::SweepAccel accel{};
 };
 
@@ -49,17 +48,23 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt = {});
 
-// Same ranking, plus sweep economics. With opt.accel engaged the per-pair
-// sweeps go through the adaptive engine or the coupling model (per-pair
-// stats are accumulated in pair-index order, so the report is thread-count
-// invariant). With a default accel one ckt::ac_coupling_probe_sweep solves
-// the baseline and every probe exactly; a failed baseline point raises the
-// baseline's ac_sweep_status, otherwise the lowest-index failed pair's.
-// Throws std::invalid_argument for accel.surrogate without accel.adaptive,
-// an unknown candidate, or a probe_k set_coupling rejects.
+// Same ranking, plus sweep economics. Two branches:
+//   * exact (opt.accel.adaptive off): one ckt::ac_coupling_probe_sweep
+//     solves the baseline and every probe on the full grid; a failed
+//     baseline point raises the baseline's ac_sweep_status, otherwise the
+//     lowest-index failed pair's;
+//   * adaptive: an adaptive baseline, then every pair through the coupling
+//     model on its refined grid, a pair escalating to its own adaptive sweep
+//     past the gate. `degrade` is the flow's deadline-ladder level, which
+//     scales the refinement and escalation tolerances (sweep/options.hpp).
+//     Per-pair stats are accumulated in pair-index order, so the report is
+//     thread-count invariant.
+// Both branches throw std::invalid_argument before any point is solved for
+// an unknown candidate or a probe set_coupling rejects (a candidate listed
+// twice, |probe_k| >= 1).
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
-    const SensitivityOptions& opt = {});
+    const SensitivityOptions& opt = {}, int degrade = 0);
 
 // Keep only pairs whose max impact reaches `threshold_db`; the survivors are
 // the pairs worth a field simulation.

@@ -153,17 +153,16 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
     ss << "ac " << double_bits(ac.g_min) << ' ' << double_bits(ac.condition_limit) << ' '
        << double_bits(ac.pivot_threshold) << '\n';
   }
-  // Sweep acceleration changes computed spectra (interpolated / model-
-  // filled points), so its configuration joins the context - but only when
-  // it is enabled, keeping every pre-acceleration checkpoint digest (and the
-  // default-options digest) byte-identical. The trailing "8 4" stands where
-  // the retired rational surrogate's order and holdout defaults were
-  // printed, so accelerated checkpoints keep their digests too.
-  if (opt.sweep_accel.enabled()) {
-    ss << "swp " << (opt.sweep_accel.adaptive ? 1 : 0) << ' '
-       << double_bits(opt.sweep_accel.tol_db) << ' ' << opt.sweep_accel.coarse_points << ' '
-       << (opt.sweep_accel.surrogate ? 1 : 0) << ' ' << double_bits(opt.sweep_accel.gate_db)
-       << " 8 4\n";
+  // Adaptive sweeps change computed spectra (interpolated / model-filled
+  // points), so the switch joins the context - but only when it is set,
+  // keeping every pre-acceleration checkpoint digest (and the default-options
+  // digest) byte-identical. The line prints the bytes the shipped
+  // `--adaptive` configuration always printed: the level-0 tolerances and
+  // grid size, a 1 where the coupling-model flag stood, and "8 4" where the
+  // retired rational surrogate's order and holdout defaults stood.
+  if (opt.sweep_accel.adaptive) {
+    ss << "swp 1 " << double_bits(emi::sweep::tol_db(0)) << ' ' << emi::sweep::kCoarsePoints
+       << " 1 " << double_bits(emi::sweep::gate_db(0)) << " 8 4\n";
   }
   // The 3 stands where the CISPR 25 class of the CLI's limit column was
   // printed; it never was a flow input.

@@ -41,14 +41,14 @@ namespace emi::flow {
 // checkpoint still names the configuration it was written under.
 struct FlowOptions {
   emc::EmissionSweepOptions sweep{};
-  // Sweep acceleration (sweep::SweepAccel): adaptive frequency refinement
-  // for the dense emission sweeps and, with `surrogate` (which requires
-  // `adaptive`), the Sherman-Morrison coupling model for the per-pair
-  // sensitivity sweeps. The default keeps every sweep dense and exact, so
-  // flow results stay bit-identical to older builds; when enabled the
-  // options join the checkpoint context digest and degrade along the
-  // deadline ladder (tol_db / gate_db doubled per degradation step).
-  // Economics surface as `sweep.*` profile counters.
+  // The sweep switch (sweep::SweepAccel): `adaptive` selects adaptive
+  // frequency refinement for the dense emission sweeps and the
+  // Sherman-Morrison coupling model for the per-pair sensitivity sweeps. The
+  // default keeps every sweep dense and exact, so flow results stay
+  // bit-identical to older builds; when set it joins the checkpoint context
+  // digest, and its tolerances double per step of the deadline ladder
+  // (sweep::tol_db / sweep::gate_db). Economics surface as `sweep.*` profile
+  // counters.
   emi::sweep::SweepAccel sweep_accel{};
 
   // Time budgets (milliseconds; 0 = unlimited). The total budget bounds the

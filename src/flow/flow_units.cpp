@@ -105,17 +105,18 @@ bool FlowEngine::unit_sensitivity() {
           emc::SensitivityOptions sens_opt;
           sens_opt.sweep = detail::jittered(opt_.sweep, attempt);
           if (degrade > 0) {
-            // Degraded retry after an expired budget: fewer sweep points.
-            sens_opt.sweep.n_points =
-                std::max<std::size_t>(25, sens_opt.sweep.n_points >> degrade);
+            // Degraded retry after an expired budget: fewer sweep points,
+            // down to 25 but never more than the undegraded attempt's.
+            const std::size_t n = sens_opt.sweep.n_points;
+            sens_opt.sweep.n_points = std::min(n, std::max<std::size_t>(25, n >> degrade));
           }
           sens_opt.candidates = candidates_;
-          // Tolerances of an engaged acceleration coarsen along the
-          // degradation ladder. Stats are re-assigned per attempt so only
-          // the attempt that decides the stage is counted.
-          sens_opt.accel = opt_.sweep_accel.degraded(degrade);
+          // The adaptive tolerances coarsen along the degradation ladder.
+          // Stats are re-assigned per attempt so only the attempt that
+          // decides the stage is counted.
+          sens_opt.accel = opt_.sweep_accel;
           emc::SensitivityReport rep = emc::rank_coupling_sensitivity_report(
-              bc_.circuit, bc_.meas_node, bc_.noise, sens_opt);
+              bc_.circuit, bc_.meas_node, bc_.noise, sens_opt, degrade);
           res_.ranking = std::move(rep.ranking);
           attempt_stats = rep.stats;
         });
@@ -164,11 +165,10 @@ bool FlowEngine::unit_initial_prediction() {
         const ckt::Circuit coupled =
             circuit_with_couplings(bc_, initial_layout_, pick_extractor(degrade),
                                    kMinInstalledCoupling, res_.simulated_pairs);
-        const emi::sweep::SweepAccel accel = opt_.sweep_accel.degraded(degrade);
         emc::AdaptiveEmissionResult coupled_res = emc::conducted_emission_adaptive(
-            coupled, bc_.meas_node, bc_.noise, sweep, accel);
+            coupled, bc_.meas_node, bc_.noise, sweep, opt_.sweep_accel, degrade);
         emc::AdaptiveEmissionResult bare_res = emc::conducted_emission_adaptive(
-            bc_.circuit, bc_.meas_node, bc_.noise, sweep, accel);
+            bc_.circuit, bc_.meas_node, bc_.noise, sweep, opt_.sweep_accel, degrade);
         res_.initial_prediction = std::move(coupled_res.spectrum);
         res_.initial_no_coupling = std::move(bare_res.spectrum);
         attempt_stats = coupled_res.stats;
@@ -312,8 +312,7 @@ bool FlowEngine::unit_verification() {
                                      res_.simulated_pairs);
           const emc::EmissionSweepOptions sweep = detail::jittered(opt_.sweep, attempt);
           emc::AdaptiveEmissionResult improved = emc::conducted_emission_adaptive(
-              improved_ckt, bc_.meas_node, bc_.noise, sweep,
-              opt_.sweep_accel.degraded(degrade));
+              improved_ckt, bc_.meas_node, bc_.noise, sweep, opt_.sweep_accel, degrade);
           res_.improved_prediction = std::move(improved.spectrum);
           attempt_stats = improved.stats;
         });
@@ -366,8 +365,8 @@ FlowResult FlowEngine::finish() {
   // STATS verb) can rely on the entries. full_solves counts every solved
   // point, dense or adaptive, and resumed_solves those of them that resumed
   // a baseline's factorization (exact sensitivity; not on the STATS wire);
-  // the other three stay zero unless FlowOptions::sweep_accel engaged an
-  // engine this run.
+  // the other three stay zero unless FlowOptions::sweep_accel.adaptive is
+  // set.
   res_.profile.add_count("sweep.full_solves", sweep_stats_.full_solves);
   res_.profile.add_count("sweep.resumed_solves", sweep_stats_.resumed_solves);
   res_.profile.add_count("sweep.interp_points", sweep_stats_.interp_points);

@@ -76,7 +76,9 @@ double interp(std::span<const double> xs, std::span<const double> ys, double x) 
 }
 
 std::vector<double> log_space(double lo, double hi, std::size_t n) {
-  if (n < 2 || lo <= 0.0 || hi <= lo) throw std::invalid_argument("log_space: bad range");
+  if (n < 2 || !(std::isfinite(hi) && lo > 0.0 && hi > lo)) {
+    throw std::invalid_argument("log_space: bad range");
+  }
   std::vector<double> out(n);
   const double la = std::log10(lo);
   const double lb = std::log10(hi);

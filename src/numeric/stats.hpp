@@ -26,6 +26,7 @@ double db20(double ratio);
 double interp(std::span<const double> xs, std::span<const double> ys, double x);
 
 // Logarithmically spaced grid from lo to hi (inclusive), n >= 2 points.
+// Throws std::invalid_argument unless 0 < lo < hi, both finite.
 std::vector<double> log_space(double lo, double hi, std::size_t n);
 std::vector<double> lin_space(double lo, double hi, std::size_t n);
 

@@ -76,9 +76,9 @@ struct JobSpec {
   std::int64_t total_budget_ms = 0;
   std::int64_t stage_budget_ms = 0;
   std::string client;
-  // Opt-in sweep acceleration (flow::FlowOptions::sweep_accel with both
-  // engines at their default tolerances). Serialized only when set, so
-  // pre-acceleration job records keep their exact bytes.
+  // Opt-in adaptive sweeps (flow::FlowOptions::sweep_accel.adaptive).
+  // Serialized only when set, so pre-acceleration job records keep their
+  // exact bytes.
   bool adaptive_sweep = false;
   // Deterministic crash stand-in (tests only): the executor halts right
   // after this stage's checkpoint WITHOUT writing a terminal job state -

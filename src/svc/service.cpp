@@ -441,13 +441,9 @@ void Service::run_job(Job& job) {
                                       : flow::boost_layout_unfavorable(bc);
     flow::FlowOptions fopt;
     fopt.sweep.n_points = spec.sweep_points;
-    if (spec.adaptive_sweep) {
-      // Both acceleration engines at their default tolerances; the options
-      // join the flow's checkpoint context digest, so a job toggled between
-      // submissions never resumes across the configuration change.
-      fopt.sweep_accel.adaptive = true;
-      fopt.sweep_accel.surrogate = true;
-    }
+    // The switch joins the flow's checkpoint context digest, so a job
+    // toggled between submissions never resumes across the change.
+    fopt.sweep_accel.adaptive = spec.adaptive_sweep;
     fopt.total_budget_ms = spec.total_budget_ms;
     fopt.stage_budget_ms = spec.stage_budget_ms;
     fopt.cancel = &job.cancel;

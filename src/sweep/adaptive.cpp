@@ -106,8 +106,8 @@ AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
                                       const std::vector<std::string>& probe_nodes,
                                       const std::vector<double>& dense_freqs_hz,
                                       const std::vector<double>& envelope,
-                                      const ckt::AcOptions& ac,
-                                      const SweepAccel& accel) {
+                                      const ckt::AcOptions& ac, const SweepAccel& accel,
+                                      int degrade) {
   const std::size_t n = dense_freqs_hz.size();
   if (envelope.size() != n) {
     throw std::invalid_argument("adaptive_ac_sweep: grid mismatch");
@@ -124,8 +124,7 @@ AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
   res.error_bound_db.assign(n, 0.0);
   if (n == 0) return res;
 
-  const std::size_t coarse = std::clamp<std::size_t>(accel.coarse_points, 2, n);
-  if (!accel.adaptive || n <= coarse + 2) {
+  if (!accel.adaptive || n <= kCoarsePoints + 2) {
     // Exact path: solve the whole grid in one batch.
     std::vector<std::size_t> all(n);
     for (std::size_t i = 0; i < n; ++i) all[i] = i;
@@ -168,8 +167,9 @@ AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
 
   // Level 0: even subsample of the dense index range (geometric in f).
   std::vector<std::size_t> level0;
-  for (std::size_t j = 0; j < coarse; ++j) {
-    const std::size_t idx = (j * (n - 1) + (coarse - 1) / 2) / (coarse - 1);
+  for (std::size_t j = 0; j < kCoarsePoints; ++j) {
+    const std::size_t idx =
+        (j * (n - 1) + (kCoarsePoints - 1) / 2) / (kCoarsePoints - 1);
     if (level0.empty() || level0.back() != idx) level0.push_back(idx);
   }
   admit_batch(level0);
@@ -199,6 +199,7 @@ AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
       work.push_back({level0[j], level0[j + 1], 0});
     }
   }
+  const double tol = tol_db(degrade);
   std::vector<double> xs, re, im;
   while (!work.empty()) {
     std::sort(work.begin(), work.end());
@@ -247,7 +248,7 @@ AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
       // Admit at half the tolerance: the residual is a one-point estimate of
       // the interval's fill error, and the factor of two covers structure
       // sitting off-midpoint (measured headroom across the fuzz battery).
-      if (err > 0.5 * accel.tol_db) {
+      if (err > 0.5 * tol) {
         // Failed: both halves start over with no credit.
         if (m - a >= 2) next.push_back({a, m, 0});
         if (b - m >= 2) next.push_back({m, b, 0});

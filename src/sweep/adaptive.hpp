@@ -5,11 +5,12 @@
 // pending midpoint is first PREDICTED with the actual global fill built
 // from the currently-solved points, then solved, and the interval fails
 // when the solved level deviates from the prediction by more than tol_db/2
-// on any probed node (per-node, on the envelope-normalized transfer
-// H = V/env in ln f). Acceptance takes two generations of solved
-// agreement - an interval's midpoint passes and then both child midpoints
-// pass (a credit bit on the worklist entry) - so one coincidentally
-// on-prediction midpoint cannot hide interior structure. Each level's
+// (sweep/options.hpp, at the caller's degrade level) on any probed node
+// (per-node, on the envelope-normalized transfer H = V/env in ln f).
+// Acceptance takes two generations of solved agreement - an interval's
+// midpoint passes and then both child midpoints pass (a credit bit on the
+// worklist entry) - so one coincidentally on-prediction midpoint cannot
+// hide interior structure. Each level's
 // midpoints are solved in one batch whose order is the sorted interval
 // index - never discovery order - so the refined grid and every solved
 // value are bit-identical at any thread count. Points never solved are
@@ -42,14 +43,15 @@ struct AdaptiveSweepResult {
 
 // Run the adaptive sweep. `envelope` is the per-point source magnitude
 // (strictly positive; the trapezoid envelope is) and must match the grid.
-// When accel.adaptive is false, or the grid is too small to subsample, the
-// whole grid is solved exactly (still one result shape for callers).
+// Refinement admits at tol_db(degrade). When accel.adaptive is false, or the
+// grid is too small to subsample, the whole grid is solved exactly (still
+// one result shape for callers).
 AdaptiveSweepResult adaptive_ac_sweep(const ckt::Circuit& c,
                                       const std::vector<std::string>& probe_nodes,
                                       const std::vector<double>& dense_freqs_hz,
                                       const std::vector<double>& envelope,
-                                      const ckt::AcOptions& ac,
-                                      const SweepAccel& accel);
+                                      const ckt::AcOptions& ac, const SweepAccel& accel,
+                                      int degrade = 0);
 
 // Monotone piecewise-cubic interpolation (Fritsch-Carlson PCHIP) of y(x) on
 // a strictly increasing grid, evaluated at xq (clamped at the ends). Public

@@ -50,8 +50,8 @@ ckt::Complex coupling_probe_phasor(const ckt::CouplingProbeModel& m, std::size_t
 std::vector<double> coupling_model_pair_sweep(
     const ckt::CouplingProbeModel& model, const std::vector<std::size_t>& solved_idx,
     const std::vector<double>& dense_freqs_hz, const std::vector<double>& envelope,
-    double delta_m, std::size_t p, std::size_t q, const SweepAccel& accel,
-    SweepStats* stats, const std::function<std::vector<double>()>& escalate_dense) {
+    double delta_m, std::size_t p, std::size_t q, int degrade, SweepStats* stats,
+    const std::function<std::vector<double>()>& escalate_dense) {
   const std::size_t n = dense_freqs_hz.size();
   const std::size_t nm = model.freqs_hz.size();
   if (solved_idx.size() != nm || envelope.size() != n || nm < 2 ||
@@ -108,7 +108,7 @@ std::vector<double> coupling_model_pair_sweep(
     }
   }
   stats->max_residual_db = std::max(stats->max_residual_db, residual);
-  if (residual > accel.gate_db) {
+  if (residual > gate_db(degrade)) {
     stats->escalations += 1;
     return escalate_dense();
   }

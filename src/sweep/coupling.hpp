@@ -10,8 +10,8 @@
 //   * between refined points the probed transfer is filled by the same
 //     shape-preserving complex cubic the adaptive engine uses;
 //   * the fill is validated on held-out refined points (their exact values
-//     are free), and a pair whose held-out residual exceeds gate_db
-//     escalates to a caller-supplied full dense sweep.
+//     are free), and a pair whose held-out residual exceeds gate_db() of its
+//     degrade level escalates to a caller-supplied sweep.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +35,12 @@ ckt::Complex coupling_probe_phasor(const ckt::CouplingProbeModel& m, std::size_t
 // both grid ends). Levels at model points are exact; the rest of the grid
 // is filled by the complex cubic and counted as surrogate_evals. Every 4th
 // interior model point is withheld from a validation fit; if the worst
-// withheld-point deviation exceeds accel.gate_db the sweep escalates to
+// withheld-point deviation exceeds gate_db(degrade) the sweep escalates to
 // escalate_dense() (counted by the caller's stats through the same pointer).
 std::vector<double> coupling_model_pair_sweep(
     const ckt::CouplingProbeModel& model, const std::vector<std::size_t>& solved_idx,
     const std::vector<double>& dense_freqs_hz, const std::vector<double>& envelope,
-    double delta_m, std::size_t p, std::size_t q, const SweepAccel& accel,
-    SweepStats* stats, const std::function<std::vector<double>()>& escalate_dense);
+    double delta_m, std::size_t p, std::size_t q, int degrade, SweepStats* stats,
+    const std::function<std::vector<double>()>& escalate_dense);
 
 }  // namespace emi::sweep

@@ -5,9 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
+#include "src/core/thread_pool.hpp"
 #include "src/flow/buck_converter.hpp"
 #include "src/flow/scenario_large.hpp"
 #include "src/numeric/stats.hpp"
@@ -155,6 +159,76 @@ TEST(AcSolve, Validation) {
   const AcSolution sol = ac_solve_checked(c, {1e3}).value();
   EXPECT_THROW(sol.voltage("nope", 0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(std::abs(sol.voltage("0", 0)), 0.0);  // ground is 0
+}
+
+// The one grid check of every AC entry point: a NaN or infinite frequency
+// is a malformed grid, rejected before any point is solved.
+TEST(AcSolve, NonFiniteFrequenciesAreRejected) {
+  const flow::BuckConverter bc = flow::make_buck_converter();
+  const std::vector<std::string> names = {bc.circuit.inductors()[0].name,
+                                          bc.circuit.inductors()[1].name};
+  const std::vector<std::pair<std::size_t, std::size_t>> pairs = {{0, 1}};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> freqs = {1e6, bad};
+    EXPECT_THROW(ac_solve_checked(bc.circuit, freqs), std::invalid_argument) << bad;
+    EXPECT_THROW(ac_coupling_probe_model(bc.circuit, bc.meas_node, names, freqs),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(ac_coupling_probe_sweep(bc.circuit, bc.meas_node, pairs, 0.05, freqs),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+// Under an already-expired scope no point runs, and every entry point
+// reports the stop at every point: the sweeps list it per point (for the
+// probe sweep, per system), the model raises it naming all of them.
+TEST(AcSolveChecked, ExpiredScopeStopsEveryPointOfEveryEntryPoint) {
+  const flow::BuckConverter bc = flow::make_buck_converter();
+  const std::vector<double> freqs = num::log_space(150e3, 108e6, 12);
+  const std::vector<std::string> names = {bc.circuit.inductors()[0].name,
+                                          bc.circuit.inductors()[1].name};
+  const std::vector<std::pair<std::size_t, std::size_t>> pairs = {{0, 1}, {2, 3}};
+  const auto expect_stopped = [&](const std::vector<AcPointFailure>& failures,
+                                  const std::string& what) {
+    ASSERT_EQ(failures.size(), freqs.size()) << what;
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+      EXPECT_EQ(failures[i].freq_index, i) << what;
+      EXPECT_EQ(failures[i].status.code(), core::ErrorCode::kDeadlineExceeded) << what;
+      EXPECT_EQ(failures[i].status.stage(), "ckt.ac") << what;
+    }
+  };
+  struct RestoreLanes {
+    ~RestoreLanes() {
+      core::ThreadPool::set_global_thread_count(core::ThreadPool::default_thread_count());
+    }
+  } restore;
+  for (const std::size_t lanes : {1u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const std::string at = " at " + std::to_string(lanes) + " lanes";
+    core::CancelScope scope(core::Deadline::expired(), nullptr);
+    expect_stopped(ac_solve_checked(bc.circuit, freqs).failures, "ac_solve_checked" + at);
+
+    const CouplingProbeSweep sw =
+        ac_coupling_probe_sweep(bc.circuit, bc.meas_node, pairs, 0.05, freqs);
+    expect_stopped(sw.baseline.failures, "probe sweep baseline" + at);
+    ASSERT_EQ(sw.probes.size(), pairs.size());
+    for (const MeasuredSweep& probe : sw.probes) {
+      expect_stopped(probe.failures, "probe sweep probe" + at);
+    }
+    EXPECT_EQ(sw.resumed_points, 0u);
+
+    try {
+      (void)ac_coupling_probe_model(bc.circuit, bc.meas_node, names, freqs);
+      ADD_FAILURE() << "ac_coupling_probe_model returned under a stopped scope" << at;
+    } catch (const core::StatusError& e) {
+      EXPECT_EQ(e.status().code(), core::ErrorCode::kDeadlineExceeded) << at;
+      EXPECT_EQ(e.status().stage(), "ckt.coupling_model") << at;
+      EXPECT_NE(e.status().message().find("12/12 points"), std::string::npos)
+          << e.status().to_string();
+    }
+  }
 }
 
 TEST(AcSolveChecked, CleanSweepHasNoFailures) {
@@ -312,6 +386,16 @@ TEST(LogFrequencyGrid, NonPositiveStartIsInvalid) {
     ASSERT_FALSE(r.ok()) << lo;
     EXPECT_EQ(r.status().code(), core::ErrorCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("must be positive"), std::string::npos);
+  }
+}
+
+TEST(LogFrequencyGrid, NonFiniteEndIsInvalid) {
+  for (const double hi : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    const auto r = log_frequency_grid(units::Hertz{1e3}, units::Hertz{hi}, 10);
+    ASSERT_FALSE(r.ok()) << hi;
+    EXPECT_EQ(r.status().code(), core::ErrorCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("must be finite"), std::string::npos);
   }
 }
 

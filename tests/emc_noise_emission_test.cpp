@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "src/emi/emission.hpp"
@@ -111,6 +112,32 @@ TEST(Emission, ScaledVariantMatchesEnvelopePath) {
   }
   EXPECT_THROW(conducted_emission_scaled(c, "LISN_meas", freqs, {1.0}),
                std::invalid_argument);
+}
+
+// A NaN or infinite frequency (a grid bound, or a point of a supplied grid)
+// is a malformed grid at every emission entry point, not a spectrum of NaN
+// levels.
+TEST(Emission, NonFiniteFrequenciesAreRejected) {
+  const ckt::Circuit c = testbed();
+  const TrapezoidSpectrum s = spectrum_params(ref_trapezoid());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(num::log_space(bad, 1e6, 5), std::invalid_argument) << bad;
+    EXPECT_THROW(num::log_space(1e3, bad, 5), std::invalid_argument) << bad;
+    for (const bool bad_min : {true, false}) {
+      EmissionSweepOptions opt;
+      opt.n_points = 5;
+      (bad_min ? opt.f_min_hz : opt.f_max_hz) = bad;
+      EXPECT_THROW(conducted_emission(c, "LISN_meas", s, opt), std::invalid_argument)
+          << bad;
+      EXPECT_THROW(conducted_emission_adaptive(c, "LISN_meas", s, opt, {}),
+                   std::invalid_argument)
+          << bad;
+    }
+    EXPECT_THROW(conducted_emission_scaled(c, "LISN_meas", {1e6, bad}, {1.0, 1.0}),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Emission, DeltaDb) {

@@ -119,6 +119,31 @@ TEST(FlowDeadline, InjectedExpiryFollowsTheDegradationLadder) {
   }
 }
 
+// A degraded sensitivity retry sweeps fewer points than the exact attempt,
+// down to 25 but never more: a 10-point flow whose first ranking expires
+// decides its ranking on the same 10 points (the baseline and 21 probes).
+TEST(FlowDeadline, DegradedSensitivityNeverSweepsMorePointsThanExact) {
+  Guards guards;
+  core::FaultInjector& inj = core::FaultInjector::instance();
+  std::uint64_t seed = 0;
+  for (; seed < 1000; ++seed) {
+    inj.configure(core::FaultSite::kDeadline, 0.5, seed);
+    if (expiry_fires(kStages[0], 0) && !expiry_fires(kStages[0], 1)) break;
+  }
+  ASSERT_LT(seed, 1000u);
+
+  FlowOptions opt;
+  opt.sweep.n_points = 10;
+  opt.stop_after_stage = "sensitivity";
+  const FlowResult r = run_once(opt);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].stage, kStages[0]);
+  EXPECT_EQ(r.diagnostics[0].status.code(), core::ErrorCode::kDeadlineExceeded);
+  EXPECT_TRUE(r.diagnostics[0].recovered);
+  EXPECT_EQ(r.ranking.size(), 21u);
+  EXPECT_EQ(r.profile.count("sweep.full_solves"), 22u * 10u);
+}
+
 // Rate 1: every attempt of every stage starts expired. The flow must come
 // back partial - never hang, never throw - with the full set of
 // kDeadlineExceeded diagnostics, and still fall back to all-pairs

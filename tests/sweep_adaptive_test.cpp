@@ -1,7 +1,7 @@
 // Adaptive frequency refinement: the 500-seed fuzz battery comparing the
 // accelerated sweep against the dense reference grid. Solved points must be
 // bit-identical to the dense sweep, every interpolated point must stay
-// within tol_db of it, a disabled accel must reproduce the dense sweep
+// within tol_db(0) of it, a disabled accel must reproduce the dense sweep
 // bitwise, and refinement must be invariant to the thread count.
 #include <gtest/gtest.h>
 
@@ -131,7 +131,8 @@ TEST(AdaptiveSweep, RejectsMismatchedInputs) {
 TEST(AdaptiveSweep, FuzzSolvedBitwiseEqualAndInterpWithinTol) {
   const emc::TrapezoidSpectrum trapezoid{12.0, 1.0 / 300e3, 0.42 / 300e3, 30e-9};
   SweepAccel accel;
-  accel.adaptive = true;  // default tol_db / coarse_points
+  accel.adaptive = true;  // level 0: tol_db(0), kCoarsePoints
+  const double tol = tol_db(0);
   const std::vector<double> freqs = num::log_space(150e3, 108e6, 240);
 
   std::uint64_t total_full = 0;
@@ -157,9 +158,9 @@ TEST(AdaptiveSweep, FuzzSolvedBitwiseEqualAndInterpWithinTol) {
             << "seed " << seed << " point " << i;
         EXPECT_EQ(res.error_bound_db[i], 0.0);
       } else {
-        EXPECT_LE(std::abs(res.level_dbuv[0][i] - ref[i]), accel.tol_db)
+        EXPECT_LE(std::abs(res.level_dbuv[0][i] - ref[i]), tol)
             << "seed " << seed << " point " << i;
-        EXPECT_LE(res.error_bound_db[i], accel.tol_db);
+        EXPECT_LE(res.error_bound_db[i], tol);
       }
     }
     EXPECT_EQ(res.stats.full_solves, solved) << "seed " << seed;
@@ -196,21 +197,25 @@ TEST(AdaptiveSweep, RefinementIsThreadCountInvariant) {
   core::ThreadPool::set_global_thread_count(core::ThreadPool::default_thread_count());
 }
 
+// The tolerances are constants on the deadline ladder: the shipped values
+// at level 0 (the bytes the checkpoint digest records), doubled per level.
 TEST(AdaptiveSweep, DegradedLadderCoarsensTolerances) {
-  SweepAccel a;
-  a.adaptive = true;
-  const SweepAccel d2 = a.degraded(2);
-  EXPECT_EQ(d2.tol_db, a.tol_db * 4.0);
-  EXPECT_EQ(d2.gate_db, a.gate_db * 4.0);
-  EXPECT_EQ(a.degraded(0).tol_db, a.tol_db);  // step 0: unchanged
+  EXPECT_EQ(tol_db(0), 0.3);
+  EXPECT_EQ(gate_db(0), 0.5);
+  EXPECT_EQ(kCoarsePoints, 9u);
+  EXPECT_EQ(tol_db(2), tol_db(0) * 4.0);
+  EXPECT_EQ(gate_db(2), gate_db(0) * 4.0);
+  EXPECT_EQ(tol_db(-1), tol_db(0));  // levels clamp at 0
   // Coarser admission can only solve fewer (or equal) points.
   num::Rng rng(7);
   std::string meas;
   const ckt::Circuit c = random_filter(rng, &meas);
   const std::vector<double> freqs = num::log_space(150e3, 108e6, 120);
   const std::vector<double> env(freqs.size(), 1.0);
+  SweepAccel a;
+  a.adaptive = true;
   const auto fine = adaptive_ac_sweep(c, {meas}, freqs, env, {}, a);
-  const auto coarse = adaptive_ac_sweep(c, {meas}, freqs, env, {}, a.degraded(3));
+  const auto coarse = adaptive_ac_sweep(c, {meas}, freqs, env, {}, a, 3);
   EXPECT_LE(coarse.stats.full_solves, fine.stats.full_solves);
 }
 

@@ -178,12 +178,10 @@ TEST(CouplingModelSweep, ExactAtModelPointsFillWithinGate) {
   const std::size_t cq = c.inductor_index(names[q]);
   const double dm = probe_k * std::sqrt(lmat[cp][cp] * lmat[cq][cq]) - lmat[cp][cq];
 
-  SweepAccel accel;
-  accel.adaptive = accel.surrogate = true;
   SweepStats stats;
   bool escalated = false;
   const std::vector<double> level = coupling_model_pair_sweep(
-      model, solved_idx, freqs, env, dm, p, q, accel, &stats, [&]() {
+      model, solved_idx, freqs, env, dm, p, q, 0, &stats, [&]() {
         escalated = true;
         return std::vector<double>(n, 0.0);
       });
@@ -191,7 +189,7 @@ TEST(CouplingModelSweep, ExactAtModelPointsFillWithinGate) {
   ASSERT_EQ(level.size(), n);
   EXPECT_EQ(stats.escalations, 0u);
   EXPECT_EQ(stats.surrogate_evals, n - solved_idx.size());
-  EXPECT_LE(stats.max_residual_db, accel.gate_db);
+  EXPECT_LE(stats.max_residual_db, gate_db(0));
 
   const std::vector<double> ref =
       probed_dense_levels(c, meas, names[p], names[q], probe_k, freqs, env);
@@ -205,12 +203,15 @@ TEST(CouplingModelSweep, ExactAtModelPointsFillWithinGate) {
   // Pure function of the model: a second evaluation is bitwise identical.
   SweepStats stats2;
   const std::vector<double> again = coupling_model_pair_sweep(
-      model, solved_idx, freqs, env, dm, p, q, accel, &stats2,
+      model, solved_idx, freqs, env, dm, p, q, 0, &stats2,
       [&]() { return std::vector<double>(n, 0.0); });
   EXPECT_EQ(level, again);
 }
 
-TEST(CouplingModelSweep, ZeroGateEscalates) {
+// A pair escalates exactly when its held-out residual exceeds the gate of
+// its degrade level: the same pair on the same model escalates at level 0
+// and is filled from the model once the doubled gate covers its residual.
+TEST(CouplingModelSweep, ResidualPastTheLadderGateEscalates) {
   std::string meas;
   std::vector<std::string> names;
   const ckt::Circuit c = testbed(&meas, &names);
@@ -230,17 +231,29 @@ TEST(CouplingModelSweep, ZeroGateEscalates) {
   const ckt::CouplingProbeModel model =
       ckt::ac_coupling_probe_model(c, meas, names, model_f, mac);
 
-  SweepAccel accel;
-  accel.adaptive = accel.surrogate = true;
-  accel.gate_db = 0.0;  // any nonzero held-out residual escalates
-  SweepStats stats;
   const std::vector<double> sentinel(n, -123.0);
-  const std::vector<double> level = coupling_model_pair_sweep(
-      model, solved_idx, freqs, env, 1e-8, 0, 2, accel, &stats,
-      [&]() { return sentinel; });
-  EXPECT_EQ(level, sentinel);
-  EXPECT_EQ(stats.escalations, 1u);
-  EXPECT_EQ(stats.surrogate_evals, 0u);
+  const auto sweep_at = [&](int degrade, SweepStats* stats) {
+    return coupling_model_pair_sweep(model, solved_idx, freqs, env, 1e-8, 0, 2, degrade,
+                                     stats, [&]() { return sentinel; });
+  };
+  SweepStats at0;
+  EXPECT_EQ(sweep_at(0, &at0), sentinel);
+  const double residual = at0.max_residual_db;
+  ASSERT_GT(residual, gate_db(0));
+  EXPECT_EQ(at0.escalations, 1u);
+  EXPECT_EQ(at0.surrogate_evals, 0u);
+
+  int level = 1;
+  while (level < 16 && gate_db(level) < residual) ++level;
+  ASSERT_LE(residual, gate_db(level));
+  SweepStats below;
+  EXPECT_EQ(sweep_at(level - 1, &below), sentinel);
+  EXPECT_EQ(below.escalations, 1u);
+  SweepStats at;
+  EXPECT_NE(sweep_at(level, &at), sentinel);
+  EXPECT_EQ(at.escalations, 0u);
+  EXPECT_EQ(at.surrogate_evals, n - solved_idx.size());
+  EXPECT_EQ(at.max_residual_db, residual);
 }
 
 TEST(CouplingModelSweep, RejectsMismatchedGrids) {
@@ -256,10 +269,10 @@ TEST(CouplingModelSweep, RejectsMismatchedGrids) {
   SweepStats stats;
   const auto dense = []() { return std::vector<double>(16, 0.0); };
   // Model grid that does not span the dense grid's ends.
-  EXPECT_THROW(coupling_model_pair_sweep(model, {0, 7}, freqs, env, 1e-9, 0, 1, {},
+  EXPECT_THROW(coupling_model_pair_sweep(model, {0, 7}, freqs, env, 1e-9, 0, 1, 0,
                                          &stats, dense),
                std::invalid_argument);
-  EXPECT_THROW(coupling_model_pair_sweep(model, {0}, freqs, env, 1e-9, 0, 1, {},
+  EXPECT_THROW(coupling_model_pair_sweep(model, {0}, freqs, env, 1e-9, 0, 1, 0,
                                          &stats, dense),
                std::invalid_argument);
 }

@@ -1,10 +1,11 @@
 // Sweep acceleration through the design flow: defaults stay bit-identical,
 // the `sweep.*` profile counters other than full_solves are zero until
-// opted in, the checkpoint digest changes exactly when the sweep options
-// change, resume-mid-sweep is bit-identical, the result is thread-count
-// invariant, and the headline acceptance holds on both golden workloads:
-// >= 10x fewer full AC solves at <= 1 dB max deviation (buck converter and
-// the large scenario ladder).
+// opted in, the checkpoint digest changes exactly when the sweep switch
+// changes, `adaptive` alone is the shipped `--adaptive` flow,
+// resume-mid-sweep is bit-identical, the result is thread-count invariant,
+// and the headline acceptance holds on both golden workloads: >= 10x fewer
+// full AC solves at <= 1 dB max deviation (buck converter and the large
+// scenario ladder).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +35,6 @@ FlowOptions accel_options(std::size_t n_points) {
   FlowOptions opt;
   opt.sweep.n_points = n_points;
   opt.sweep_accel.adaptive = true;
-  opt.sweep_accel.surrogate = true;
   return opt;
 }
 
@@ -89,9 +89,10 @@ TEST(SweepFlow, DefaultRunKeepsSweepCountersZero) {
   EXPECT_EQ(res.profile.gauge("sweep.max_residual_db"), 0.0);
 }
 
-// A default-constructed SweepAccel is the disabled state: assigning it must
-// not move a single result bit, and the checkpoint context digest must stay
-// exactly the digest of a build that never had the field.
+// Without `adaptive` the sweeps are dense and exact: `surrogate` alone,
+// read nowhere, must not move a single result bit, and the checkpoint
+// context digest must stay exactly the digest of a build that never had the
+// field.
 TEST(SweepFlow, DisabledAccelIsBitIdenticalAndKeepsTheDigest) {
   BuckConverter bc1 = make_buck_converter();
   FlowOptions base;
@@ -100,16 +101,18 @@ TEST(SweepFlow, DisabledAccelIsBitIdenticalAndKeepsTheDigest) {
 
   BuckConverter bc2 = make_buck_converter();
   FlowOptions with_field = base;
-  with_field.sweep_accel = emi::sweep::SweepAccel{};
-  with_field.sweep_accel.tol_db = 123.0;  // knobs are inert while disabled
+  with_field.sweep_accel.surrogate = true;
   const FlowResult res = run_design_flow(bc2, layout_unfavorable(bc2), with_field);
-
+  EXPECT_TRUE(res.diagnostics.empty());
+  EXPECT_EQ(res.profile.count("sweep.full_solves"), ref.profile.count("sweep.full_solves"));
   EXPECT_EQ(fingerprint(bc1, ref), fingerprint(bc2, res));
   BuckConverter bcd = make_buck_converter();
   EXPECT_EQ(flow_context_digest(bcd, layout_unfavorable(bcd), base),
             flow_context_digest(bcd, layout_unfavorable(bcd), with_field));
 }
 
+// Only the switch reaches the digest: the tolerances are constants of the
+// degrade ladder, and `surrogate` is read nowhere.
 TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   BuckConverter bc = make_buck_converter();
   const place::Layout layout = layout_unfavorable(bc);
@@ -123,48 +126,72 @@ TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   EXPECT_NE(d0, d1);
   EXPECT_EQ(d1, flow_context_digest(bc, layout, adaptive));  // stable
 
-  FlowOptions coarser = adaptive;
-  coarser.sweep_accel.tol_db = 0.6;
-  EXPECT_NE(d1, flow_context_digest(bc, layout, coarser));
-  FlowOptions wider = adaptive;
-  wider.sweep_accel.coarse_points = 33;
-  EXPECT_NE(d1, flow_context_digest(bc, layout, wider));
-
-  FlowOptions surrogate = adaptive;
-  surrogate.sweep_accel.surrogate = true;
-  const std::uint64_t d2 = flow_context_digest(bc, layout, surrogate);
-  EXPECT_NE(d0, d2);
-  EXPECT_NE(d1, d2);
-  FlowOptions gated = surrogate;
-  gated.sweep_accel.gate_db = 1.0;
-  EXPECT_NE(d2, flow_context_digest(bc, layout, gated));
+  FlowOptions both = adaptive;
+  both.sweep_accel.surrogate = true;
+  EXPECT_EQ(d1, flow_context_digest(bc, layout, both));
+  FlowOptions surrogate_alone = base;
+  surrogate_alone.sweep_accel.surrogate = true;
+  EXPECT_EQ(d0, flow_context_digest(bc, layout, surrogate_alone));
 }
 
-// The coupling model runs on the adaptive baseline's refined grid, so
-// `surrogate` without `adaptive` is a caller mistake: the ranking raises
-// std::invalid_argument, and the flow turns that into a kInvalidArgument
-// sensitivity diagnostic (and falls back to simulating every pair).
-TEST(SweepFlow, SurrogateWithoutAdaptiveIsRejected) {
-  BuckConverter bc = make_buck_converter();
-  emc::SensitivityOptions sens;
-  sens.sweep.n_points = 30;
-  sens.accel.surrogate = true;
-  EXPECT_THROW(emc::rank_coupling_sensitivity_report(bc.circuit, bc.meas_node, bc.noise,
-                                                     sens),
-               std::invalid_argument);
+// `adaptive` alone selects everything the shipped `--adaptive` configuration
+// (adaptive and surrogate together, as emibench still sets it) runs: the
+// same result, work counters and checkpoint digest, on both topologies.
+TEST(SweepFlow, AdaptiveAloneIsTheShippedAdaptiveFlow) {
+  for (const bool boost : {false, true}) {
+    const auto run = [&](bool surrogate, std::uint64_t* digest) {
+      BuckConverter bc = boost ? make_boost_converter() : make_buck_converter();
+      const place::Layout initial =
+          boost ? boost_layout_unfavorable(bc) : layout_unfavorable(bc);
+      FlowOptions opt = accel_options(60);
+      opt.sweep_accel.surrogate = surrogate;
+      *digest = flow_context_digest(bc, initial, opt);
+      return run_design_flow(bc, initial, opt);
+    };
+    std::uint64_t shipped_digest = 0, alone_digest = 0;
+    const FlowResult shipped = run(true, &shipped_digest);
+    const FlowResult alone = run(false, &alone_digest);
+    const char* topology = boost ? "boost" : "buck";
+    ASSERT_TRUE(shipped.complete) << topology;
+    EXPECT_EQ(alone_digest, shipped_digest) << topology;
+    EXPECT_EQ(result_fingerprint(alone), result_fingerprint(shipped)) << topology;
+    // Every work counter; pool activity depends on scheduling, not inputs.
+    const auto counters = [](const FlowResult& r) {
+      std::map<std::string, std::uint64_t> out;
+      for (const auto& e : r.profile.entries()) {
+        if (e.name.rfind("pool.", 0) != 0) out[e.name] = e.count;
+      }
+      return out;
+    };
+    const std::map<std::string, std::uint64_t> want = counters(shipped);
+    EXPECT_EQ(counters(alone), want) << topology;
+    EXPECT_GT(want.at("sweep.interp_points"), 0u) << topology;
+  }
+}
 
-  FlowOptions opt;
-  opt.sweep.n_points = 30;
-  opt.sweep_accel.surrogate = true;
-  opt.stop_after_stage = "sensitivity";
-  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
-  ASSERT_EQ(res.diagnostics.size(), 1u);
-  EXPECT_EQ(res.diagnostics[0].stage, "flow.sensitivity");
-  EXPECT_EQ(res.diagnostics[0].status.code(), core::ErrorCode::kInvalidArgument);
-  EXPECT_FALSE(res.diagnostics[0].recovered);
-  EXPECT_TRUE(res.ranking.empty());
-  const std::size_t n = bc.inductor_model.size();
-  EXPECT_EQ(res.simulated_pairs.size(), n * (n - 1) / 2);
+// Both branches reject a probe set_coupling rejects before any point is
+// solved: a candidate listed twice (a self pair) and |probe_k| >= 1. The
+// adaptive branch's coupling model never calls set_coupling itself.
+TEST(SweepFlow, AdaptiveRankingRejectsInvalidProbes) {
+  const BuckConverter bc = make_buck_converter();
+  const std::string l0 = bc.circuit.inductors()[0].name;
+  const std::string l1 = bc.circuit.inductors()[1].name;
+  for (const bool adaptive : {false, true}) {
+    emc::SensitivityOptions opt;
+    opt.sweep.n_points = 60;
+    opt.accel.adaptive = adaptive;
+    opt.candidates = {l0, l1, l0};
+    EXPECT_THROW(emc::rank_coupling_sensitivity_report(bc.circuit, bc.meas_node, bc.noise,
+                                                       opt),
+                 std::invalid_argument)
+        << "adaptive " << adaptive;
+    opt.candidates = {l0, l1};
+    opt.probe_k = 1.5;
+    EXPECT_THROW(emc::rank_coupling_sensitivity_report(bc.circuit, bc.meas_node, bc.noise,
+                                                       opt),
+                 std::invalid_argument)
+        << "adaptive " << adaptive;
+  }
 }
 
 // The headline acceptance on the buck golden: the accelerated flow performs
@@ -224,7 +251,6 @@ TEST(SweepFlow, ScenarioLargeTenXFewerSolvesWithinOneDb) {
 
   emc::SensitivityOptions accel_opt = dense_opt;
   accel_opt.accel.adaptive = true;
-  accel_opt.accel.surrogate = true;
   const emc::SensitivityReport accel = emc::rank_coupling_sensitivity_report(
       sc.circuit, sc.meas_node, sc.source, accel_opt);
 

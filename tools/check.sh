@@ -38,9 +38,11 @@
 #   tools/check.sh sweep [build-dir]      default build dir: build
 #       Builds, then runs the `sweep` label (adaptive-refinement fuzz,
 #       coupling-model battery, exact probe-sweep bit identity, flow-level
-#       10x/1 dB acceptance, digest and resume coupling, thread invariance)
-#       and the sensitivity and Adaptive benchmarks, so the solve-count
-#       counters (full, resumed, pool batches) land in the log.
+#       10x/1 dB acceptance, digest and resume coupling, thread invariance,
+#       the AC point driver's grid, stop and lu fault pins, the exact and
+#       adaptive flow work counters and the shipped `--adaptive` context
+#       digests) and the sensitivity and Adaptive benchmarks, so the
+#       solve-count counters (full, resumed, pool batches) land in the log.
 #       The benchmarks are skipped (with a notice) when the bench binary was
 #       not built.
 #

@@ -289,10 +289,10 @@ int cmd_flow(int argc, char** argv) {
   fopt.sweep.n_points = 60;  // CLI default: quick sweeps
   std::string out_prefix;
   bool resume = false;
-  bool adaptive = false;
   cli::FlagSet flags;
   flags.add_size("--points", &fopt.sweep.n_points, 2, 100000);
-  flags.add_switch("--adaptive", &adaptive);
+  // Unflagged runs stay exact, bit-identical to older builds.
+  flags.add_switch("--adaptive", &fopt.sweep_accel.adaptive);
   flags.add_ms("--budget-ms", &fopt.total_budget_ms);
   flags.add_ms("--stage-budget-ms", &fopt.stage_budget_ms);
   flags.add_string("--checkpoint", &fopt.checkpoint_path);
@@ -312,12 +312,6 @@ int cmd_flow(int argc, char** argv) {
   if (resume && fopt.checkpoint_path.empty()) {
     std::fprintf(stderr, "--resume requires --checkpoint\n");
     return usage();
-  }
-  if (adaptive) {
-    // Both sweep-acceleration engines at default tolerances; defaults stay
-    // exact so unflagged runs remain bit-identical to older builds.
-    fopt.sweep_accel.adaptive = true;
-    fopt.sweep_accel.surrogate = true;
   }
 
   flow::BuckConverter bc =
