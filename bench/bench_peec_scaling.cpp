@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/thread_pool.hpp"
+#include "src/emi/sensitivity.hpp"
 #include "src/flow/scenario_large.hpp"
 #include "src/peec/cluster_tree.hpp"
 #include "src/peec/coupling.hpp"
@@ -162,6 +163,34 @@ void BM_ScreeningMatrix(benchmark::State& state) {
   state.counters["pool_batches"] = static_cast<double>(batches);
 }
 BENCHMARK(BM_ScreeningMatrix)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The screening emibench's large_board times: one cold
+// rank_geometric_coupling over the same 64-stage grid, the extractor built
+// and destroyed inside the timed loop, so the batch's bookkeeping, the
+// ranking and the teardown count with the extraction. One untimed ranking
+// warms the freshly sized pool. pool_batches is per ranking.
+void BM_ScreeningRank(benchmark::State& state) {
+  core::ThreadPool::set_global_thread_count(static_cast<std::size_t>(state.range(0)));
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 64;
+  opt.seed = 3;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  peec::KernelOptions kopt;
+  kopt.cluster = true;
+  const auto rank = [&] {
+    const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
+    return emc::rank_geometric_coupling(ex, s.placed, s.names).size();
+  };
+  benchmark::DoNotOptimize(rank());
+  std::uint64_t batches = 0;
+  for (auto _ : state) {
+    const core::PoolStats p0 = core::ThreadPool::global().stats();
+    benchmark::DoNotOptimize(rank());
+    batches = core::ThreadPool::global().stats().batches - p0.batches;
+  }
+  state.counters["pool_batches"] = static_cast<double>(batches);
+}
+BENCHMARK(BM_ScreeningRank)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

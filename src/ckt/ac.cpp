@@ -431,13 +431,32 @@ CouplingProbeSweep ac_coupling_probe_sweep(
   const InductanceMatrix lmat = c.inductance_matrix();
   const std::shared_ptr<const num::BandOrdering> band = band_ordering(c, lmat, opt);
 
+  // Every probe must pass set_coupling: checked on one copy, in pair order,
+  // so the first bad probe raises what it would alone.
+  {
+    Circuit checked = c;
+    for (const auto& [a, b] : pairs) {
+      if (a >= inds.size() || b >= inds.size()) {
+        throw std::invalid_argument("ac_coupling_probe_sweep: no such inductor index");
+      }
+      checked.set_coupling(inds[a].name, inds[b].name, probe_k);
+    }
+  }
+  // A probe adds entries to the circuit's pattern unless it zeroes a mutual
+  // the circuit has, so when no order of the circuit's pattern can pay for
+  // band storage, such a probe's cannot either: it stays dense without
+  // stamping its own pattern.
+  const bool never_banded = band == nullptr && num::band_cannot_pay(n, stamp_pattern(c, lmat, opt));
+
   // A probe's system is the circuit's elements with the inductance matrix
-  // set_coupling leaves (assemble_point reads couplings only through it).
-  // It resumes the circuit's factorization when both are dense. set_coupling
-  // rejects a self pair, so a probe leaves the diagonal alone and its lu
-  // fault draw is the circuit's.
+  // set_coupling leaves (assemble_point reads couplings only through it):
+  // the circuit's, with the pair's mutual replaced. It resumes the
+  // circuit's factorization when both are dense. set_coupling rejects a
+  // self pair, so a probe leaves the diagonal alone and its lu fault draw
+  // is the circuit's.
   struct Probe {
-    InductanceMatrix lmat;
+    double mutual = 0.0;   // the pair's entry of the probe's matrix
+    InductanceMatrix lmat; // the whole matrix, for a probe that may go banded
     std::shared_ptr<const num::BandOrdering> band;
     std::size_t first = 0;  // first changed column: the lower branch
   };
@@ -446,15 +465,16 @@ CouplingProbeSweep ac_coupling_probe_sweep(
   std::vector<std::size_t> full_order;
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     const auto [a, b] = pairs[p];
-    if (a >= inds.size() || b >= inds.size()) {
-      throw std::invalid_argument("ac_coupling_probe_sweep: no such inductor index");
-    }
-    Circuit probe = c;
-    probe.set_coupling(inds[a].name, inds[b].name, probe_k);
     Probe& pr = probes[p];
-    pr.lmat = probe.inductance_matrix();
-    pr.band = band_ordering(c, pr.lmat, opt);
+    pr.mutual = c.coupled_mutual(a, b, probe_k);
     pr.first = std::min(c.inductor_branch(a), c.inductor_branch(b));
+    if (never_banded && (pr.mutual != 0.0 || lmat[a][b] == 0.0)) {
+      resume_order.push_back(p);
+      continue;
+    }
+    pr.lmat = lmat;
+    pr.lmat[a][b] = pr.lmat[b][a] = pr.mutual;
+    pr.band = band_ordering(c, pr.lmat, opt);
     (band == nullptr && pr.band == nullptr ? resume_order : full_order).push_back(p);
   }
   // The circuit's elimination only moves forward, so probes resume in
@@ -509,7 +529,7 @@ CouplingProbeSweep ac_coupling_probe_sweep(
             for (const auto& [row, column] : {std::pair{a, b}, std::pair{b, a}}) {
               const std::size_t bc = c.inductor_branch(column);
               for (std::size_t r = 0; r < n; ++r) col[r] = a0(r, bc);
-              col[c.inductor_branch(row)] = branch_coupling_entry(w, pr.lmat[row][column]);
+              col[c.inductor_branch(row)] = branch_coupling_entry(w, pr.mutual);
               lu->replace_column(bc, col);
             }
             if (st = lu->advance(n); !st.ok()) {

@@ -158,16 +158,35 @@ std::size_t Circuit::add_diode(const std::string& name, const std::string& anode
   return diodes_.size() - 1;
 }
 
+double Circuit::mutual(double k, std::size_t i1, std::size_t i2) const {
+  return k * std::sqrt(inductors_[i1].henries * inductors_[i2].henries);
+}
+
 std::vector<std::vector<double>> Circuit::inductance_matrix() const {
   const std::size_t n = inductors_.size();
   std::vector<std::vector<double>> l(n, std::vector<double>(n, 0.0));
   for (std::size_t i = 0; i < n; ++i) l[i][i] = inductors_[i].henries;
   for (const Coupling& c : couplings_) {
-    const double m =
-        c.k * std::sqrt(inductors_[c.l1].henries * inductors_[c.l2].henries);
+    const double m = mutual(c.k, c.l1, c.l2);
     l[c.l1][c.l2] += m;
     l[c.l2][c.l1] += m;
   }
+  return l;
+}
+
+double Circuit::coupled_mutual(std::size_t i1, std::size_t i2, double k) const {
+  // inductance_matrix()'s sum over the pair's couplings, in order, with the
+  // first one's k replaced, or a new coupling at the end: set_coupling's
+  // edit.
+  double l = 0.0;
+  bool replaced = false;
+  for (const Coupling& c : couplings_) {
+    if ((c.l1 == i1 && c.l2 == i2) || (c.l1 == i2 && c.l2 == i1)) {
+      l += mutual(replaced ? c.k : k, c.l1, c.l2);
+      replaced = true;
+    }
+  }
+  if (!replaced) l += mutual(k, i1, i2);
   return l;
 }
 

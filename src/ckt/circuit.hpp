@@ -179,10 +179,16 @@ class Circuit {
 
   // Full inductance matrix (self + mutual) in branch order.
   std::vector<std::vector<double>> inductance_matrix() const;
+  // The (i1, i2) entry of inductance_matrix() on the circuit that
+  // set_coupling(name of i1, name of i2, k) leaves, from this one and
+  // without copying it. i1 != i2 are inductor indices.
+  double coupled_mutual(std::size_t i1, std::size_t i2, double k) const;
 
  private:
   NodeId intern(const std::string& name);
   void check_unique(const std::string& name);
+  // The mutual inductance a coupling of k between inductors i1 and i2 adds.
+  double mutual(double k, std::size_t i1, std::size_t i2) const;
 
   std::vector<std::string> node_names_;
   std::unordered_map<std::string, NodeId> node_ids_;

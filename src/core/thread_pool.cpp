@@ -1,6 +1,7 @@
 #include "src/core/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -185,10 +186,17 @@ Mutex g_global_mu;
 std::unique_ptr<ThreadPool> g_global_pool EMI_GUARDED_BY(g_global_mu);
 }  // namespace
 
+std::optional<std::size_t> ThreadPool::parse_thread_count(std::string_view text) {
+  std::size_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < 1 || v > kMaxThreadCount) return std::nullopt;
+  return v;
+}
+
 std::size_t ThreadPool::default_thread_count() {
   if (const char* env = std::getenv("EMI_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    if (const std::optional<std::size_t> v = parse_thread_count(env)) return *v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

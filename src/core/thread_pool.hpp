@@ -24,6 +24,8 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -78,8 +80,14 @@ class ThreadPool {
   static void set_global_thread_count(std::size_t n_lanes);
   static std::size_t global_thread_count();  // total lanes incl. caller
 
-  // EMI_THREADS env var if set (>=1), else std::thread::hardware_concurrency.
+  // EMI_THREADS if it parses (parse_thread_count), else
+  // std::thread::hardware_concurrency.
   static std::size_t default_thread_count();
+  // The lane count an EMI_THREADS value asks for: the whole string a
+  // decimal integer from 1 to kMaxThreadCount. Anything else ("", "0",
+  // "-2", "4x", "1e3", an overflowing value, more than the cap) is nullopt.
+  static constexpr std::size_t kMaxThreadCount = 256;
+  static std::optional<std::size_t> parse_thread_count(std::string_view text);
 
   // True while a ScopedSerialFallback is alive on the calling thread.
   static bool serial_fallback_active();

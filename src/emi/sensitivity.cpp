@@ -13,6 +13,12 @@
 namespace emi::emc {
 namespace {
 
+// rank_geometric_coupling: rankings of at least this many entries run in
+// parallel regions, sorted as this many blocks. The flow's screens stay
+// serial.
+constexpr std::size_t kParallelRankEntries = 1024;
+constexpr std::size_t kRankBlocks = 8;
+
 // The ranking entry of one probed spectrum against the baseline.
 CouplingSensitivity pair_delta(const std::string& a, const std::string& b,
                                const std::vector<double>& probed,
@@ -225,32 +231,61 @@ std::vector<GeometricCoupling> rank_geometric_coupling(
   // many names sort below it) stands in for the name, so the sort compares
   // integers in the same total order; entries that tie carry equal k and
   // names, so the output matches a sort on the strings.
+  std::vector<std::size_t> by_name(n);
+  for (std::size_t i = 0; i < n; ++i) by_name[i] = i;
+  std::sort(by_name.begin(), by_name.end(),
+            [&](std::size_t a, std::size_t b) { return names[a] < names[b]; });
   std::vector<std::size_t> rank(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (names[j] < names[i]) ++rank[i];
-    }
+  for (std::size_t q = 1; q < n; ++q) {
+    rank[by_name[q]] =
+        names[by_name[q]] == names[by_name[q - 1]] ? rank[by_name[q - 1]] : q;
   }
   struct Entry {
     double k_abs;
     std::size_t rank_a, rank_b, i, j;
   };
-  std::vector<Entry> entries;
-  entries.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double k = peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]);
-      entries.push_back({std::fabs(k), rank[i], rank[j], i, j});
-    }
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+  const auto before = [](const Entry& a, const Entry& b) {
     if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
     if (a.rank_a != b.rank_a) return a.rank_a < b.rank_a;
     return a.rank_b < b.rank_b;
+  };
+  // A board-sized ranking builds, sorts and emits its entries in parallel
+  // regions: kRankBlocks blocks sorted at once, then merged pairwise. The
+  // order is total up to entries equal in every field, so any schedule
+  // gives the serial sort's output.
+  const std::size_t n_entries = n * (n - 1) / 2;
+  const bool parallel = n_entries >= kParallelRankEntries;
+  const auto each = [&](std::size_t count, std::size_t grain, const auto& fn) {
+    if (parallel) {
+      core::parallel_for(0, count, fn, grain);
+    } else {
+      for (std::size_t t = 0; t < count; ++t) fn(t);
+    }
+  };
+  std::vector<Entry> entries(n_entries);
+  each(n, 8, [&](std::size_t i) {
+    std::size_t e = i * (2 * n - i - 1) / 2;  // row i's first entry
+    for (std::size_t j = i + 1; j < n; ++j, ++e) {
+      const double k = peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]);
+      entries[e] = {std::fabs(k), rank[i], rank[j], i, j};
+    }
   });
-  std::vector<GeometricCoupling> out;
-  out.reserve(entries.size());
-  for (const Entry& e : entries) out.push_back({names[e.i], names[e.j], e.k_abs});
+  const auto at = [&](std::size_t b) {
+    return entries.begin() + static_cast<std::ptrdiff_t>(n_entries * b / kRankBlocks);
+  };
+  each(kRankBlocks, 1, [&](std::size_t b) { std::sort(at(b), at(b + 1), before); });
+  // A stop skipped blocks: the ranking is discarded, so do not merge them.
+  if (!core::CancelScope::poll()) return {};
+  for (std::size_t width = 1; width < kRankBlocks; width *= 2) {
+    for (std::size_t b = 0; b + width < kRankBlocks; b += 2 * width) {
+      std::inplace_merge(at(b), at(b + width), at(std::min(b + 2 * width, kRankBlocks)),
+                         before);
+    }
+  }
+  std::vector<GeometricCoupling> out(n_entries);
+  each(n_entries, 512, [&](std::size_t e) {
+    out[e] = {names[entries[e].i], names[entries[e].j], entries[e].k_abs};
+  });
   return out;
 }
 

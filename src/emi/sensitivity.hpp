@@ -82,7 +82,8 @@ struct GeometricCoupling {
 // PEEC extraction (CouplingExtractor::mutual_matrix) - no circuit
 // simulation. `names[i]` labels `models[i]`; both spans must be the same
 // length. Sorted descending by |k|, ties broken by name for a deterministic
-// order.
+// order. Under a stopped CancelScope the result is to be discarded (it may
+// come back empty).
 std::vector<GeometricCoupling> rank_geometric_coupling(
     const peec::CouplingExtractor& extractor,
     std::span<const peec::PlacedModel> models,

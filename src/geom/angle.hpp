@@ -45,11 +45,16 @@ inline Vec2 rotate(const Vec2& v, double rad) {
 
 inline Vec2 rotate_deg(const Vec2& v, double deg) { return rotate(v, deg_to_rad(deg)); }
 
+// Rotate about the z axis (board normal) by the angle whose cosine and sine
+// are `c` and `s`: callers rotating many points by one angle evaluate them
+// once.
+inline Vec3 rotate_z(const Vec3& v, double c, double s) {
+  return {c * v.x - s * v.y, s * v.x + c * v.y, v.z};
+}
+
 // Rotate about the z axis (board normal).
 inline Vec3 rotate_z(const Vec3& v, double rad) {
-  const double c = std::cos(rad);
-  const double s = std::sin(rad);
-  return {c * v.x - s * v.y, s * v.x + c * v.y, v.z};
+  return rotate_z(v, std::cos(rad), std::sin(rad));
 }
 
 }  // namespace emi::geom

@@ -62,7 +62,7 @@ ClusterNode aggregate(std::size_t begin, std::size_t end, const Geom& geom) {
   double wx = 0.0, wy = 0.0, wz = 0.0;
   double sx = 0.0, sy = 0.0, sz = 0.0;
   for (std::size_t k = begin; k < end; ++k) {
-    const SegGeom g = geom(k);
+    const SegGeom& g = geom(k);
     momx += g.momx;
     momy += g.momy;
     momz += g.momz;
@@ -87,7 +87,7 @@ ClusterNode aggregate(std::size_t begin, std::size_t end, const Geom& geom) {
   }
   double r2 = 0.0;
   for (std::size_t k = begin; k < end; ++k) {
-    const SegGeom g = geom(k);
+    const SegGeom& g = geom(k);
     const double da = (g.ax - cx) * (g.ax - cx) + (g.ay - cy) * (g.ay - cy) +
                       (g.az - cz) * (g.az - cz);
     const double db = (g.bx - cx) * (g.bx - cx) + (g.by - cy) * (g.by - cy) +
@@ -108,31 +108,35 @@ ClusterNode aggregate(std::size_t begin, std::size_t end, const Geom& geom) {
   return node;
 }
 
+// Emits the tree over the segments whose geometry is geom[0 .. n) into
+// `nodes` and `order` (both emptied first).
 struct Builder {
-  const SampledPath& path;
+  const SegGeom* geom;  // by segment index
   std::size_t leaf;
-  std::vector<ClusterNode> nodes;
-  std::vector<std::size_t> order;
+  std::vector<ClusterNode>& nodes;
+  std::vector<std::size_t>& order;
 
   // Emits the node covering order[begin, end) and returns its index.
   // Children are emitted preorder (left subtree first), recursion and the
-  // stable median split keep the layout a pure function of the input.
+  // median split on a total order keep the layout a pure function of the
+  // input.
   int emit(std::size_t begin, std::size_t end) {
     const int self = static_cast<int>(nodes.size());
     nodes.emplace_back();
-    ClusterNode node =
-        aggregate(begin, end, [&](std::size_t k) { return seg_geom(path, order[k]); });
+    ClusterNode node = aggregate(
+        begin, end, [&](std::size_t k) -> const SegGeom& { return geom[order[k]]; });
     if (end - begin > leaf) {
       // Median split along the longest bbox axis of the member midpoints;
       // ties between axes resolve x < y < z, ties between members resolve
-      // by segment index (stable sort), so the split is deterministic even
-      // for degenerate geometry.
-      double lo[3] = {path.mx[order[begin]], path.my[order[begin]],
-                      path.mz[order[begin]]};
+      // by segment index. (coordinate, index) is a strict total order, so
+      // the sorted permutation is unique and std::sort gives the one a
+      // stable sort would, without its temporary buffer.
+      const SegGeom& g0 = geom[order[begin]];
+      double lo[3] = {g0.mx, g0.my, g0.mz};
       double hi[3] = {lo[0], lo[1], lo[2]};
       for (std::size_t k = begin + 1; k < end; ++k) {
-        const std::size_t i = order[k];
-        const double m[3] = {path.mx[i], path.my[i], path.mz[i]};
+        const SegGeom& g = geom[order[k]];
+        const double m[3] = {g.mx, g.my, g.mz};
         for (int a = 0; a < 3; ++a) {
           lo[a] = std::min(lo[a], m[a]);
           hi[a] = std::max(hi[a], m[a]);
@@ -142,20 +146,32 @@ struct Builder {
       for (int a = 1; a < 3; ++a) {
         if (hi[a] - lo[a] > hi[axis] - lo[axis]) axis = a;
       }
-      const std::vector<double>& coord =
-          axis == 0 ? path.mx : (axis == 1 ? path.my : path.mz);
-      std::stable_sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
-                       order.begin() + static_cast<std::ptrdiff_t>(end),
-                       [&](std::size_t a, std::size_t b) {
-                         if (coord[a] != coord[b]) return coord[a] < coord[b];
-                         return a < b;
-                       });
+      double SegGeom::*const coord =
+          axis == 0 ? &SegGeom::mx : (axis == 1 ? &SegGeom::my : &SegGeom::mz);
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin),
+                order.begin() + static_cast<std::ptrdiff_t>(end),
+                [&](std::size_t a, std::size_t b) {
+                  const double ca = geom[a].*coord;
+                  const double cb = geom[b].*coord;
+                  if (ca != cb) return ca < cb;
+                  return a < b;
+                });
       const std::size_t mid = begin + (end - begin) / 2;
       node.left = emit(begin, mid);
       node.right = emit(mid, end);
     }
     nodes[static_cast<std::size_t>(self)] = node;
     return self;
+  }
+
+  void build(std::size_t n) {
+    nodes.clear();
+    order.clear();
+    if (n == 0) return;
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    nodes.reserve(2 * n);
+    emit(0, n);
   }
 };
 
@@ -223,21 +239,111 @@ struct Traversal {
   }
 };
 
+// One thread's scratch for the second sides of clustered path pairs: the
+// root test's per-segment geometry, then, for a pair the roots do not
+// settle, the second side's segments, sampling, tree, coverage flags and
+// row scratch. Each grows to the largest second side its thread has served
+// and is then reused, so a thread extracting pair after pair stops
+// allocating. Being thread_local it is never shared between lanes, and it
+// is sized here, outside the row kernel's clones (pair_row grows the row
+// scratch before it dispatches).
+struct SecondSide {
+  std::vector<SegGeom> geom;
+  SegmentPath path;
+  SampledPath samples;
+  ClusterTree tree;
+  std::vector<unsigned char> covered;
+  RowScratch rows;
+};
+
+SecondSide& second_side_scratch() {
+  thread_local SecondSide scratch;
+  return scratch;
+}
+
+// The clustered extraction of p1 against the second side whose segment k is
+// segment(k), k < n2. Throws std::invalid_argument for the public entry
+// points' bad inputs.
+template <typename SegmentAt>
+ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
+                                const SegmentAt& segment, const QuadratureOptions& opt,
+                                const KernelOptions& kopt) {
+  ClusteredMutual out;
+  const SampledPath& a = p1.samples;
+  if (!kopt.cluster) {
+    throw std::invalid_argument(
+        "path_mutual_clustered: clustering is off (the exact kernel is path_mutual)");
+  }
+  if (!(kopt.cluster_theta >= 2.0)) {
+    throw std::invalid_argument(
+        "path_mutual_clustered: cluster_theta must be >= 2");
+  }
+  const std::size_t n1 = a.segment_count();
+  // sample_path's validation of the rule, which the root test below may
+  // leave uncalled.
+  if (n2 > 0) (void)num::gauss_rule(opt.order);
+  if (n1 == 0 || n2 == 0) return out;
+  const ClusterTree& ta = p1.tree;
+  if (ta.empty()) {
+    throw std::invalid_argument(
+        "path_mutual_clustered: first side prepared without clustering");
+  }
+  const double theta = kopt.cluster_theta;
+  const double coeff = cluster_error_coefficient(theta);
+  // Root test before the second side is sampled: its root node is
+  // aggregated from the segments alone, through the expressions the tree
+  // build applies to their sampling, so it carries the bits of the built
+  // tree's root. Admitted, that root pair is the whole traversal and the
+  // remainder is empty; sampling, tree and coverage would go unused.
+  SecondSide& s = second_side_scratch();
+  s.geom.resize(n2);
+  for (std::size_t k = 0; k < n2; ++k) s.geom[k] = seg_geom(segment(k));
+  const ClusterNode root_b =
+      aggregate(0, n2, [&](std::size_t k) -> const SegGeom& { return s.geom[k]; });
+  double r = 0.0;
+  double near = 0.0;
+  if (admitted(ta.root(), root_b, theta, r)) {
+    admit(ta.root(), root_b, r, coeff, out);
+  } else {
+    s.path.segments.resize(n2);
+    for (std::size_t k = 0; k < n2; ++k) s.path.segments[k] = segment(k);
+    sample_path(s.path, opt, s.samples);
+    s.tree.rebuild(s.samples, kopt.cluster_leaf_segments);
+    s.covered.assign(n1 * n2, 0);
+    Traversal tr{a, s.samples, ta, s.tree, theta, coeff, s.covered, {}};
+    tr.visit(0, 0);
+    out = tr.out;
+    // Exact remainder on the row kernel, in the reference fold order (i
+    // ascending, each row's uncovered j ascending): when nothing was
+    // admitted this reproduces path_mutual_sampled bit for bit. The pairs
+    // are counted locally and published once.
+    detail::PairTally tally;
+    for (std::size_t i = 0; i < n1; ++i) {
+      near += sampled_mutual_row(a, i, s.samples, s.covered.data() + i * n2, s.rows, tally);
+    }
+    tally.publish();
+  }
+  detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
+  out.value += near;
+  return out;
+}
+
 }  // namespace
 
 ClusterTree ClusterTree::build(const SampledPath& path,
                                std::size_t leaf_segments) {
   ClusterTree tree;
-  const std::size_t n = path.segment_count();
-  if (n == 0) return tree;
-  Builder b{path, std::max<std::size_t>(leaf_segments, 1), {}, {}};
-  b.order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) b.order[i] = i;
-  b.nodes.reserve(2 * n);
-  b.emit(0, n);
-  tree.nodes_ = std::move(b.nodes);
-  tree.order_ = std::move(b.order);
+  tree.rebuild(path, leaf_segments);
   return tree;
+}
+
+void ClusterTree::rebuild(const SampledPath& path, std::size_t leaf_segments) {
+  // Each segment's geometry once, read by every level of the build.
+  thread_local std::vector<SegGeom> geom;
+  const std::size_t n = path.segment_count();
+  geom.resize(n);
+  for (std::size_t i = 0; i < n; ++i) geom[i] = seg_geom(path, i);
+  Builder{geom.data(), std::max<std::size_t>(leaf_segments, 1), nodes_, order_}.build(n);
 }
 
 double cluster_error_coefficient(double theta) {
@@ -264,61 +370,19 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt,
                                             const KernelOptions& kopt) {
-  ClusteredMutual out;
-  const SampledPath& a = p1.samples;
-  if (!kopt.cluster) {
-    throw std::invalid_argument(
-        "path_mutual_clustered: clustering is off (the exact kernel is path_mutual)");
-  }
-  if (!(kopt.cluster_theta >= 2.0)) {
-    throw std::invalid_argument(
-        "path_mutual_clustered: cluster_theta must be >= 2");
-  }
-  const std::size_t n1 = a.segment_count();
-  const std::size_t n2 = p2.segments.size();
-  // sample_path's validation of the rule, which the root test below may
-  // leave uncalled.
-  if (n2 > 0) (void)num::gauss_rule(opt.order);
-  if (n1 == 0 || n2 == 0) return out;
-  const ClusterTree& ta = p1.tree;
-  if (ta.empty()) {
-    throw std::invalid_argument(
-        "path_mutual_clustered: first side prepared without clustering");
-  }
-  const double theta = kopt.cluster_theta;
-  const double coeff = cluster_error_coefficient(theta);
-  // Root test before the second side is sampled: its root node is
-  // aggregated from the segments alone, through the expressions the tree
-  // build applies to their sampling, so it carries the bits of the built
-  // tree's root. Admitted, that root pair is the whole traversal and the
-  // remainder is empty; sampling, tree and coverage would go unused.
-  const ClusterNode root_b =
-      aggregate(0, n2, [&](std::size_t k) { return seg_geom(p2.segments[k]); });
-  double r = 0.0;
-  double near = 0.0;
-  if (admitted(ta.root(), root_b, theta, r)) {
-    admit(ta.root(), root_b, r, coeff, out);
-  } else {
-    const SampledPath b = sample_path(p2, opt);
-    const ClusterTree tb = ClusterTree::build(b, kopt.cluster_leaf_segments);
-    std::vector<unsigned char> covered(n1 * n2, 0);
-    Traversal tr{a, b, ta, tb, theta, coeff, covered, {}};
-    tr.visit(0, 0);
-    out = tr.out;
-    // Exact remainder on the row kernel, in the reference fold order (i
-    // ascending, each row's uncovered j ascending): when nothing was
-    // admitted this reproduces path_mutual_sampled bit for bit. One scratch
-    // serves every row; the pairs are counted locally and published once.
-    RowScratch scratch;
-    detail::PairTally tally;
-    for (std::size_t i = 0; i < n1; ++i) {
-      near += sampled_mutual_row(a, i, b, covered.data() + i * n2, scratch, tally);
-    }
-    tally.publish();
-  }
-  detail::tally_cluster(out.cluster_pairs, out.cluster_skipped);
-  out.value += near;
-  return out;
+  return clustered_stats(
+      p1, p2.segments.size(), [&](std::size_t k) -> const Segment& { return p2.segments[k]; },
+      opt, kopt);
+}
+
+ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
+                                            const SegmentPath& p2, const Pose& pose,
+                                            const QuadratureOptions& opt,
+                                            const KernelOptions& kopt) {
+  const PoseMap map(pose);
+  return clustered_stats(
+      p1, p2.segments.size(), [&](std::size_t k) { return map.apply(p2.segments[k]); },
+      opt, kopt);
 }
 
 }  // namespace emi::peec

@@ -25,7 +25,7 @@
 // order-8 exact kernel by the peec_cluster_tree 500-seed battery.
 //
 // Determinism contract: tree build (median split along the longest bbox
-// axis, stable ordering) and the dual traversal are serial and
+// axis, members ordered by coordinate, then index) and the dual traversal are serial and
 // input-ordered; the exact remainder folds rows in the same ascending
 // (i, j) order as path_mutual_sampled. Results are bit-identical at any
 // thread count, and when theta is so large that nothing is admitted,
@@ -40,6 +40,7 @@
 #include "src/peec/partial_inductance.hpp"
 #include "src/peec/sampled_path.hpp"
 #include "src/peec/segment.hpp"
+#include "src/peec/winding.hpp"
 
 namespace emi::peec {
 
@@ -68,6 +69,10 @@ class ClusterTree {
   // Builds the tree over `path`'s segments. Leaves hold at most
   // max(leaf_segments, 1) segments. An empty path yields an empty tree.
   static ClusterTree build(const SampledPath& path, std::size_t leaf_segments);
+  // build() into this tree, keeping its storage's capacity: a caller that
+  // rebuilds one tree path after path stops allocating once it has held the
+  // largest.
+  void rebuild(const SampledPath& path, std::size_t leaf_segments);
 
   bool empty() const { return nodes_.empty(); }
   const std::vector<ClusterNode>& nodes() const { return nodes_; }
@@ -123,10 +128,22 @@ ClusteredMutual path_mutual_clustered_stats(const SegmentPath& p1,
 // The second side's root cluster is tested against the first side's before
 // anything else is built: when the roots pass the gate, that one admitted
 // pair is the result (the same bits and counters a full traversal gives)
-// and the second side is never sampled.
+// and the second side is never sampled. The second side's sampling, tree,
+// coverage flags and row scratch live in per-thread scratch that is reused
+// from call to call, so a thread stops allocating once it has served its
+// largest second side.
 ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt = {},
                                             const KernelOptions& kopt = {});
+
+// Same, with the second side `p2` placed at `pose`: the bits and counters
+// of the overload above on transformed(p2, pose), without building that
+// path. Each segment is moved through transformed()'s expressions as it is
+// needed, so a pair the roots settle costs no allocation at all.
+ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
+                                            const SegmentPath& p2, const Pose& pose,
+                                            const QuadratureOptions& opt,
+                                            const KernelOptions& kopt);
 
 }  // namespace emi::peec

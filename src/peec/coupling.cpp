@@ -39,13 +39,43 @@ bool forced_mutual_miss(const MutualCacheKey& key) {
                                   core::fault::mix(1, mutual_key_fault_hash(key)));
 }
 
+// Batches with fewer items than this keep their bookkeeping (model
+// digests, canonical keys) on the calling lane, where a region would cost
+// more than it saves; the design flow's batches, 11 pairs at most, stay
+// serial.
+constexpr std::size_t kParallelBookkeeping = 64;
+
+// fn(i) for every i < n: serially below kParallelBookkeeping items, else in
+// one parallel region of `grain`-item chunks. Each i writes only its own
+// slots. A stop may skip whole chunks, so a caller polls its scope before
+// it reads the slots.
+template <typename Fn>
+void bookkeep(std::size_t n, std::size_t grain, const Fn& fn) {
+  if (n < kParallelBookkeeping) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  } else {
+    core::parallel_for(0, n, fn, grain);
+  }
+}
+
+// The digest of every model with need[i] set; the others stay 0. The models
+// must be non-null.
+std::vector<std::uint64_t> model_digests(std::span<const PlacedModel> models,
+                                         const std::vector<char>& need) {
+  std::vector<std::uint64_t> digest(models.size(), 0);
+  // A 60-segment coil digests in a few microseconds: 4 models per chunk.
+  bookkeep(models.size(), 4, [&](std::size_t i) {
+    if (need[i]) digest[i] = model_digest(*models[i].model);
+  });
+  return digest;
+}
+
 // The digest of every model `pairs` references, once per model; the others
 // stay 0. Throws std::invalid_argument for an out-of-range index or a null
 // model.
 std::vector<std::uint64_t> pair_digests(std::span<const PlacedModel> models,
                                         std::span<const IndexPair> pairs) {
-  std::vector<std::uint64_t> digest(models.size(), 0);
-  std::vector<char> digested(models.size(), 0);
+  std::vector<char> need(models.size(), 0);
   for (const auto& [ia, ib] : pairs) {
     for (const std::size_t i : {ia, ib}) {
       if (i >= models.size()) {
@@ -54,12 +84,10 @@ std::vector<std::uint64_t> pair_digests(std::span<const PlacedModel> models,
       if (models[i].model == nullptr) {
         throw std::invalid_argument("CouplingExtractor: null model");
       }
-      if (digested[i]) continue;
-      digest[i] = model_digest(*models[i].model);
-      digested[i] = 1;
+      need[i] = 1;
     }
   }
-  return digest;
+  return model_digests(models, need);
 }
 
 }  // namespace
@@ -90,6 +118,16 @@ std::uint64_t model_digest(const ComponentFieldModel& m) {
     h = fnv1a(h, s.weight);
   }
   return h;
+}
+
+std::uint64_t CouplingExtractor::cluster_digest(const KernelOptions& kernel) {
+  // Clustering changes computed bits, so its whole configuration joins the
+  // mutual key: a flag bit plus this digest of (theta, leaf size). Both stay
+  // zero with clustering off, keeping default-extractor keys identical to
+  // older builds.
+  if (!kernel.cluster) return 0;
+  const std::uint64_t h = fnv1a(kFnvOffset, kernel.cluster_theta);
+  return fnv1a(h, static_cast<std::uint64_t>(kernel.cluster_leaf_segments));
 }
 
 std::uint64_t CouplingExtractor::self_key(std::uint64_t digest) const {
@@ -217,15 +255,6 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
       geom::rotate_z(c.second->pose.position - c.first->pose.position,
                      geom::deg_to_rad(-c.first->pose.rot_deg));
   c.stray = a.model->stray_scale * b.model->stray_scale;
-  // Clustering changes computed bits, so its whole configuration joins the
-  // key: a flag bit plus a digest of (theta, leaf size). Both stay zero with
-  // clustering off, keeping default-extractor keys identical to older builds.
-  std::uint64_t kern_cluster = 0;
-  if (kernel_.cluster) {
-    kern_cluster = fnv1a(kFnvOffset, kernel_.cluster_theta);
-    kern_cluster = fnv1a(
-        kern_cluster, static_cast<std::uint64_t>(kernel_.cluster_leaf_segments));
-  }
   c.key = MutualCacheKey{dlo,
                          dhi,
                          std::bit_cast<std::uint64_t>(c.rel_pos.x),
@@ -235,7 +264,7 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
                          (static_cast<std::uint64_t>(opt_.order) << 32) |
                              static_cast<std::uint64_t>(opt_.subdivisions),
                          kernel_.cluster ? 4ull : 0ull,
-                         kern_cluster};
+                         kern_cluster_};
   return c;
 }
 
@@ -268,8 +297,8 @@ std::vector<double> CouplingExtractor::coupling_batch(std::span<const PlacedMode
 
 std::vector<double> CouplingExtractor::coupling_batch_digested(
     std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
-    std::span<const IndexPair> pairs) const {
-  const std::vector<Henry> m = mutual_batch_digested(models, digest, pairs);
+    std::span<const IndexPair> pairs, FirstSides* first_sides) const {
+  const std::vector<Henry> m = mutual_batch_digested(models, digest, pairs, first_sides);
   std::vector<std::size_t> lookups;
   lookups.reserve(2 * pairs.size());
   for (const auto& [ia, ib] : pairs) {
@@ -284,179 +313,239 @@ std::vector<double> CouplingExtractor::coupling_batch_digested(
   return k;
 }
 
+// Canonical-first sides one caller keeps across its batches, by model
+// digest. Only a batch that ran to the end adds to it, so every entry is
+// complete.
+struct CouplingExtractor::FirstSides {
+  std::unordered_map<std::uint64_t, PreparedPath> of_digest;
+};
+
 std::vector<Henry> CouplingExtractor::mutual_batch_digested(
     std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
-    std::span<const IndexPair> pairs) const {
+    std::span<const IndexPair> pairs, FirstSides* first_sides) const {
   if (pairs.empty()) return {};
   // Cooperative stop contract, as in the self batch: sentinel zeros, cache
   // untouched, results discarded by the stopped stage.
   std::vector<Henry> out(pairs.size(), Henry{0.0});
   if (!core::CancelScope::poll()) return out;
 
-  // Canonicalize every pair, then collapse duplicates: jobs holds one entry
-  // per distinct canonical key, slot[p] maps each input pair to its job.
-  struct Job {
-    CanonicalPair c;
-    double m_air = 0.0;     // stays 0 for a miss the batch did not finish
-    bool computed = false;  // false for cached hits and unfinished misses
-    bool cached = false;
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(pairs.size());
-  std::unordered_map<MutualCacheKey, std::size_t, MutualCacheKeyHash> job_of;
-  job_of.reserve(pairs.size());
-  std::vector<std::size_t> slot(pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
+  // Canonicalize every pair and hash its key (a few trig calls each).
+  std::vector<CanonicalPair> canon(pairs.size());
+  std::vector<std::size_t> hash(pairs.size());
+  bookkeep(pairs.size(), 128, [&](std::size_t p) {
     const auto [ia, ib] = pairs[p];
-    CanonicalPair c = canonicalize(models[ia], models[ib], digest[ia], digest[ib]);
-    const auto [it, inserted] = job_of.emplace(c.key, jobs.size());
-    if (inserted) jobs.push_back(Job{c, 0.0, false, false});
-    slot[p] = it->second;
-    // A duplicate of an earlier batch entry is served by that entry's
-    // computation, exactly like a second sequential mutual() call would be
-    // served by the cache: count it as a hit.
-    if (!inserted) mutual_hits_.fetch_add(1, std::memory_order_relaxed);
+    canon[p] = canonicalize(models[ia], models[ib], digest[ia], digest[ib]);
+    hash[p] = MutualCacheKeyHash{}(canon[p].key);
+  });
+  // A stop that skipped chunks left pairs without a key.
+  if (!core::CancelScope::poll()) return out;
+
+  // Collapse duplicates in pair order: job j is the j-th distinct key,
+  // first[j] the first pair holding it, slot[p] pair p's job. The table is
+  // open-addressed (linear probing, at most half full, entry = job + 1), so
+  // no key costs a node allocation.
+  std::vector<std::size_t> first;
+  first.reserve(pairs.size());
+  std::vector<std::size_t> slot(pairs.size());
+  std::uint64_t hits = 0;
+  {
+    std::vector<std::size_t> table(std::bit_ceil(2 * pairs.size()), 0);
+    const std::size_t mask = table.size() - 1;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      std::size_t t = hash[p] & mask;
+      while (table[t] != 0 && !(canon[first[table[t] - 1]].key == canon[p].key)) {
+        t = (t + 1) & mask;
+      }
+      if (table[t] == 0) {
+        first.push_back(p);
+        table[t] = first.size();
+      } else {
+        // A duplicate of an earlier batch entry is served by that entry's
+        // computation, exactly like a second sequential mutual() call would
+        // be served by the cache: count it as a hit.
+        ++hits;
+      }
+      slot[p] = table[t] - 1;
+    }
   }
+  const std::size_t n_jobs = first.size();
 
   // One batched tier probe for the unique keys. Forced-miss jobs are masked
   // out by pre-setting their found flag, so no tier serves or counts them.
-  std::vector<MutualCacheKey> keys(jobs.size());
-  std::vector<double> vals(jobs.size(), 0.0);
-  std::vector<char> found(jobs.size(), 0);
-  std::vector<char> forced(jobs.size(), 0);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    keys[j] = jobs[j].c.key;
+  // m_air[j] stays 0 for a miss the batch does not finish.
+  std::vector<MutualCacheKey> keys(n_jobs);
+  std::vector<double> m_air(n_jobs, 0.0);
+  std::vector<char> found(n_jobs, 0);
+  std::vector<char> forced(n_jobs, 0);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    keys[j] = canon[first[j]].key;
     if (forced_mutual_miss(keys[j])) {
       forced[j] = 1;
       found[j] = 1;
     }
   }
-  cache_->lookup_mutual_batch(keys, vals, found);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (found[j] && !forced[j]) {
-      jobs[j].m_air = vals[j];
-      jobs[j].cached = true;
-    }
-  }
+  cache_->lookup_mutual_batch(keys, m_air, found);
 
   std::vector<std::size_t> miss;
-  miss.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    if (jobs[j].cached) {
-      mutual_hits_.fetch_add(1, std::memory_order_relaxed);
+  miss.reserve(n_jobs);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    if (found[j] && !forced[j]) {
+      ++hits;
     } else {
-      mutual_misses_.fetch_add(1, std::memory_order_relaxed);
       miss.push_back(j);
     }
   }
+  if (hits > 0) mutual_hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (!miss.empty()) mutual_misses_.fetch_add(miss.size(), std::memory_order_relaxed);
 
   // The misses' first sides, prepared once per distinct canonical-first
   // model (keyed by digest, the identity the cache keys on): a model in many
-  // pairs is sampled and clustered once, not once per pair. The second side
-  // stays per pair; its pose is the pair's relative pose, and samples taken
-  // at one pose are not those of another.
-  std::unordered_map<std::uint64_t, std::size_t> prep_of_digest;
-  std::vector<const ComponentFieldModel*> prep_model;
-  std::vector<std::size_t> prep_of_miss(miss.size());
+  // pairs is sampled and clustered once, not once per pair, and a side the
+  // caller kept from an earlier batch is not prepared again. A pair reaches
+  // its first side through its model's index, so the digest table sees each
+  // model once. The second side stays per pair; its pose is the pair's
+  // relative pose, and samples taken at one pose are not those of another.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> side_of_model(models.size(), kNone);
+  std::unordered_map<std::uint64_t, std::size_t> side_of_digest;
+  std::vector<const PreparedPath*> side;  // kept sides, then `prepared`
+  std::vector<char> side_ready;           // kept, or prepared by this batch
+  std::vector<std::size_t> new_side;      // side index of each new side
+  std::vector<const ComponentFieldModel*> new_model;
+  std::vector<std::uint64_t> new_digest;
+  std::vector<std::size_t> side_of_miss(miss.size());
   for (std::size_t k = 0; k < miss.size(); ++k) {
-    const CanonicalPair& c = jobs[miss[k]].c;
-    const auto [it, inserted] = prep_of_digest.emplace(c.key.digest_lo, prep_model.size());
-    if (inserted) prep_model.push_back(c.first->model);
-    prep_of_miss[k] = it->second;
+    const CanonicalPair& c = canon[first[miss[k]]];
+    const auto i = static_cast<std::size_t>(c.first - models.data());
+    if (side_of_model[i] == kNone) {
+      const std::uint64_t d = c.key.digest_lo;
+      const auto [it, inserted] = side_of_digest.emplace(d, side.size());
+      if (inserted) {
+        const PreparedPath* kept = nullptr;
+        if (first_sides != nullptr) {
+          if (const auto f = first_sides->of_digest.find(d); f != first_sides->of_digest.end()) {
+            kept = &f->second;
+          }
+        }
+        if (kept == nullptr) {
+          new_side.push_back(side.size());
+          new_model.push_back(c.first->model);
+          new_digest.push_back(d);
+        }
+        side.push_back(kept);
+        side_ready.push_back(kept != nullptr ? 1 : 0);
+      }
+      side_of_model[i] = it->second;
+    }
+    side_of_miss[k] = side_of_model[i];
   }
-  std::vector<PreparedPath> prepared(prep_model.size());
+  std::vector<PreparedPath> prepared(new_model.size());
+  for (std::size_t m = 0; m < new_model.size(); ++m) side[new_side[m]] = &prepared[m];
+
+  std::vector<char> computed(n_jobs, 0);  // set for each miss the batch finished
   if (kernel_.cluster) {
-    std::vector<char> prep_done(prep_model.size(), 0);
     core::parallel_for(
-        0, prep_model.size(),
+        0, new_model.size(),
         [&](std::size_t m) {
           if (!core::CancelScope::poll()) return;
-          prepared[m] = prepare_first(*prep_model[m]);
-          prep_done[m] = 1;
+          prepared[m] = prepare_first(*new_model[m]);
+          side_ready[new_side[m]] = 1;
         },
         1);
     // Clustered misses: one task per pair (the dual traversal is serial
     // per pair). Each job writes only its own slot; values are pure
     // functions of the canonical key, so the schedule cannot affect results.
+    // The second side is moved to the pair's relative pose segment by
+    // segment, and a pair the roots do not settle works in its lane's
+    // scratch (path_mutual_clustered_stats): no task allocates.
     core::parallel_for(
         0, miss.size(),
         [&](std::size_t k) {
-          Job& job = jobs[miss[k]];
-          const std::size_t m = prep_of_miss[k];
+          const std::size_t v = side_of_miss[k];
           // A stop (or one that skipped this first side's preparation)
           // leaves the sentinel and skips the store.
-          if (!core::CancelScope::poll() || !prep_done[m]) return;
+          if (!core::CancelScope::poll() || !side_ready[v]) return;
           // Computed in the canonical frame, so the value is a pure function
           // of the key: the second side sits at the pair's relative pose.
-          const SegmentPath second =
-              job.c.second->model->path_at(Pose{job.c.rel_pos, job.c.rel_rot});
-          const double m_air =
-              path_mutual_clustered_stats(prepared[m], second, opt_, kernel_).value;
+          const std::size_t j = miss[k];
+          const CanonicalPair& c = canon[first[j]];
+          const double v_air =
+              path_mutual_clustered_stats(*side[v], c.second->model->local_path,
+                                          Pose{c.rel_pos, c.rel_rot}, opt_, kernel_)
+                  .value;
           // Re-poll after the compute: a stop that landed mid-traversal
           // leaves a torn value, which is neither stored nor returned.
           if (!core::CancelScope::poll()) return;
-          job.m_air = m_air;
-          job.computed = true;
+          m_air[j] = v_air;
+          computed[j] = 1;
         },
-        1);
+        4);
   } else {
-    // Exact misses: one region samples every first side and every miss's
-    // second side (at the pair's relative pose), then one flat row region
-    // runs every row of every miss. A large pair's rows and the small
+    // Exact misses: one region samples every new first side and every
+    // miss's second side (at the pair's relative pose), then one flat row
+    // region runs every row of every miss. A large pair's rows and the small
     // pairs' rows share the lanes instead of running one region after
     // another; each value keeps the bits path_mutual gives it in the
     // canonical frame.
-    const std::size_t n_prep = prep_model.size();
+    const std::size_t n_new = new_model.size();
     std::vector<SampledPath> second(miss.size());
     core::parallel_for(
-        0, n_prep + miss.size(),
+        0, n_new + miss.size(),
         [&](std::size_t t) {
           if (!core::CancelScope::poll()) return;
-          if (t < n_prep) {
-            prepared[t] = prepare_first(*prep_model[t]);
+          if (t < n_new) {
+            prepared[t] = prepare_first(*new_model[t]);
             return;
           }
-          const CanonicalPair& c = jobs[miss[t - n_prep]].c;
-          second[t - n_prep] =
+          const CanonicalPair& c = canon[first[miss[t - n_new]]];
+          second[t - n_new] =
               sample_path(c.second->model->path_at(Pose{c.rel_pos, c.rel_rot}), opt_);
         },
         1);
     std::vector<const SampledPath*> first_of(miss.size());
     std::vector<const SampledPath*> second_of(miss.size());
     for (std::size_t k = 0; k < miss.size(); ++k) {
-      first_of[k] = &prepared[prep_of_miss[k]].samples;
+      first_of[k] = &side[side_of_miss[k]]->samples;
       second_of[k] = &second[k];
     }
-    std::vector<double> m_air(miss.size(), 0.0);
-    path_mutual_sampled_many(first_of, second_of, m_air);
+    std::vector<double> row_sums(miss.size(), 0.0);
+    path_mutual_sampled_many(first_of, second_of, row_sums);
     // A stop anywhere in the two regions skipped whole chunks (a
     // preparation or a row), so every value may be torn: store and return
     // none. The scope latches its stop, so this poll sees any stop the
     // regions saw.
     if (core::CancelScope::poll()) {
       for (std::size_t k = 0; k < miss.size(); ++k) {
-        jobs[miss[k]].m_air = m_air[k];
-        jobs[miss[k]].computed = true;
+        m_air[miss[k]] = row_sums[k];
+        computed[miss[k]] = 1;
       }
     }
   }
 
-  // One bulk store of everything actually computed.
-  std::vector<MutualCacheKey> store_keys;
+  // One bulk store of everything actually computed. Its keys move to the
+  // front of `keys`, which nothing reads afterwards (misses ascend, so a
+  // key never moves past one still to be read).
   std::vector<double> store_vals;
-  store_keys.reserve(miss.size());
   store_vals.reserve(miss.size());
   for (const std::size_t j : miss) {
-    if (jobs[j].computed) {
-      store_keys.push_back(jobs[j].c.key);
-      store_vals.push_back(jobs[j].m_air);
+    if (!computed[j]) continue;
+    keys[store_vals.size()] = keys[j];
+    store_vals.push_back(m_air[j]);
+  }
+  if (!store_vals.empty()) {
+    cache_->store_mutual_batch({keys.data(), store_vals.size()}, store_vals);
+  }
+  // The caller keeps the new first sides only from a batch that ran to the
+  // end: then every preparation finished.
+  if (first_sides != nullptr && core::CancelScope::poll()) {
+    for (std::size_t m = 0; m < new_model.size(); ++m) {
+      first_sides->of_digest.emplace(new_digest[m], std::move(prepared[m]));
     }
   }
-  if (!store_keys.empty()) cache_->store_mutual_batch(store_keys, store_vals);
 
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const Job& job = jobs[slot[p]];
-    out[p] = Henry{job.c.stray * job.m_air};
+    const std::size_t j = slot[p];
+    out[p] = Henry{canon[first[j]].stray * m_air[j]};
   }
   return out;
 }
@@ -464,15 +553,14 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
 std::vector<Henry> CouplingExtractor::mutual_matrix(
     std::span<const PlacedModel> models) const {
   const std::size_t n = models.size();
-  std::vector<std::uint64_t> digest(n);
   std::vector<std::size_t> diagonal(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (models[i].model == nullptr) {
       throw std::invalid_argument("mutual_matrix: null model");
     }
-    digest[i] = model_digest(*models[i].model);
     diagonal[i] = i;
   }
+  const std::vector<std::uint64_t> digest = model_digests(models, std::vector<char>(n, 1));
   std::vector<Henry> m(n * n, Henry{0.0});
   std::vector<IndexPair> pairs;
   pairs.reserve(n * (n - 1) / 2);
@@ -601,6 +689,9 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
     pair_digest[2 * p + 1] = model_digest(*pairs[p].second);
   }
 
+  // Every level's pairs put the same canonical-first models at the origin:
+  // each is sampled once for the whole search, not once per level.
+  FirstSides first_sides;
   std::vector<PlacedModel> models;
   std::vector<std::uint64_t> digests;
   std::vector<IndexPair> idx;
@@ -618,7 +709,7 @@ std::vector<Millimeters> CouplingExtractor::min_distances_for_coupling(
       digests.push_back(pair_digest[2 * p + 1]);
       idx.emplace_back(models.size() - 2, models.size() - 1);
     }
-    const std::vector<double> k = coupling_batch_digested(models, digests, idx);
+    const std::vector<double> k = coupling_batch_digested(models, digests, idx, &first_sides);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < open.size(); ++i) {
       const std::size_t p = open[i];

@@ -90,6 +90,7 @@ class CouplingExtractor {
                              std::shared_ptr<ExtractionCache> cache = nullptr)
       : opt_(opt),
         kernel_(kernel),
+        kern_cluster_(cluster_digest(kernel)),
         cache_(cache != nullptr ? std::move(cache)
                                 : std::make_shared<ExtractionCache>()) {}
 
@@ -119,13 +120,14 @@ class CouplingExtractor {
   double coupling_factor(const PlacedModel& a, const PlacedModel& b) const;
 
   // Batched mutual extraction: `pairs` indexes into `models`. Each placed
-  // model's digest is computed once, then one canonicalization pass, one
-  // shared-lock cache probe for the whole batch, one parallel region that
-  // prepares the misses' first sides (canonical-frame sampling and cluster
-  // tree) once per distinct model, a single flat parallel region over the
-  // *unique* canonical-pose misses (duplicates within the batch count as
-  // hits and are computed once), and one bulk store - instead of N^2
-  // per-call lock round-trips and per-pair rebuilds of shared state. Throws
+  // model's digest is computed once, then one canonicalization pass (a
+  // parallel region from 64 pairs up), one shared-lock
+  // cache probe for the whole batch, one parallel region that prepares the
+  // misses' first sides (canonical-frame sampling and cluster tree) once
+  // per distinct model, a single flat parallel region over the *unique*
+  // canonical-pose misses (duplicates within the batch count as hits and
+  // are computed once), and one bulk store - instead of N^2 per-call lock
+  // round-trips and per-pair rebuilds of shared state. Throws
   // std::invalid_argument for an out-of-range index or a null model. Once
   // the calling stage's CancelScope stops, every miss the batch did not
   // finish comes back as 0 and nothing torn is stored; the stage discards
@@ -145,7 +147,7 @@ class CouplingExtractor {
   // self inductances via one self batch, off-diagonals mutual inductances
   // via one mutual_batch over the upper triangle (mirrored; mutual() is
   // symmetric bit-for-bit by canonicalization). Each model is digested once
-  // for both batches.
+  // for both batches, in a parallel region from 64 models up.
   // With KernelOptions::cluster on, admitted well-separated cluster pairs
   // are served by aggregated dipole moments within the documented theta
   // error bound (cluster_tree.hpp); everything else stays pair-exact.
@@ -236,12 +238,19 @@ class CouplingExtractor {
   std::vector<Henry> self_inductance_batch_digested(
       std::span<const PlacedModel> models, std::span<const std::uint64_t> digest,
       std::span<const std::size_t> lookups) const;
+  // The mutual and coupling batches. `first_sides`, when given, keeps the
+  // misses' prepared first sides across the caller's batches: a batch
+  // reuses the ones an earlier batch prepared and, once it runs to the end,
+  // adds its own (min_distances_for_coupling keeps them for a whole search).
+  struct FirstSides;
   std::vector<Henry> mutual_batch_digested(std::span<const PlacedModel> models,
                                            std::span<const std::uint64_t> digest,
-                                           std::span<const IndexPair> pairs) const;
+                                           std::span<const IndexPair> pairs,
+                                           FirstSides* first_sides = nullptr) const;
   std::vector<double> coupling_batch_digested(std::span<const PlacedModel> models,
                                               std::span<const std::uint64_t> digest,
-                                              std::span<const IndexPair> pairs) const;
+                                              std::span<const IndexPair> pairs,
+                                              FirstSides* first_sides = nullptr) const;
   // `da` and `db` are the models' digests (model_digest).
   CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b,
                              std::uint64_t da, std::uint64_t db) const;
@@ -252,9 +261,13 @@ class CouplingExtractor {
   // quadrature changes computed self inductance, and the cache may be shared
   // across differently-configured extractors).
   std::uint64_t self_key(std::uint64_t model_digest) const;
+  // The mutual key's kern_cluster field for `kernel`: 0 with clustering
+  // off, else a digest of (theta, leaf size).
+  static std::uint64_t cluster_digest(const KernelOptions& kernel);
 
   QuadratureOptions opt_;
   KernelOptions kernel_;
+  std::uint64_t kern_cluster_;  // cluster_digest(kernel_), once per extractor
   // Shared (possibly tiered) storage; never null. The per-extractor hit/miss
   // counters below account *this extractor's* traffic (hit = served from any
   // tier) - exactly the pre-split cache_stats() semantics - while per-tier

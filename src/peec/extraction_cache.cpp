@@ -1,6 +1,8 @@
 #include "src/peec/extraction_cache.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 
 namespace emi::peec {
 
@@ -89,39 +91,81 @@ void ExtractionCache::lookup_mutual_batch(std::span<const MutualCacheKey> keys,
   // One shared-lock round per tier: serve what this tier has, let the rest
   // fall through the chain. Counters see exactly one hit-or-miss per key per
   // probed tier, same as key-at-a-time lookups.
-  std::size_t unserved = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t unserved = 0;
   {
     core::SharedReaderLock lock(mutual_mu_);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (found[i]) continue;
-      if (const auto it = mutual_cache_.find(keys[i]); it != mutual_cache_.end()) {
-        out[i] = it->second;
+      if (const MutualEntry* e = find_mutual_locked(keys[i])) {
+        out[i] = e->value;
         found[i] = 1;
-        mutual_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++hits;
       } else {
-        mutual_misses_.fetch_add(1, std::memory_order_relaxed);
         ++unserved;
       }
     }
   }
+  if (hits > 0) mutual_hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (unserved > 0) mutual_misses_.fetch_add(unserved, std::memory_order_relaxed);
   if (unserved > 0 && parent_ != nullptr) {
     parent_->lookup_mutual_batch(keys, out, found);
   }
 }
 
+std::size_t ExtractionCache::mutual_slot_locked(const MutualCacheKey& key) const {
+  const std::size_t mask = mutual_index_.size() - 1;
+  std::size_t i = MutualCacheKeyHash{}(key) & mask;
+  while (mutual_index_[i] != 0 && !(mutual_entries_[mutual_index_[i] - 1].key == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const ExtractionCache::MutualEntry* ExtractionCache::find_mutual_locked(
+    const MutualCacheKey& key) const {
+  if (mutual_index_.empty()) return nullptr;
+  const std::uint32_t slot = mutual_index_[mutual_slot_locked(key)];
+  return slot == 0 ? nullptr : &mutual_entries_[slot - 1];
+}
+
+void ExtractionCache::reindex_mutual_locked(std::size_t min_slots) {
+  mutual_index_.assign(std::bit_ceil(std::max<std::size_t>(min_slots, 16)), 0);
+  for (std::size_t e = 0; e < mutual_entries_.size(); ++e) {
+    mutual_index_[mutual_slot_locked(mutual_entries_[e].key)] =
+        static_cast<std::uint32_t>(e + 1);
+  }
+}
+
+void ExtractionCache::reserve_mutual_locked(std::size_t more) {
+  // Geometric growth, so a run of small batches does not reallocate on
+  // every one of them.
+  const std::size_t want = std::min(mutual_entries_.size() + more, kMutualCap);
+  if (want > mutual_entries_.capacity()) {
+    mutual_entries_.reserve(std::min(std::max(want, 2 * mutual_entries_.capacity()), kMutualCap));
+  }
+  if (2 * want > mutual_index_.size()) {
+    reindex_mutual_locked(std::max(2 * want, 2 * mutual_index_.size()));
+  }
+}
+
 void ExtractionCache::store_mutual_locked(const MutualCacheKey& key, double value) {
-  if (mutual_cache_.size() >= kMutualCap) {
+  if (mutual_entries_.size() >= kMutualCap) {
     // Evict the oldest-inserted half rather than clearing outright: the
     // working set of a long sweep survives, and entries are pure functions
     // of their keys, so eviction timing only affects recomputation
     // frequency, never values. Counters are untouched - they stay monotone
     // across evictions.
-    const std::size_t evict = mutual_order_.size() / 2;
-    for (std::size_t i = 0; i < evict; ++i) mutual_cache_.erase(mutual_order_[i]);
-    mutual_order_.erase(mutual_order_.begin(),
-                        mutual_order_.begin() + static_cast<std::ptrdiff_t>(evict));
+    const std::size_t evict = mutual_entries_.size() / 2;
+    mutual_entries_.erase(mutual_entries_.begin(),
+                          mutual_entries_.begin() + static_cast<std::ptrdiff_t>(evict));
+    reindex_mutual_locked(mutual_index_.size());
   }
-  if (mutual_cache_.emplace(key, value).second) mutual_order_.push_back(key);
+  reserve_mutual_locked(1);
+  const std::size_t slot = mutual_slot_locked(key);
+  if (mutual_index_[slot] != 0) return;
+  mutual_entries_.push_back({key, value});
+  mutual_index_[slot] = static_cast<std::uint32_t>(mutual_entries_.size());
 }
 
 void ExtractionCache::store_mutual(const MutualCacheKey& key, double value) {
@@ -132,12 +176,14 @@ void ExtractionCache::store_mutual_batch(std::span<const MutualCacheKey> keys,
                                          std::span<const double> values) {
   {
     core::SharedMutexLock lock(mutual_mu_);
+    reserve_mutual_locked(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       store_mutual_locked(keys[i], values[i]);
     }
   }
   if (ExtractionCache* r = root(); r != this) {
     core::SharedMutexLock lock(r->mutual_mu_);
+    r->reserve_mutual_locked(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       r->store_mutual_locked(keys[i], values[i]);
     }

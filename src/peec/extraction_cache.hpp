@@ -106,7 +106,8 @@ class ExtractionCache {
   // left untouched. Counts like lookup_self, one probe per key per tier.
   void lookup_mutual_batch(std::span<const MutualCacheKey> keys,
                            std::span<double> out, std::span<char> found) const;
-  // Bulk store under one unique lock per tier (this tier + the root).
+  // Bulk store under one unique lock per tier (this tier + the root). Each
+  // tier sizes its storage for the whole batch before the first insert.
   void store_mutual_batch(std::span<const MutualCacheKey> keys,
                           std::span<const double> values);
   // One-key calls of the two batch forms.
@@ -119,19 +120,38 @@ class ExtractionCache {
   // Probe only this tier's own self map (one shared-lock round), counting
   // the outcome on this tier.
   std::optional<double> probe_self_local(std::uint64_t key) const;
+  struct MutualEntry {
+    MutualCacheKey key;
+    double value;
+  };
+  // Requires mutual_mu_ held and a non-empty index: the index position of
+  // `key`'s entry, or the empty position where it would go.
+  std::size_t mutual_slot_locked(const MutualCacheKey& key) const
+      EMI_REQUIRES_SHARED(mutual_mu_);
+  // Requires mutual_mu_ held: the entry holding `key`, or null.
+  const MutualEntry* find_mutual_locked(const MutualCacheKey& key) const
+      EMI_REQUIRES_SHARED(mutual_mu_);
   // Requires mutual_mu_ held exclusively; evict-oldest-half at capacity.
   void store_mutual_locked(const MutualCacheKey& key, double value)
       EMI_REQUIRES(mutual_mu_);
+  // Requires mutual_mu_ held exclusively: an index of at least
+  // `min_slots` slots (a power of two) over mutual_entries_.
+  void reindex_mutual_locked(std::size_t min_slots) EMI_REQUIRES(mutual_mu_);
+  // Requires mutual_mu_ held exclusively: room for `more` further entries
+  // (up to the cap) without a reallocation or a reindex.
+  void reserve_mutual_locked(std::size_t more) EMI_REQUIRES(mutual_mu_);
   ExtractionCache* root();
 
   std::shared_ptr<ExtractionCache> parent_;
   mutable core::SharedMutex self_mu_;
   std::unordered_map<std::uint64_t, double> self_cache_ EMI_GUARDED_BY(self_mu_);
   mutable core::SharedMutex mutual_mu_;
-  std::unordered_map<MutualCacheKey, double, MutualCacheKeyHash> mutual_cache_
-      EMI_GUARDED_BY(mutual_mu_);
-  // Insertion order, for eviction.
-  std::vector<MutualCacheKey> mutual_order_ EMI_GUARDED_BY(mutual_mu_);
+  // The mutual tier is flat: its entries in insertion order (the eviction
+  // order), plus an open-addressing index over them (linear probing, slot =
+  // entry number + 1, 0 = empty, at most half full). Storing a key costs no
+  // node allocation and dropping the tier frees two arrays.
+  std::vector<MutualEntry> mutual_entries_ EMI_GUARDED_BY(mutual_mu_);
+  std::vector<std::uint32_t> mutual_index_ EMI_GUARDED_BY(mutual_mu_);
   mutable std::atomic<std::uint64_t> self_hits_{0};
   mutable std::atomic<std::uint64_t> self_misses_{0};
   mutable std::atomic<std::uint64_t> mutual_hits_{0};

@@ -29,44 +29,52 @@
 namespace emi::peec {
 
 SegmentAxis segment_axis(const Segment& s) {
-  const double l = s.length();
-  // Zero-length segments get a zero direction; the row kernel skips their
-  // pairs (l <= 0) before reading their samples.
-  return {l, l > 0.0 ? s.direction() : Vec3{0.0, 0.0, 0.0}, s.midpoint()};
+  // length() and direction() in one norm: direction() divides by the same
+  // norm, so the bits are theirs. Zero-length segments get a zero
+  // direction; the row kernel skips their pairs (l <= 0) before reading
+  // their samples.
+  const Vec3 d = s.b - s.a;
+  const double l = d.norm();
+  return {l, l > 0.0 ? Vec3{d.x / l, d.y / l, d.z / l} : Vec3{0.0, 0.0, 0.0},
+          s.midpoint()};
 }
 
 SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
   SampledPath out;
+  sample_path(path, opt, out);
+  return out;
+}
+
+void sample_path(const SegmentPath& path, const QuadratureOptions& opt, SampledPath& out) {
+  const std::size_t n = path.segments.size();
+  // Validates the order once, before `out` is touched.
+  const num::GaussRule rule = n > 0 ? num::gauss_rule(opt.order) : num::GaussRule{};
   out.order = opt.order;
   out.n_sub = std::max<std::size_t>(1, opt.subdivisions);
-  const std::size_t n = path.segments.size();
-  if (n == 0) return out;
-  const num::GaussRule rule = num::gauss_rule(opt.order);  // validates once
   const std::size_t sps = out.order * out.n_sub;
-  out.px.reserve(n * sps);
-  out.py.reserve(n * sps);
-  out.pz.reserve(n * sps);
-  out.wt.reserve(n * sps);
-  out.half.reserve(n * out.n_sub);
+  // Sized first and written by index: a reused `out` keeps its arrays.
+  for (std::vector<double>* v : {&out.px, &out.py, &out.pz, &out.wt}) v->resize(n * sps);
+  out.half.resize(n * out.n_sub);
   for (std::vector<double>* v :
        {&out.dx, &out.dy, &out.dz, &out.ax, &out.ay, &out.az, &out.mx, &out.my,
         &out.mz, &out.len, &out.rad, &out.wgt}) {
-    v->reserve(n);
+    v->resize(n);
   }
-  for (const Segment& s : path.segments) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Segment& s = path.segments[i];
     const auto [l, d, m] = segment_axis(s);
-    out.len.push_back(l);
-    out.rad.push_back(s.radius);
-    out.wgt.push_back(s.weight);
-    out.dx.push_back(d.x);
-    out.dy.push_back(d.y);
-    out.dz.push_back(d.z);
-    out.ax.push_back(s.a.x);
-    out.ay.push_back(s.a.y);
-    out.az.push_back(s.a.z);
-    out.mx.push_back(m.x);
-    out.my.push_back(m.y);
-    out.mz.push_back(m.z);
+    out.len[i] = l;
+    out.rad[i] = s.radius;
+    out.wgt[i] = s.weight;
+    out.dx[i] = d.x;
+    out.dy[i] = d.y;
+    out.dz[i] = d.z;
+    out.ax[i] = s.a.x;
+    out.ay[i] = s.a.y;
+    out.az[i] = s.a.z;
+    out.mx[i] = m.x;
+    out.my[i] = m.y;
+    out.mz[i] = m.z;
     for (std::size_t si = 0; si < out.n_sub; ++si) {
       // The exact subinterval/abscissa expressions of the legacy kernel, so
       // the precomputed samples carry identical bits.
@@ -75,17 +83,17 @@ SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt) {
           l * static_cast<double>(si + 1) / static_cast<double>(out.n_sub);
       const double half = 0.5 * (b1 - a1);
       const double mid = 0.5 * (a1 + b1);
-      out.half.push_back(half);
+      out.half[i * out.n_sub + si] = half;
+      const std::size_t base = i * sps + si * out.order;
       for (std::size_t k = 0; k < out.order; ++k) {
         const Vec3 p = s.a + d * (mid + half * rule.nodes[k]);
-        out.px.push_back(p.x);
-        out.py.push_back(p.y);
-        out.pz.push_back(p.z);
-        out.wt.push_back(rule.weights[k]);
+        out.px[base + k] = p.x;
+        out.py[base + k] = p.y;
+        out.pz[base + k] = p.z;
+        out.wt[base + k] = rule.weights[k];
       }
     }
   }
-  return out;
 }
 
 namespace {

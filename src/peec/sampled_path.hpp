@@ -50,6 +50,10 @@ struct SampledPath {
 // the tabulated rules (throws std::invalid_argument outside 1..8, like the
 // legacy kernel's first gauss_rule call would).
 SampledPath sample_path(const SegmentPath& path, const QuadratureOptions& opt = {});
+// The same sampling written into `out`, whose arrays keep their capacity:
+// a caller that samples path after path into one SampledPath stops
+// allocating once it has held the largest.
+void sample_path(const SegmentPath& path, const QuadratureOptions& opt, SampledPath& out);
 
 // The per-segment quantities sample_path stores: length, unit direction
 // (zero for a zero-length segment) and midpoint. Code that needs a

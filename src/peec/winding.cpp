@@ -6,11 +6,10 @@
 namespace emi::peec {
 
 SegmentPath transformed(const SegmentPath& path, const Pose& pose) {
+  const PoseMap map(pose);
   SegmentPath out;
   out.segments.reserve(path.segments.size());
-  for (const Segment& s : path.segments) {
-    out.segments.push_back({pose.apply(s.a), pose.apply(s.b), s.radius, s.weight});
-  }
+  for (const Segment& s : path.segments) out.segments.push_back(map.apply(s));
   return out;
 }
 

@@ -28,6 +28,26 @@ struct Pose {
   }
 };
 
+// A pose with its rotation's cosine and sine evaluated once, for moving
+// many points: apply() returns Pose::apply's bits.
+struct PoseMap {
+  explicit PoseMap(const Pose& pose)
+      : cos_rot(std::cos(geom::deg_to_rad(pose.rot_deg))),
+        sin_rot(std::sin(geom::deg_to_rad(pose.rot_deg))),
+        position(pose.position) {}
+
+  Vec3 apply(const Vec3& local) const {
+    return geom::rotate_z(local, cos_rot, sin_rot) + position;
+  }
+  // The segment transformed() emits for `s`.
+  Segment apply(const Segment& s) const {
+    return {apply(s.a), apply(s.b), s.radius, s.weight};
+  }
+
+  double cos_rot, sin_rot;
+  Vec3 position;
+};
+
 SegmentPath transformed(const SegmentPath& path, const Pose& pose);
 
 // One circular ring of `n_facets` straight segments, radius r, centered at

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,6 +140,21 @@ TEST(ThreadPool, GlobalThreadCountFollowsSetting) {
   EXPECT_EQ(ThreadPool::global_thread_count(), 3u);
   ThreadPool::set_global_thread_count(1);
   EXPECT_EQ(ThreadPool::global_thread_count(), 1u);
+}
+
+// EMI_THREADS is read whole: a value that is not a decimal integer from 1
+// to the cap falls back to the hardware default. Only the pure parse is
+// exercised, so no pool is ever sized from these values.
+TEST(ThreadPool, ThreadCountParseAcceptsOneToTheCapOnly) {
+  constexpr std::size_t cap = ThreadPool::kMaxThreadCount;
+  EXPECT_EQ(ThreadPool::parse_thread_count("1"), 1u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("4"), 4u);
+  EXPECT_EQ(ThreadPool::parse_thread_count(std::to_string(cap)), cap);
+  const std::vector<std::string> bad_values = {
+      "", "0", "-2", "4x", "1e3", " 4", "+4", "18446744073709551616", std::to_string(cap + 1)};
+  for (const std::string& bad : bad_values) {
+    EXPECT_EQ(ThreadPool::parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(Profile, AccumulatesAndSortsEntries) {

@@ -19,6 +19,7 @@
 #include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
 #include "src/core/thread_pool.hpp"
+#include "src/flow/scenario_large.hpp"
 #include "src/peec/component_model.hpp"
 #include "src/peec/extraction_cache.hpp"
 #include "src/peec/partial_inductance.hpp"
@@ -428,6 +429,134 @@ TEST(MutualBatchStop, UnfinishedMissesReturnTheZeroSentinel) {
   core::ThreadPool::set_global_thread_count(lanes0);
 }
 
+// The clustered twin: one task per miss, so a stop in the middle of the
+// region leaves each miss either finished (its value, stored) or the zero
+// sentinel (not stored). The token is raised from a watcher thread once a
+// tenth of the 16-stage board's cluster pairs are counted, at 1 and 4
+// lanes; a rerun on the same cache computes exactly the unfinished misses
+// and gives a cold extractor's bits.
+TEST(MutualBatchStop, ClusteredMissesStopPerPairOverSixteenStageBoard) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 16;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  KernelOptions kopt;
+  kopt.cluster = true;
+  std::vector<IndexPair> pairs;
+  for (std::size_t i = 0; i < s.placed.size(); ++i) {
+    for (std::size_t j = i + 1; j < s.placed.size(); ++j) pairs.emplace_back(i, j);
+  }
+  const auto bits = [](Henry h) { return std::bit_cast<std::uint64_t>(h.raw()); };
+  const std::uint64_t cluster0 = kernel_stats().cluster_pairs;
+  const std::vector<Henry> cold = CouplingExtractor({}, kopt).mutual_batch(s.placed, pairs);
+  const std::uint64_t cold_cluster_pairs = kernel_stats().cluster_pairs - cluster0;
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const std::size_t lanes : {1u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const CouplingExtractor shared({}, kopt, std::make_shared<ExtractionCache>());
+    (void)shared.mutual(s.placed[0], s.placed[1]);  // pair 0 becomes a hit
+
+    core::CancelToken token;
+    const std::uint64_t start = kernel_stats().cluster_pairs;
+    std::atomic<bool> done{false};
+    std::thread watcher([&] {
+      while (!done.load()) {
+        if (10 * (kernel_stats().cluster_pairs - start) >= cold_cluster_pairs) {
+          token.request_cancel();
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::vector<Henry> got;
+    bool stopped = false;
+    {
+      core::CancelScope scope(core::Deadline::unlimited(), &token);
+      got = shared.mutual_batch(s.placed, pairs);
+      stopped = scope.should_stop();
+    }
+    done.store(true);
+    watcher.join();
+    ASSERT_TRUE(stopped) << "lanes " << lanes;
+    ASSERT_EQ(got.size(), pairs.size());
+    EXPECT_EQ(bits(got[0]), bits(cold[0])) << "the hit, lanes " << lanes;
+    // Far pairs whose roots are admitted against a closed loop's zero
+    // moment are exactly 0 when finished too, so a 0 is unfinished for
+    // certain only where the cold value is not.
+    std::uint64_t zeros = 0;
+    std::uint64_t unfinished = 0;
+    for (std::size_t p = 1; p < pairs.size(); ++p) {
+      EXPECT_TRUE(got[p].raw() == 0.0 || bits(got[p]) == bits(cold[p]))
+          << "pair " << p << " lanes " << lanes << ": neither the sentinel nor the value";
+      if (got[p].raw() != 0.0) continue;
+      ++zeros;
+      if (cold[p].raw() != 0.0) ++unfinished;
+    }
+    // The stop came after a tenth of the cluster pairs were counted.
+    EXPECT_LT(zeros, pairs.size() - 1) << "lanes " << lanes;
+
+    // Every finished miss was stored whole and no unfinished one: the rerun
+    // computes at least the certain sentinels and at most every 0.
+    const ExtractionCacheStats before = shared.cache_stats();
+    const std::vector<Henry> rerun = shared.mutual_batch(s.placed, pairs);
+    const ExtractionCacheStats after = shared.cache_stats();
+    const std::uint64_t recomputed = after.mutual_misses - before.mutual_misses;
+    EXPECT_GE(recomputed, unfinished) << "lanes " << lanes;
+    EXPECT_LE(recomputed, zeros) << "lanes " << lanes;
+    EXPECT_EQ(after.mutual_hits - before.mutual_hits, pairs.size() - recomputed)
+        << "lanes " << lanes;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_EQ(bits(rerun[p]), bits(cold[p])) << "rerun pair " << p << " lanes " << lanes;
+    }
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
+}
+
+// The 16-stage board's clustered mutual_matrix at 1, 2 and 4 lanes, each on
+// a cold session tier over its own shared tier, then again on a fresh
+// session tier over that warm shared tier: every entry keeps the 1-lane
+// bits, and the hit and miss counts are exact (every self term and pair
+// computed once, then all served by the shared tier).
+TEST(MutualBatchLanes, ClusteredMatrixOverSixteenStageBoardKeepsBitsAndCounts) {
+  flow::LargeScenarioOptions opt;
+  opt.n_stages = 16;
+  const flow::LargeScenario s = flow::make_large_scenario(opt);
+  const std::size_t n = s.placed.size();
+  const std::uint64_t n_pairs = n * (n - 1) / 2;
+  KernelOptions kopt;
+  kopt.cluster = true;
+  const auto bits = [](const std::vector<Henry>& m) {
+    std::vector<std::uint64_t> b(m.size());
+    for (std::size_t i = 0; i < m.size(); ++i) b[i] = std::bit_cast<std::uint64_t>(m[i].raw());
+    return b;
+  };
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  std::vector<std::uint64_t> want;
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const auto global = std::make_shared<ExtractionCache>();
+    const CouplingExtractor cold({}, kopt, std::make_shared<ExtractionCache>(global));
+    const std::vector<std::uint64_t> got = bits(cold.mutual_matrix(s.placed));
+    if (want.empty()) want = got;
+    EXPECT_EQ(got, want) << "cold, lanes " << lanes;
+    const ExtractionCacheStats c = cold.cache_stats();
+    EXPECT_EQ(c.self_misses, n) << "lanes " << lanes;
+    EXPECT_EQ(c.self_hits, 0u) << "lanes " << lanes;
+    EXPECT_EQ(c.mutual_misses, n_pairs) << "lanes " << lanes;
+    EXPECT_EQ(c.mutual_hits, 0u) << "lanes " << lanes;
+
+    const CouplingExtractor warm({}, kopt, std::make_shared<ExtractionCache>(global));
+    EXPECT_EQ(bits(warm.mutual_matrix(s.placed)), want) << "warm, lanes " << lanes;
+    const ExtractionCacheStats w = warm.cache_stats();
+    EXPECT_EQ(w.self_misses, 0u) << "lanes " << lanes;
+    EXPECT_EQ(w.self_hits, n) << "lanes " << lanes;
+    EXPECT_EQ(w.mutual_misses, 0u) << "lanes " << lanes;
+    EXPECT_EQ(w.mutual_hits, n_pairs) << "lanes " << lanes;
+    const CacheTierStats g = global->stats();
+    EXPECT_EQ(g.mutual_hits, n_pairs) << "lanes " << lanes;
+    EXPECT_EQ(g.mutual_misses, n_pairs) << "lanes " << lanes;
+  }
+  core::ThreadPool::set_global_thread_count(lanes0);
+}
 
 // The cache fault site keys its draws on the byte-wise FNV-1a of a mutual
 // key. Both values were recorded when that hash was also the maps' hash, so

@@ -106,8 +106,8 @@ case "$label" in
     ctest --test-dir "$build_dir" -L 'peec|large|perf' --output-on-failure
     bench="${build_dir}/bench/bench_peec_scaling"
     if [[ -x "$bench" ]]; then
-      echo "check peec: screening extraction (BM_ScreeningMatrix)"
-      "$bench" --benchmark_filter=ScreeningMatrix --benchmark_min_time=0.5
+      echo "check peec: screening extraction and ranking (BM_ScreeningMatrix, BM_ScreeningRank)"
+      "$bench" --benchmark_filter='Screening(Matrix|Rank)' --benchmark_min_time=0.5
     else
       echo "check peec: SKIP benchmark (${bench} not built)"
     fi
