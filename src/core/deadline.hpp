@@ -41,13 +41,30 @@ namespace emi::core {
 class CancelToken {
  public:
   void request_cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancel_requested() const {
-    return cancelled_.load(std::memory_order_relaxed);
+  // The token raises itself at its n-th cancel_requested() call from now
+  // (n >= 1). Every poll of a scope bound to the token makes one such call
+  // until the stop latches, so a test can land a stop at a chosen poll of a
+  // run, on whichever lane reaches it.
+  void request_cancel_at_check(std::int64_t n) {
+    checks_left_.store(n, std::memory_order_relaxed);
   }
-  void reset() { cancelled_.store(false, std::memory_order_relaxed); }
+  bool cancel_requested() const {
+    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    if (checks_left_.load(std::memory_order_relaxed) > 0 &&
+        checks_left_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+      cancelled_.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+  void reset() {
+    cancelled_.store(false, std::memory_order_relaxed);
+    checks_left_.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<bool> cancelled_{false};
+  mutable std::atomic<bool> cancelled_{false};
+  mutable std::atomic<std::int64_t> checks_left_{0};
 };
 
 // Immutable monotonic-clock budget. Default-constructed = unlimited.

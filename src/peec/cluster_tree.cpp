@@ -239,14 +239,31 @@ struct Traversal {
   }
 };
 
+}  // namespace
+
+namespace detail {
+
+struct TreeBuilder {
+  // The tree over the n segments whose geometry is geom[0 .. n), built in
+  // `tree`'s storage (its capacity kept).
+  static void build(ClusterTree& tree, const SegGeom* geom, std::size_t n,
+                    std::size_t leaf_segments) {
+    Builder{geom, std::max<std::size_t>(leaf_segments, 1), tree.nodes_, tree.order_}.build(n);
+  }
+};
+
+}  // namespace detail
+
+namespace {
+
 // One thread's scratch for the second sides of clustered path pairs: the
-// root test's per-segment geometry, then, for a pair the roots do not
-// settle, the second side's segments, sampling, tree, coverage flags and
-// row scratch. Each grows to the largest second side its thread has served
-// and is then reused, so a thread extracting pair after pair stops
-// allocating. Being thread_local it is never shared between lanes, and it
-// is sized here, outside the row kernel's clones (pair_row grows the row
-// scratch before it dispatches).
+// placed segments (for a posed call), their geometry for the root test and,
+// for a pair the roots do not settle, the tree built from that geometry,
+// the sampling, coverage flags and row scratch. Each grows to the largest
+// second side its thread has served and is then reused, so a thread
+// extracting pair after pair stops allocating. Being thread_local it is
+// never shared between lanes, and it is sized here, outside the row
+// kernel's clones (pair_row grows the row scratch before it dispatches).
 struct SecondSide {
   std::vector<SegGeom> geom;
   SegmentPath path;
@@ -261,13 +278,11 @@ SecondSide& second_side_scratch() {
   return scratch;
 }
 
-// The clustered extraction of p1 against the second side whose segment k is
-// segment(k), k < n2. Throws std::invalid_argument for the public entry
-// points' bad inputs.
-template <typename SegmentAt>
-ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
-                                const SegmentAt& segment, const QuadratureOptions& opt,
-                                const KernelOptions& kopt) {
+// path_mutual_clustered_stats(p1, p2, opt, kopt), working in `s`; p2 may be
+// s.path.
+ClusteredMutual clustered_stats(const PreparedPath& p1, const SegmentPath& p2,
+                                const QuadratureOptions& opt, const KernelOptions& kopt,
+                                SecondSide& s) {
   ClusteredMutual out;
   const SampledPath& a = p1.samples;
   if (!kopt.cluster) {
@@ -279,6 +294,7 @@ ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
         "path_mutual_clustered: cluster_theta must be >= 2");
   }
   const std::size_t n1 = a.segment_count();
+  const std::size_t n2 = p2.segments.size();
   // sample_path's validation of the rule, which the root test below may
   // leave uncalled.
   if (n2 > 0) (void)num::gauss_rule(opt.order);
@@ -295,9 +311,9 @@ ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
   // build applies to their sampling, so it carries the bits of the built
   // tree's root. Admitted, that root pair is the whole traversal and the
   // remainder is empty; sampling, tree and coverage would go unused.
-  SecondSide& s = second_side_scratch();
+  // Otherwise the tree is built from this same geometry.
   s.geom.resize(n2);
-  for (std::size_t k = 0; k < n2; ++k) s.geom[k] = seg_geom(segment(k));
+  for (std::size_t k = 0; k < n2; ++k) s.geom[k] = seg_geom(p2.segments[k]);
   const ClusterNode root_b =
       aggregate(0, n2, [&](std::size_t k) -> const SegGeom& { return s.geom[k]; });
   double r = 0.0;
@@ -305,10 +321,8 @@ ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
   if (admitted(ta.root(), root_b, theta, r)) {
     admit(ta.root(), root_b, r, coeff, out);
   } else {
-    s.path.segments.resize(n2);
-    for (std::size_t k = 0; k < n2; ++k) s.path.segments[k] = segment(k);
-    sample_path(s.path, opt, s.samples);
-    s.tree.rebuild(s.samples, kopt.cluster_leaf_segments);
+    sample_path(p2, opt, s.samples);
+    detail::TreeBuilder::build(s.tree, s.geom.data(), n2, kopt.cluster_leaf_segments);
     s.covered.assign(n1 * n2, 0);
     Traversal tr{a, s.samples, ta, s.tree, theta, coeff, s.covered, {}};
     tr.visit(0, 0);
@@ -332,18 +346,12 @@ ClusteredMutual clustered_stats(const PreparedPath& p1, std::size_t n2,
 
 ClusterTree ClusterTree::build(const SampledPath& path,
                                std::size_t leaf_segments) {
-  ClusterTree tree;
-  tree.rebuild(path, leaf_segments);
-  return tree;
-}
-
-void ClusterTree::rebuild(const SampledPath& path, std::size_t leaf_segments) {
   // Each segment's geometry once, read by every level of the build.
-  thread_local std::vector<SegGeom> geom;
-  const std::size_t n = path.segment_count();
-  geom.resize(n);
-  for (std::size_t i = 0; i < n; ++i) geom[i] = seg_geom(path, i);
-  Builder{geom.data(), std::max<std::size_t>(leaf_segments, 1), nodes_, order_}.build(n);
+  std::vector<SegGeom> geom(path.segment_count());
+  for (std::size_t i = 0; i < geom.size(); ++i) geom[i] = seg_geom(path, i);
+  ClusterTree tree;
+  detail::TreeBuilder::build(tree, geom.data(), geom.size(), leaf_segments);
+  return tree;
 }
 
 double cluster_error_coefficient(double theta) {
@@ -370,19 +378,20 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2,
                                             const QuadratureOptions& opt,
                                             const KernelOptions& kopt) {
-  return clustered_stats(
-      p1, p2.segments.size(), [&](std::size_t k) -> const Segment& { return p2.segments[k]; },
-      opt, kopt);
+  return clustered_stats(p1, p2, opt, kopt, second_side_scratch());
 }
 
 ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2, const Pose& pose,
                                             const QuadratureOptions& opt,
                                             const KernelOptions& kopt) {
+  SecondSide& s = second_side_scratch();
   const PoseMap map(pose);
-  return clustered_stats(
-      p1, p2.segments.size(), [&](std::size_t k) { return map.apply(p2.segments[k]); },
-      opt, kopt);
+  s.path.segments.resize(p2.segments.size());
+  for (std::size_t k = 0; k < p2.segments.size(); ++k) {
+    s.path.segments[k] = map.apply(p2.segments[k]);
+  }
+  return clustered_stats(p1, s.path, opt, kopt, s);
 }
 
 }  // namespace emi::peec

@@ -60,6 +60,11 @@ struct ClusterNode {
   std::size_t count() const { return end - begin; }
 };
 
+namespace detail {
+// cluster_tree.cpp's tree build over per-segment geometry at hand.
+struct TreeBuilder;
+}  // namespace detail
+
 // Deterministic bounding-volume hierarchy over one sampled path. Node 0 is
 // the root; children are emitted preorder (left subtree first), so node
 // indices - and every traversal that follows them - are a pure function of
@@ -69,10 +74,6 @@ class ClusterTree {
   // Builds the tree over `path`'s segments. Leaves hold at most
   // max(leaf_segments, 1) segments. An empty path yields an empty tree.
   static ClusterTree build(const SampledPath& path, std::size_t leaf_segments);
-  // build() into this tree, keeping its storage's capacity: a caller that
-  // rebuilds one tree path after path stops allocating once it has held the
-  // largest.
-  void rebuild(const SampledPath& path, std::size_t leaf_segments);
 
   bool empty() const { return nodes_.empty(); }
   const std::vector<ClusterNode>& nodes() const { return nodes_; }
@@ -82,6 +83,7 @@ class ClusterTree {
   const std::vector<std::size_t>& order() const { return order_; }
 
  private:
+  friend struct detail::TreeBuilder;
   std::vector<ClusterNode> nodes_;
   std::vector<std::size_t> order_;
 };
@@ -138,9 +140,9 @@ ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const KernelOptions& kopt = {});
 
 // Same, with the second side `p2` placed at `pose`: the bits and counters
-// of the overload above on transformed(p2, pose), without building that
-// path. Each segment is moved through transformed()'s expressions as it is
-// needed, so a pair the roots settle costs no allocation at all.
+// of the overload above on transformed(p2, pose). The placed segments go
+// into the same per-thread scratch, through transformed()'s expressions,
+// so no call allocates once its thread is warm.
 ClusteredMutual path_mutual_clustered_stats(const PreparedPath& p1,
                                             const SegmentPath& p2, const Pose& pose,
                                             const QuadratureOptions& opt,

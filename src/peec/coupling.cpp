@@ -341,24 +341,22 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
   if (!core::CancelScope::poll()) return out;
 
   // Collapse duplicates in pair order: job j is the j-th distinct key,
-  // first[j] the first pair holding it, slot[p] pair p's job. The table is
-  // open-addressed (linear probing, at most half full, entry = job + 1), so
-  // no key costs a node allocation.
+  // first[j] the first pair holding it, slot[p] pair p's job. The table
+  // indexes jobs, so no key costs a node allocation.
   std::vector<std::size_t> first;
   first.reserve(pairs.size());
   std::vector<std::size_t> slot(pairs.size());
   std::uint64_t hits = 0;
   {
-    std::vector<std::size_t> table(std::bit_ceil(2 * pairs.size()), 0);
-    const std::size_t mask = table.size() - 1;
+    MutualKeyIndex table;
+    table.reset(2 * pairs.size());
     for (std::size_t p = 0; p < pairs.size(); ++p) {
-      std::size_t t = hash[p] & mask;
-      while (table[t] != 0 && !(canon[first[table[t] - 1]].key == canon[p].key)) {
-        t = (t + 1) & mask;
-      }
+      const std::size_t t = table.find(
+          canon[p].key, hash[p],
+          [&](std::size_t j) -> const MutualCacheKey& { return canon[first[j]].key; });
       if (table[t] == 0) {
+        table.set(t, first.size());
         first.push_back(p);
-        table[t] = first.size();
       } else {
         // A duplicate of an earlier batch entry is served by that entry's
         // computation, exactly like a second sequential mutual() call would

@@ -41,6 +41,10 @@ std::uint64_t mutual_key_fault_hash(const MutualCacheKey& k) {
   return h;
 }
 
+void MutualKeyIndex::reset(std::size_t min_slots) {
+  slots_.assign(std::bit_ceil(std::max<std::size_t>(min_slots, 16)), 0);
+}
+
 ExtractionCache* ExtractionCache::root() {
   ExtractionCache* c = this;
   while (c->parent_ != nullptr) c = c->parent_.get();
@@ -114,12 +118,10 @@ void ExtractionCache::lookup_mutual_batch(std::span<const MutualCacheKey> keys,
 }
 
 std::size_t ExtractionCache::mutual_slot_locked(const MutualCacheKey& key) const {
-  const std::size_t mask = mutual_index_.size() - 1;
-  std::size_t i = MutualCacheKeyHash{}(key) & mask;
-  while (mutual_index_[i] != 0 && !(mutual_entries_[mutual_index_[i] - 1].key == key)) {
-    i = (i + 1) & mask;
-  }
-  return i;
+  return mutual_index_.find(key, MutualCacheKeyHash{}(key),
+                            [&](std::size_t e) -> const MutualCacheKey& {
+                              return mutual_entries_[e].key;
+                            });
 }
 
 const ExtractionCache::MutualEntry* ExtractionCache::find_mutual_locked(
@@ -130,10 +132,9 @@ const ExtractionCache::MutualEntry* ExtractionCache::find_mutual_locked(
 }
 
 void ExtractionCache::reindex_mutual_locked(std::size_t min_slots) {
-  mutual_index_.assign(std::bit_ceil(std::max<std::size_t>(min_slots, 16)), 0);
+  mutual_index_.reset(min_slots);
   for (std::size_t e = 0; e < mutual_entries_.size(); ++e) {
-    mutual_index_[mutual_slot_locked(mutual_entries_[e].key)] =
-        static_cast<std::uint32_t>(e + 1);
+    mutual_index_.set(mutual_slot_locked(mutual_entries_[e].key), e);
   }
 }
 
@@ -144,8 +145,8 @@ void ExtractionCache::reserve_mutual_locked(std::size_t more) {
   if (want > mutual_entries_.capacity()) {
     mutual_entries_.reserve(std::min(std::max(want, 2 * mutual_entries_.capacity()), kMutualCap));
   }
-  if (2 * want > mutual_index_.size()) {
-    reindex_mutual_locked(std::max(2 * want, 2 * mutual_index_.size()));
+  if (2 * want > mutual_index_.slot_count()) {
+    reindex_mutual_locked(std::max(2 * want, 2 * mutual_index_.slot_count()));
   }
 }
 
@@ -159,13 +160,13 @@ void ExtractionCache::store_mutual_locked(const MutualCacheKey& key, double valu
     const std::size_t evict = mutual_entries_.size() / 2;
     mutual_entries_.erase(mutual_entries_.begin(),
                           mutual_entries_.begin() + static_cast<std::ptrdiff_t>(evict));
-    reindex_mutual_locked(mutual_index_.size());
+    reindex_mutual_locked(mutual_index_.slot_count());
   }
   reserve_mutual_locked(1);
   const std::size_t slot = mutual_slot_locked(key);
   if (mutual_index_[slot] != 0) return;
+  mutual_index_.set(slot, mutual_entries_.size());
   mutual_entries_.push_back({key, value});
-  mutual_index_[slot] = static_cast<std::uint32_t>(mutual_entries_.size());
 }
 
 void ExtractionCache::store_mutual(const MutualCacheKey& key, double value) {

@@ -63,6 +63,36 @@ struct MutualCacheKeyHash {
 // patterns match older builds.
 std::uint64_t mutual_key_fault_hash(const MutualCacheKey& k);
 
+// An open-addressed index over an owner's array of keyed entries: linear
+// probing over a power-of-two slot count, which the owner keeps at least
+// twice its entry count. A slot holds entry number + 1, or 0 when empty, so
+// indexing a key costs no node allocation. The mutual tier indexes its
+// entries with it, and a mutual batch its distinct keys.
+class MutualKeyIndex {
+ public:
+  bool empty() const { return slots_.empty(); }
+  std::size_t slot_count() const { return slots_.size(); }
+  // Every slot emptied; at least `min_slots` slots (and 16).
+  void reset(std::size_t min_slots);
+  // The slot holding `key`, whose MutualCacheKeyHash is `hash`, or the empty
+  // slot where it would go. key_of(e) is entry e's key. Requires slots.
+  template <typename KeyOf>
+  std::size_t find(const MutualCacheKey& key, std::size_t hash, const KeyOf& key_of) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0 && !(key_of(slots_[i] - 1) == key)) i = (i + 1) & mask;
+    return i;
+  }
+  // Entry number + 1 at `slot`, 0 when it is empty.
+  std::uint32_t operator[](std::size_t slot) const { return slots_[slot]; }
+  void set(std::size_t slot, std::size_t entry) {
+    slots_[slot] = static_cast<std::uint32_t>(entry + 1);
+  }
+
+ private:
+  std::vector<std::uint32_t> slots_;
+};
+
 // Monotone per-tier service counters: `hits` = lookups served from this
 // tier's own map, `misses` = lookups that probed this tier and fell through
 // (for a root tier that is the compute count it triggered).
@@ -147,11 +177,10 @@ class ExtractionCache {
   std::unordered_map<std::uint64_t, double> self_cache_ EMI_GUARDED_BY(self_mu_);
   mutable core::SharedMutex mutual_mu_;
   // The mutual tier is flat: its entries in insertion order (the eviction
-  // order), plus an open-addressing index over them (linear probing, slot =
-  // entry number + 1, 0 = empty, at most half full). Storing a key costs no
-  // node allocation and dropping the tier frees two arrays.
+  // order), plus an index over them. Storing a key costs no node
+  // allocation and dropping the tier frees two arrays.
   std::vector<MutualEntry> mutual_entries_ EMI_GUARDED_BY(mutual_mu_);
-  std::vector<std::uint32_t> mutual_index_ EMI_GUARDED_BY(mutual_mu_);
+  MutualKeyIndex mutual_index_ EMI_GUARDED_BY(mutual_mu_);
   mutable std::atomic<std::uint64_t> self_hits_{0};
   mutable std::atomic<std::uint64_t> self_misses_{0};
   mutable std::atomic<std::uint64_t> mutual_hits_{0};

@@ -60,6 +60,27 @@ TEST(CancelToken, StickyUntilReset) {
   EXPECT_FALSE(t.cancel_requested());
 }
 
+// A token set to raise itself at its third check reads clear twice, then
+// raised for good; a scope bound to it stops at its third poll, and reset()
+// disarms the count.
+TEST(CancelToken, RaisesItselfAtTheNthCheck) {
+  CancelToken t;
+  t.request_cancel_at_check(3);
+  EXPECT_FALSE(t.cancel_requested());
+  EXPECT_FALSE(t.cancel_requested());
+  EXPECT_TRUE(t.cancel_requested());
+  EXPECT_TRUE(t.cancel_requested());
+  t.reset();
+  for (int i = 0; i < 5; ++i) EXPECT_FALSE(t.cancel_requested());
+
+  t.request_cancel_at_check(3);
+  CancelScope scope(Deadline::unlimited(), &t);
+  EXPECT_TRUE(CancelScope::poll());
+  EXPECT_TRUE(CancelScope::poll());
+  EXPECT_FALSE(CancelScope::poll());
+  EXPECT_EQ(scope.stop_reason(), CancelScope::Stop::kCancel);
+}
+
 TEST(CancelScope, NoScopeMeansNoStops) {
   EXPECT_EQ(CancelScope::current(), nullptr);
   EXPECT_TRUE(CancelScope::poll());

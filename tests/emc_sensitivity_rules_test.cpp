@@ -4,10 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/core/thread_pool.hpp"
 #include "src/emi/lisn.hpp"
 #include "src/emi/rules.hpp"
 #include "src/emi/sensitivity.hpp"
@@ -174,6 +176,47 @@ TEST(GeometricCoupling, ValidatesAndHandlesDegenerateInput) {
 }
 
 
+// The ranking rank_geometric_coupling promises, by a plain std::sort on the
+// names themselves (|k| descending, then name a, then name b), from a fresh
+// extractor's matrix under `kopt`.
+std::vector<GeometricCoupling> sorted_on_names(std::span<const peec::PlacedModel> models,
+                                               std::span<const std::string> names,
+                                               const peec::KernelOptions& kopt) {
+  const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
+  const std::vector<units::Henry> m = ex.mutual_matrix(models);
+  const std::size_t n = models.size();
+  std::vector<GeometricCoupling> want;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      want.push_back({names[i], names[j],
+                      std::fabs(peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]))});
+    }
+  }
+  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
+    if (a.inductor_a != b.inductor_a) return a.inductor_a < b.inductor_a;
+    return a.inductor_b < b.inductor_b;
+  });
+  return want;
+}
+
+std::size_t zero_entries(const std::vector<GeometricCoupling>& ranked) {
+  return static_cast<std::size_t>(std::count_if(
+      ranked.begin(), ranked.end(), [](const GeometricCoupling& g) { return g.k_abs == 0.0; }));
+}
+
+void expect_same_ranking(const std::vector<GeometricCoupling>& got,
+                         const std::vector<GeometricCoupling>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(got[e].inductor_a, want[e].inductor_a) << where << " entry " << e;
+    EXPECT_EQ(got[e].inductor_b, want[e].inductor_b) << where << " entry " << e;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[e].k_abs),
+              std::bit_cast<std::uint64_t>(want[e].k_abs))
+        << where << " entry " << e;
+  }
+}
+
 // The ranking's integer-key sort against the order of a sort on the names
 // themselves (|k| descending, then name a, then name b): far-apart X
 // capacitors under the clustered kernel tie at k = 0, two names repeat, and
@@ -193,35 +236,45 @@ TEST(GeometricCoupling, IntegerKeySortMatchesTheNameOrder) {
   kopt.cluster = true;
   const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
   const std::vector<GeometricCoupling> ranked = rank_geometric_coupling(ex, models, names);
+  const std::vector<GeometricCoupling> want = sorted_on_names(models, names, kopt);
+  ASSERT_GE(zero_entries(want), 4u);  // ties at 0 reach the name keys
+  expect_same_ranking(ranked, want, "7 models");
+}
 
-  const peec::CouplingExtractor ref_ex(peec::QuadratureOptions{}, kopt);
-  const std::vector<units::Henry> m = ref_ex.mutual_matrix(models);
-  const std::size_t n = models.size();
-  std::vector<GeometricCoupling> want;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      want.push_back({names[i], names[j],
-                      std::fabs(peec::coupling_ratio(m[i * n + j], m[i * n + i], m[j * n + j]))});
-    }
+// A ranking of more than a thousand entries (48 X capacitors, 1,128 pairs)
+// against the plain sort, whole, at 1, 2 and 4 lanes: the build, block sort
+// and emit regions split it into chunks, the block merges meet runs of
+// zero-k ties (far pairs under the clustered kernel), and repeated names
+// reach the name keys.
+TEST(GeometricCoupling, BoardSizedRankingMatchesThePlainSortAtEveryLaneCount) {
+  constexpr int kModels = 48;
+  std::vector<peec::ComponentFieldModel> caps;
+  caps.reserve(kModels);
+  std::vector<peec::PlacedModel> models;
+  std::vector<std::string> names;
+  for (int c = 0; c < kModels; ++c) {
+    caps.push_back(peec::x_capacitor("C" + std::to_string(c)));
+    // An 8 x 6 grid whose spacing grows with the column, so close, middling
+    // and far pairs all occur, each part nudged so that few pairs share a
+    // relative pose; every fifth part is turned.
+    const double x = 6.0 * (c % 8) * (c % 8) + 0.25 * c;
+    const double y = 35.0 * (c / 8) + 0.5 * (c % 3);
+    models.push_back({&caps.back(), {{x, y, 0.0}, c % 5 == 0 ? 90.0 : 0.0}});
+    names.push_back("C" + std::to_string((37 * c) % 41));  // repeats, out of index order
   }
-  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
-    if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
-    if (a.inductor_a != b.inductor_a) return a.inductor_a < b.inductor_a;
-    return a.inductor_b < b.inductor_b;
-  });
-  std::size_t zeros = 0;
-  for (const GeometricCoupling& g : want) {
-    if (g.k_abs == 0.0) ++zeros;
+  peec::KernelOptions kopt;
+  kopt.cluster = true;
+  const std::vector<GeometricCoupling> want = sorted_on_names(models, names, kopt);
+  ASSERT_EQ(want.size(), 1128u);
+  ASSERT_GE(zero_entries(want), 10u);
+  const std::size_t lanes0 = core::ThreadPool::global_thread_count();
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const peec::CouplingExtractor ex(peec::QuadratureOptions{}, kopt);
+    expect_same_ranking(rank_geometric_coupling(ex, models, names), want,
+                        "lanes " + std::to_string(lanes));
   }
-  ASSERT_GE(zeros, 4u);  // ties at 0 reach the name keys
-  ASSERT_EQ(ranked.size(), want.size());
-  for (std::size_t e = 0; e < want.size(); ++e) {
-    EXPECT_EQ(ranked[e].inductor_a, want[e].inductor_a) << "entry " << e;
-    EXPECT_EQ(ranked[e].inductor_b, want[e].inductor_b) << "entry " << e;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ranked[e].k_abs),
-              std::bit_cast<std::uint64_t>(want[e].k_abs))
-        << "entry " << e;
-  }
+  core::ThreadPool::set_global_thread_count(lanes0);
 }
 
 }  // namespace
