@@ -453,9 +453,10 @@ std::vector<Henry> CouplingExtractor::mutual_batch_digested(
     // Clustered misses: one task per pair (the dual traversal is serial
     // per pair). Each job writes only its own slot; values are pure
     // functions of the canonical key, so the schedule cannot affect results.
-    // The second side is moved to the pair's relative pose segment by
-    // segment, and a pair the roots do not settle works in its lane's
-    // scratch (path_mutual_clustered_stats): no task allocates.
+    // The second side is placed at the pair's relative pose in its lane's
+    // scratch (path_mutual_clustered_stats), where a pair the roots do not
+    // settle also samples it and builds its tree: no task allocates once
+    // its lane is warm.
     core::parallel_for(
         0, miss.size(),
         [&](std::size_t k) {
