@@ -52,8 +52,9 @@ struct MutualCacheKey {
   bool operator==(const MutualCacheKey&) const = default;
 };
 
-// The maps' hash: a word-wise mix of the nine fields. Nothing iterates the
-// maps (eviction follows insertion order), so no result depends on it.
+// The key indexes' hash (MutualKeyIndex): a word-wise mix of the nine
+// fields. Nothing iterates an index (eviction follows insertion order, a
+// batch's jobs follow pair order), so no result depends on it.
 struct MutualCacheKeyHash {
   std::size_t operator()(const MutualCacheKey& k) const;
 };
